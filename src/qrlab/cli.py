@@ -12,9 +12,10 @@ Subcommands (also reachable as ``qrlab run <experiment>``):
 
 Configuration comes from an optional JSON file (--config) plus flag
 overrides; flags win. The sample count is derived as n = round(d^2/(2 alpha)).
-Seeds fan out to a thread pool capped by QRLAB_THREADS. Every run writes
-results.json (deterministic given config and seeds; its sha256 config hash
-is embedded), results.csv, and a results.meta.json sidecar holding the
+Seeds fan out to a thread pool capped by QRLAB_THREADS (an integer >= 1;
+default the CPU count). Every run writes results.json (deterministic given
+config, seeds and the BLAS thread count; its sha256 config hash is
+embedded), results.csv, and a results.meta.json sidecar holding the
 wall-clock data. esd runs also emit an SVG histogram/density overlay,
 law.csv, and eigs.csv.
 
@@ -214,10 +215,22 @@ def _parse_seeds(text: str) -> list[int]:
     return list(range(count))
 
 
-def _worker_count(n_tasks: int) -> int:
+def _thread_limit() -> int:
+    """Seed-worker cap: QRLAB_THREADS (an integer >= 1) or the CPU count."""
     cap = os.environ.get("QRLAB_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(limit, n_tasks))
+    if not cap:
+        return os.cpu_count() or 1
+    try:
+        limit = int(cap)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise _ConfigError("QRLAB_THREADS must be an integer >= 1, got %r" % cap)
+    return limit
+
+
+def _worker_count(n_tasks: int) -> int:
+    return max(1, min(_thread_limit(), n_tasks))
 
 
 def _map_seeds(fn, seeds):
@@ -274,7 +287,7 @@ def _scaled_kernel_eigs(cfg: ExperimentConfig, d: int, seed: int):
         raise AssumptionViolationError("f''(0) must be nonzero for the spectral limit")
     n = data.n
     scaled = (4.0 * cfg.alpha / second) * (k_mat - coeffs.a * np.eye(n))
-    return spectra.esd(scaled), cov
+    return spectra.esd(scaled)
 
 
 def _run_approx_norm(cfg: ExperimentConfig):
@@ -326,12 +339,17 @@ def _run_esd(cfg: ExperimentConfig):
     nu = datagen.sigma2_diagonal(cov)
     law = spectra.deformed_mp_law(cfg.alpha, nu)
 
+    # The first seed's spectrum is kept for the overlay and eigs.csv.
+    first = {}
+
     def one(seed):
-        eigs, _ = _scaled_kernel_eigs(cfg, d, seed)
+        eigs = _scaled_kernel_eigs(cfg, d, seed)
+        if seed == cfg.seeds[0]:
+            first["eigs"] = eigs
         return {"d": d, "n": cfg.n_for(d), "seed": seed, "ks": spectra.ks_distance(eigs, law)}
 
     records, timings = _map_seeds(one, cfg.seeds)
-    eigs0, _ = _scaled_kernel_eigs(cfg, d, cfg.seeds[0])
+    eigs0 = first["eigs"]
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     plots.svg_histogram_overlay(eigs0, law, out / "overlay.svg", title="recentered kernel spectrum, d=%d" % d)
@@ -497,6 +515,7 @@ def run(cfg: ExperimentConfig) -> int:
         runner = _RUNNERS[cfg.experiment]
     except KeyError:
         raise _ConfigError("unknown experiment %r" % cfg.experiment) from None
+    _thread_limit()  # a bad QRLAB_THREADS fails before any work starts
     records, summary, header, rows, timings = runner(cfg)
     out = _write_outputs(cfg, records, summary, header, rows, timings)
     print("wrote %s" % (out / "results.json"))

@@ -32,10 +32,30 @@ __all__ = [
 ]
 
 
+def _horner(x, coeffs):
+    """sum_k coeffs[k] x^k (low to high degree) by Horner's rule.
+
+    Multiplies and adds in place on one fresh output buffer; ``x`` itself
+    is never written to.
+    """
+    if len(coeffs) == 1:
+        return np.full_like(x, coeffs[0], dtype=np.float64)
+    out = x * coeffs[-1]
+    out += coeffs[-2]
+    for c in coeffs[-3::-1]:
+        out *= x
+        out += c
+    return out
+
+
 @dataclass(frozen=True)
 class KernelFunction:
     """Scalar kernel profile f with its derivatives at zero.
 
+    ``fn`` must be vectorised: called on a float64 array, 0-d array or
+    float64 scalar, it returns f entrywise with the same shape, in a fresh
+    array that the caller owns. It must never write to its argument:
+    ``eval`` hands it the caller's array without copying.
     ``derivs0`` holds (f(0), f'(0), f''(0), f'''(0), f''''(0)). Builtins are
     supplied analytically; user-defined kernels must pass explicit values,
     which are validated against central finite differences.
@@ -66,8 +86,10 @@ class KernelFunction:
 
     @staticmethod
     def quartic(b0: float, b2: float, b4: float) -> "KernelFunction":
+        coeffs = (b0, b2 / 2.0, b4 / 24.0)
+
         def fn(t):
-            return b0 + b2 * t**2 / 2.0 + b4 * t**4 / 24.0
+            return _horner(t * t, coeffs)
 
         name = "quartic:%g,%g,%g" % (b0, b2, b4)
         return KernelFunction(name, fn, (float(b0), 0.0, float(b2), 0.0, float(b4)))
@@ -80,7 +102,7 @@ class KernelFunction:
             raise InvalidArgumentError("custom_poly needs at least one coefficient")
 
         def fn(t):
-            return np.polynomial.polynomial.polyval(t, c)
+            return _horner(t, c)
 
         derivs = tuple(math.factorial(k) * c[k] if k < len(c) else 0.0 for k in range(5))
         return KernelFunction("custom_poly:" + ",".join("%g" % v for v in c), fn, derivs)
@@ -235,7 +257,9 @@ def cross_kernel(data, x_test, kernel: KernelFunction) -> np.ndarray:
         raise InvalidArgumentError(
             "test point dimension %d does not match data dimension %d" % (t.shape[-1], x.shape[1])
         )
-    return kernel.eval(t @ x.T / x.shape[1])
+    inner = t @ x.T
+    inner /= x.shape[1]
+    return kernel.eval(inner)
 
 
 def _power_iteration_norm(diff: np.ndarray, tol: float, max_steps: int) -> float:

@@ -130,7 +130,7 @@ class TeacherModel:
         out = np.full(x.shape[0], self.c0) if x.ndim == 2 else self.c0
         if self.c1 != 0.0 and self.beta is not None:
             out = out + self.c1 * (x @ self.beta)
-        quad = np.einsum("ij,jk,ik->i", x, self.G, x) if x.ndim == 2 else float(x @ self.G @ x)
+        quad = np.einsum("ij,ij->i", x @ self.G, x) if x.ndim == 2 else float(x @ self.G @ x)
         return out + self.c2 / d * quad
 
 
@@ -170,6 +170,9 @@ class RidgeFactor:
             raise InvalidArgumentError("lambda must be nonnegative")
         k_mat = np.asarray(k_mat, dtype=np.float64)
         self.matrix = k_mat + lam * np.eye(k_mat.shape[0])
+        if not np.isfinite(self.matrix).all():
+            # The unchecked Cholesky below would factor inf/NaN silently.
+            raise NumericalFailureError("ridge factorization: K + lambda I has non-finite entries")
         try:
             self._factor = scipy.linalg.cho_factor(self.matrix, lower=True, check_finite=False)
         except scipy.linalg.LinAlgError as exc:
@@ -185,7 +188,8 @@ class RidgeFactor:
             w = w + scipy.linalg.cho_solve(self._factor, y - self.matrix @ w, check_finite=False)
         residual = float(np.linalg.norm(self.matrix @ w - y))
         bound = rtol * max(float(np.linalg.norm(y)), 1e-300)
-        if residual > bound:
+        # Negated so that a NaN residual (non-finite labels) fails too.
+        if not residual <= bound:
             raise NumericalFailureError(
                 "ridge solve residual %g exceeds %g" % (residual, bound), residual=residual
             )

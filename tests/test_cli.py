@@ -198,3 +198,64 @@ def test_exit_code_numerical_failure(monkeypatch, tmp_path):
 
     monkeypatch.setitem(cli._RUNNERS, "mp_law", boom)
     assert main(["mp-law", "--d", "10", "--out", str(tmp_path / "x")]) == 3
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bad_thread_cap_is_configuration_error(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("QRLAB_THREADS", value)
+    code = main(["mp-law", "--d", "10", "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "QRLAB_THREADS" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_nan_labels_exit_numerical_failure(monkeypatch, tmp_path, capsys):
+    import numpy as np
+
+    import qrlab.krr as krr
+
+    make_labels = krr.make_labels
+
+    def nan_labels(*args, **kwargs):
+        y = make_labels(*args, **kwargs)
+        y[0] = np.nan
+        return y
+
+    monkeypatch.setattr(krr, "make_labels", nan_labels)
+    code = main([
+        "risk", "--d", "10", "--alpha", "1", "--kernel", "quartic:1,1,1",
+        "--teacher", "deterministic_sigma", "--seeds", "1", "--n-test", "20",
+        "--n-repl", "1", "--out", str(tmp_path / "r"),
+    ])
+    assert code == 3
+    assert "ridge solve" in capsys.readouterr().err
+
+
+def test_esd_solves_each_seed_once(tmp_path, monkeypatch):
+    import qrlab.cli as cli
+    import qrlab.spectra as spectra
+
+    esd = spectra.esd
+    calls = []
+
+    def counting_esd(mat):
+        calls.append(mat.shape)
+        return esd(mat)
+
+    monkeypatch.setattr(spectra, "esd", counting_esd)
+    seeds = [3, 1, 2]
+    out = tmp_path / "esd"
+    code = main([
+        "esd", "--d", "12", "--alpha", "1", "--kernel", "quartic:1,1,1",
+        "--seeds", ",".join(map(str, seeds)), "--out", str(out),
+    ])
+    assert code == 0
+    assert len(calls) == len(seeds)
+    # eigs.csv holds the first listed seed's spectrum, as a fresh solve gives it.
+    cfg = cli.ExperimentConfig(experiment="esd", d=[12], kernel={"type": "quartic", "b0": 1, "b2": 1, "b4": 1},
+                               seeds=seeds)
+    eigs = cli._scaled_kernel_eigs(cfg, 12, seeds[0])
+    expected = "eigenvalue\n" + "".join("%r\n" % float(v) for v in eigs)
+    assert (out / "eigs.csv").read_text() == expected

@@ -1,0 +1,106 @@
+"""The in-place kernel and teacher evaluations against their plain forms."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+
+from qrlab.kernels import KernelFunction, cross_kernel, kernel_matrix
+from qrlab.krr import TeacherModel
+
+COEF = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+POINTS = arrays(
+    np.float64,
+    array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6),
+    elements=st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+)
+# Terms that underflow are resolved only to the subnormal spacing.
+UNDERFLOW = 1e-300
+
+
+def _assert_matches_terms(got, terms):
+    expected = sum(terms)
+    scale = sum(np.abs(term) for term in terms)
+    assert np.shape(got) == np.shape(expected)
+    assert np.all(np.abs(got - expected) <= 1e-12 * scale + UNDERFLOW)
+
+
+@settings(max_examples=200, deadline=None)
+@given(COEF, COEF, COEF, POINTS)
+def test_quartic_matches_power_form(b0, b2, b4, t):
+    got = KernelFunction.quartic(b0, b2, b4).eval(t)
+    _assert_matches_terms(got, [np.full_like(t, b0), b2 * t**2 / 2.0, b4 * t**4 / 24.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(COEF, min_size=1, max_size=8), POINTS)
+def test_custom_poly_matches_power_form(coeffs, t):
+    got = KernelFunction.custom_poly(coeffs).eval(t)
+    _assert_matches_terms(got, [np.full_like(t, c) if k == 0 else c * t**k for k, c in enumerate(coeffs)])
+
+
+KERNELS = [
+    KernelFunction.quartic(1.0, 6.0, 1.0),
+    KernelFunction.custom_poly([2.5]),
+    KernelFunction.custom_poly([1.0, -0.5]),
+    KernelFunction.custom_poly([1.0, 0.5, 0.25, 0.125, 0.0625]),
+    KernelFunction.exp(),
+    KernelFunction.cosh(),
+]
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+@pytest.mark.parametrize("shape", [(), (0,), (5,), (3, 4)])
+def test_eval_keeps_argument_and_shape(kernel, shape):
+    t = np.linspace(-1.5, 1.5, int(np.prod(shape))).reshape(shape)
+    before = t.copy()
+    out = kernel.eval(t)
+    assert np.array_equal(t, before)
+    assert np.shape(out) == shape
+    if shape:
+        assert not np.shares_memory(out, t)
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+def test_scalar_in_float_out(kernel):
+    for t in (0.3, np.float64(-0.7), 0):
+        out = kernel.eval(t)
+        assert type(out) is float
+        assert out == kernel.value_at(t)
+    assert type(kernel.value_at(0.25)) is float
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 5), st.integers(1, 6),
+       st.sampled_from(KERNELS))
+def test_kernel_blocks_match_entrywise_definition(seed, n, m, d, kernel):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    y = rng.normal(size=(m, d))
+    cross_ref = np.array([[kernel.value_at(float(y[i] @ x[j]) / d) for j in range(n)] for i in range(m)])
+    gram_ref = np.array([[kernel.value_at(float(x[i] @ x[j]) / d) for j in range(n)] for i in range(n)])
+    np.testing.assert_allclose(cross_kernel(x, y, kernel), cross_ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(cross_kernel(x, y[0], kernel), cross_ref[0], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(kernel_matrix(x, kernel), gram_ref, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 8), COEF, COEF, COEF)
+def test_teacher_predict_matches_row_loop(seed, m, d, c0, c1, c2):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(d, d))
+    g = g + g.T
+    beta = rng.normal(size=d)
+    beta /= np.linalg.norm(beta)
+    c1 = c1 or 1.0  # keep the linear term
+    teacher = TeacherModel.general(c0, c1, beta, c2, g)
+    x = rng.normal(size=(m, d))
+    ref = np.array([c0 + c1 * (row @ beta) + c2 / d * (row @ g @ row) for row in x])
+    abs_x = np.abs(x)
+    scale = abs(c0) + np.abs(c1 * (x @ beta)) + abs(c2 / d) * np.einsum("ij,jk,ik->i", abs_x, np.abs(g), abs_x)
+    got = teacher.predict(x)
+    assert got.shape == (m,)
+    assert np.all(np.abs(got - ref) <= 1e-12 * scale + UNDERFLOW)
+    assert teacher.predict(x[0]) == pytest.approx(ref[0], rel=0, abs=1e-12 * scale[0] + UNDERFLOW)
+

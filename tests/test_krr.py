@@ -7,10 +7,12 @@ from qrlab.datagen import CovarianceSpec, MomentMatchedSampler, sample_dataset
 from qrlab.errors import (
     AssumptionViolationError,
     InvalidArgumentError,
+    NumericalFailureError,
     SingularSystemError,
 )
 from qrlab.kernels import KernelFunction, cross_kernel, kernel_matrix, quad_coeffs, quad_kernel_matrix
 from qrlab.krr import (
+    RidgeFactor,
     TeacherModel,
     asymptotic_risk,
     asymptotic_training_error,
@@ -99,6 +101,25 @@ def test_krr_fit_singular_system_reports_lambda_min():
     with pytest.raises(SingularSystemError) as err:
         krr_fit(-np.eye(3), np.ones(3), 0.0)
     assert err.value.lambda_min == pytest.approx(-1.0, abs=1e-10)
+
+
+def _spd(n=50, seed=3):
+    m = np.random.default_rng(seed).normal(size=(n, n))
+    return m @ m.T / n + np.eye(n)
+
+
+def test_ridge_factor_rejects_non_finite_matrix():
+    k = _spd()
+    k[4, 17] = k[17, 4] = np.inf
+    with pytest.raises(NumericalFailureError, match="ridge factorization"):
+        RidgeFactor(k, 1.0)
+
+
+def test_ridge_solve_rejects_nan_labels():
+    y = np.random.default_rng(4).normal(size=50)
+    y[9] = np.nan
+    with pytest.raises(NumericalFailureError, match="ridge solve"):
+        RidgeFactor(_spd(), 1.0).solve(y)
 
 
 def test_training_error_closed_forms():
