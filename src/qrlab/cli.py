@@ -11,7 +11,14 @@ Subcommands (also reachable as ``qrlab run <experiment>``):
   oracle_check  reference-oracle self-test table
 
 Configuration comes from an optional JSON file (--config) plus flag
-overrides; flags win. The sample count is derived as n = round(d^2/(2 alpha)).
+overrides; flags win. The file's keys are the flag names with "_" for "-"
+(--lambda is "lambda"), plus an optional "experiment". A value may be the
+flag's text or its JSON type; a spec (kernel, cov, sampler, teacher) may be
+the spec string or an object such as {"type": "quartic", "b0": 1, "b2": 1,
+"b4": 1}, and both give the flag's canonical config and hash. Objects also
+take the JSON-only keys "seed" (uniform and two_point covariances) and
+"c0", "c1" (teachers). Unknown keys, at the top level or in a spec, are a
+configuration error. The sample count is derived as n = round(d^2/(2 alpha)).
 Seeds fan out to a thread pool capped by QRLAB_THREADS (an integer >= 1;
 default the CPU count). Every run writes results.json (deterministic given
 config, seeds and the BLAS thread count; its sha256 config hash is
@@ -45,7 +52,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -74,26 +81,154 @@ class _ConfigError(Exception):
     pass
 
 
+# Loaders turn a JSON value or a flag's text into the canonical value and
+# raise ValueError or TypeError on anything else.
+def _float(v) -> float:
+    if isinstance(v, bool):
+        raise ValueError("expected a number, got %r" % v)
+    return float(v)
+
+
+def _int(v) -> int:
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError("expected an integer, got %r" % v)
+    return int(v)
+
+
+def _bool(v) -> bool:
+    if not isinstance(v, bool):
+        raise ValueError("expected true or false, got %r" % v)
+    return v
+
+
+def _checked(load, test, what):
+    """``load``, then reject a value failing ``test`` as not ``what``."""
+
+    def checked(v):
+        out = load(v)
+        if not test(out):
+            raise ValueError("must be %s, got %r" % (what, out))
+        return out
+
+    return checked
+
+
+def _list(load):
+    """A non-empty list of ``load`` values from a JSON list, a scalar or comma text."""
+
+    def parse(v):
+        items = v.split(",") if isinstance(v, str) else v if isinstance(v, list) else [v]
+        if not items:
+            raise ValueError("expected at least one value")
+        return [load(x) for x in items]
+
+    return parse
+
+
+def _seeds(v) -> list[int]:
+    """A list of seeds (a JSON list or comma text), else a seed count."""
+    if isinstance(v, list) or (isinstance(v, str) and "," in v):
+        return _list(_checked(_int, lambda s: s >= 0, "a nonnegative seed"))(v)
+    return list(range(_checked(_int, lambda n: n >= 1, "a positive seed count")(v)))
+
+
+# Spec kinds per spec field: the key naming the kind and, per kind, its
+# parameters in the order of the flag form ``name:v1,v2,...``. A kind with
+# one parameter takes the whole text after the colon. Each kind is named
+# after its library constructor. Parameters ending in "?" are optional and
+# come only from a JSON object.
+_SPECS = {
+    "kernel": ("type", {"exp": (), "cosh": (), "quartic": ("b0", "b2", "b4"), "custom_poly": ("coeffs",)}),
+    "cov": ("kind", {"identity": (), "uniform": ("lo", "hi", "seed?"), "two_point": ("v1", "v2", "p", "seed?")}),
+    "sampler": ("mode", {"gaussian": (), "gh_discrete": ("m",)}),
+    "teacher": ("kind", {"pure_quadratic": ("c0?", "c1?"), "deterministic_sigma": ("c0?", "c1?")}),
+}
+_PARAM_LOADERS = {"coeffs": _list(_float), "m": _int, "seed": _int}
+
+
+def _required(params) -> list[str]:
+    return [p for p in params if not p.endswith("?")]
+
+
+def _spec_grammar(spec_field: str, only: str | None = None) -> str:
+    """The flag forms of a spec field's kinds (of kind ``only``, if given)."""
+    kinds = _SPECS[spec_field][1]
+    return " | ".join(
+        ":".join([name, ",".join(_required(params))]) if _required(params) else name
+        for name, params in kinds.items() if only in (None, name)
+    )
+
+
+def _spec(spec_field: str):
+    """Loader of a spec field: a spec string or a JSON object, to the canonical dict."""
+    key, kinds = _SPECS[spec_field]
+
+    def load(v) -> dict:
+        if isinstance(v, str):
+            name, sep, text = v.partition(":")
+            required = _required(kinds.get(name, ()))
+            items = ([text] if len(required) == 1 else text.split(",")) if sep else []
+            if name in kinds and len(items) != len(required):
+                raise ValueError("expected %s, got %r" % (_spec_grammar(spec_field, name), v))
+            v = {key: name, **dict(zip(required, items))}
+        if not isinstance(v, dict):
+            raise ValueError("expected a spec string or a JSON object")
+        name = v.get(key)
+        if name not in kinds:
+            raise ValueError("unknown %s %s %r; expected %s" % (spec_field, key, name, _spec_grammar(spec_field)))
+        params = {p.rstrip("?"): p.endswith("?") for p in kinds[name]}
+        unknown = sorted(set(v) - set(params) - {key})
+        if unknown:
+            raise ValueError("unknown %s key(s) %s for %r" % (spec_field, ", ".join(unknown), name))
+        out = {key: name}
+        for p, optional in params.items():
+            if p in v:
+                out[p] = _PARAM_LOADERS.get(p, _float)(v[p])
+            elif not optional:
+                raise ValueError("%s %r needs %r" % (spec_field, name, p))
+        return out
+
+    return load
+
+
+def _spec_args(spec_field: str, spec: dict) -> list:
+    """Constructor arguments of a canonical spec dict; absent optionals are None."""
+    key, kinds = _SPECS[spec_field]
+    return [spec.get(p.rstrip("?")) for p in kinds[spec[key]]]
+
+
+def _field(default, load, help=None, key=None, hashed=True):
+    """A config field: ``default`` (a JSON value or flag text, passed through
+    ``load``), flag help and, where it differs from the attribute name, the
+    JSON key. The flag is ``--`` plus the key with dashes. An unhashed field
+    is left out of ``canonical()`` and of equality."""
+    metadata = {"load": load, "help": help} | ({"key": key} if key else {})
+    return field(default_factory=lambda: load(default), compare=hashed, metadata=metadata)
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
-    d: list[int] = field(default_factory=lambda: [24])
-    alpha: float = 1.0
-    kernel: dict = field(default_factory=lambda: {"type": "exp"})
-    cov: dict = field(default_factory=lambda: {"kind": "identity"})
-    sampler: dict = field(default_factory=lambda: {"mode": "gaussian"})
-    lam: float = 1.0
-    sigma_eps: float = 0.5
-    teacher: dict = field(default_factory=lambda: {"kind": "pure_quadratic"})
-    seeds: list[int] = field(default_factory=lambda: [0])
-    out: str = "qrlab-out"
-    n_test: int = 2000
-    n_repl: int = 8
-    c2: float = 1.0
-    a_star_override: float | None = None
-    asymptotic_nu: bool = False
-    compare_naive: bool = False
-    mc_draws: int = 1_000_000
+    d: list[int] = _field(
+        [24], _list(_checked(_int, lambda n: n >= 1, "a positive dimension")),
+        "dimension, or comma list for approx_norm ladders",
+    )
+    alpha: float = _field(1.0, _checked(_float, lambda a: a > 0, "positive"))
+    kernel: dict = _field("exp", _spec("kernel"), _spec_grammar("kernel"))
+    cov: dict = _field("identity", _spec("cov"), _spec_grammar("cov"))
+    sampler: dict = _field("gaussian", _spec("sampler"), _spec_grammar("sampler"))
+    lam: float = _field(1.0, _float, key="lambda")
+    sigma_eps: float = _field(0.5, _float)
+    teacher: dict = _field("pure_quadratic", _spec("teacher"), _spec_grammar("teacher"))
+    seeds: list[int] = _field([0], _seeds, "count, or comma list of seeds")
+    out: str = _field("qrlab-out", str, hashed=False)
+    n_test: int = _field(2000, _int)
+    n_repl: int = _field(8, _int)
+    c2: float = _field(1.0, _float)
+    a_star_override: float | None = _field(None, lambda v: None if v is None else _float(v))
+    asymptotic_nu: bool = _field(False, _bool)
+    compare_naive: bool = _field(False, _bool)
+    mc_draws: int = _field(1_000_000, _int)
 
     def n_for(self, d: int) -> int:
         n = int(round(d * d / (2.0 * self.alpha)))
@@ -102,117 +237,28 @@ class ExperimentConfig:
         return n
 
     def canonical(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "d": list(self.d),
-            "alpha": self.alpha,
-            "kernel": self.kernel,
-            "cov": self.cov,
-            "sampler": self.sampler,
-            "lambda": self.lam,
-            "sigma_eps": self.sigma_eps,
-            "teacher": self.teacher,
-            "seeds": list(self.seeds),
-            "n_test": self.n_test,
-            "n_repl": self.n_repl,
-            "c2": self.c2,
-            "a_star_override": self.a_star_override,
-            "asymptotic_nu": self.asymptotic_nu,
-            "compare_naive": self.compare_naive,
-            "mc_draws": self.mc_draws,
-        }
+        out = {key: getattr(self, f.name) for key, f in _FIELDS.items() if f.compare}
+        return {"experiment": self.experiment, **out}
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+# JSON key -> dataclass field, for every field but ``experiment``.
+_FIELDS = {f.metadata.get("key", f.name): f for f in fields(ExperimentConfig) if f.metadata}
+
+
 def _build_kernel(spec: dict) -> kernels.KernelFunction:
-    kind = spec.get("type")
-    if kind == "exp":
-        return kernels.KernelFunction.exp()
-    if kind == "cosh":
-        return kernels.KernelFunction.cosh()
-    if kind == "quartic":
-        return kernels.KernelFunction.quartic(float(spec["b0"]), float(spec["b2"]), float(spec["b4"]))
-    if kind == "custom_poly":
-        return kernels.KernelFunction.custom_poly(spec["coeffs"])
-    raise _ConfigError("unknown kernel type %r" % kind)
+    return getattr(kernels.KernelFunction, spec["type"])(*_spec_args("kernel", spec))
 
 
 def _build_cov(spec: dict, d: int) -> datagen.CovarianceSpec:
-    kind = spec.get("kind")
-    if kind == "identity":
-        return datagen.CovarianceSpec.identity(d)
-    if kind == "uniform":
-        return datagen.CovarianceSpec.uniform(d, float(spec["lo"]), float(spec["hi"]), spec.get("seed"))
-    if kind == "two_point":
-        return datagen.CovarianceSpec.two_point(
-            d, float(spec["v1"]), float(spec["v2"]), float(spec["p"]), spec.get("seed")
-        )
-    raise _ConfigError("unknown covariance kind %r" % kind)
+    return getattr(datagen.CovarianceSpec, spec["kind"])(d, *_spec_args("cov", spec))
 
 
 def _build_sampler(spec: dict) -> datagen.MomentMatchedSampler:
-    mode = spec.get("mode")
-    if mode == "gaussian":
-        return datagen.MomentMatchedSampler.gaussian()
-    if mode == "gh_discrete":
-        return datagen.MomentMatchedSampler.gh_discrete(int(spec["m"]))
-    raise _ConfigError("unknown sampler mode %r" % mode)
-
-
-def _parse_kernel_flag(text: str) -> dict:
-    name, _, args = text.partition(":")
-    if name == "exp":
-        return {"type": "exp"}
-    if name == "cosh":
-        return {"type": "cosh"}
-    if name == "quartic":
-        vals = [float(v) for v in args.split(",")]
-        if len(vals) != 3:
-            raise _ConfigError("quartic kernel needs b0,b2,b4")
-        return {"type": "quartic", "b0": vals[0], "b2": vals[1], "b4": vals[2]}
-    if name == "custom_poly":
-        return {"type": "custom_poly", "coeffs": [float(v) for v in args.split(",")]}
-    raise _ConfigError("cannot parse kernel %r" % text)
-
-
-def _parse_cov_flag(text: str) -> dict:
-    name, _, args = text.partition(":")
-    if name == "identity":
-        return {"kind": "identity"}
-    if name == "uniform":
-        lo, hi = (float(v) for v in args.split(","))
-        return {"kind": "uniform", "lo": lo, "hi": hi}
-    if name == "two_point":
-        v1, v2, p = (float(v) for v in args.split(","))
-        return {"kind": "two_point", "v1": v1, "v2": v2, "p": p}
-    raise _ConfigError("cannot parse covariance %r" % text)
-
-
-def _parse_sampler_flag(text: str) -> dict:
-    name, _, args = text.partition(":")
-    if name == "gaussian":
-        return {"mode": "gaussian"}
-    if name == "gh_discrete":
-        return {"mode": "gh_discrete", "m": int(args)}
-    raise _ConfigError("cannot parse sampler %r" % text)
-
-
-def _parse_teacher_flag(text: str) -> dict:
-    if text in ("pure_quadratic", "deterministic_sigma"):
-        return {"kind": text}
-    raise _ConfigError("cannot parse teacher %r" % text)
-
-
-def _parse_seeds(text: str) -> list[int]:
-    if "," in text:
-        return [int(v) for v in text.split(",")]
-    count = int(text)
-    if count <= 0:
-        raise _ConfigError("seed count must be positive")
-    return list(range(count))
+    return getattr(datagen.MomentMatchedSampler, spec["mode"])(*_spec_args("sampler", spec))
 
 
 def _thread_limit() -> int:
@@ -286,7 +332,7 @@ def _scaled_kernel_eigs(cfg: ExperimentConfig, d: int, seed: int):
     if second == 0:
         raise AssumptionViolationError("f''(0) must be nonzero for the spectral limit")
     n = data.n
-    scaled = (4.0 * cfg.alpha / second) * (k_mat - coeffs.a * np.eye(n))
+    scaled = (4.0 * cfg.alpha / second) * (k_mat - coeffs.a_star * np.eye(n))
     return spectra.esd(scaled)
 
 
@@ -388,9 +434,9 @@ def _run_train_error(cfg: ExperimentConfig):
     cov = _build_cov(cfg.cov, d)
     kernel = _build_kernel(cfg.kernel)
     sampler = _build_sampler(cfg.sampler)
-    teacher_kind = cfg.teacher.get("kind", "pure_quadratic")
-    c0 = float(cfg.teacher.get("c0", 0.0))
-    c1 = float(cfg.teacher.get("c1", 0.0))
+    teacher_kind = cfg.teacher["kind"]
+    c0 = cfg.teacher.get("c0", 0.0)
+    c1 = cfg.teacher.get("c1", 0.0)
     predicted = krr.asymptotic_training_error(kernel, cov, cfg.alpha, cfg.lam, cfg.c2, cfg.sigma_eps)
 
     def one(seed):
@@ -424,16 +470,9 @@ def _run_lambda_star(cfg: ExperimentConfig):
     d = cfg.d[0]
     cov = _build_cov(cfg.cov, d)
     kernel = _build_kernel(cfg.kernel)
-    ls = krr.lambda_star(
-        kernel, cov, cfg.alpha, cfg.lam,
-        a_star_override=cfg.a_star_override,
-        asymptotic_nu=cfg.asymptotic_nu,
-    )
-    teacher_kind = cfg.teacher.get("kind", "pure_quadratic")
-    coeffs = kernels.quad_coeffs(kernel, cov)
-    a_star = coeffs.a_star if cfg.a_star_override is None else cfg.a_star_override
-    nu = krr._population_law(cov, cfg.asymptotic_nu)
-    pred = krr.risk_limit(cfg.alpha, nu, a_star, kernel.derivs0[2], cfg.lam, cfg.sigma_eps, teacher_kind)
+    a_star, nu = krr.limit_inputs(kernel, cov, cfg.a_star_override, cfg.asymptotic_nu)
+    pred = krr.risk_limit(cfg.alpha, nu, a_star, kernel.derivs0[2], cfg.lam, cfg.sigma_eps, cfg.teacher["kind"])
+    ls = pred.solution
     record = {
         "lambda_star": ls.value,
         "lambda_star_stieltjes": ls.alt_value,
@@ -452,7 +491,7 @@ def _run_risk(cfg: ExperimentConfig):
     cov = _build_cov(cfg.cov, d)
     kernel = _build_kernel(cfg.kernel)
     sampler = _build_sampler(cfg.sampler)
-    teacher_kind = cfg.teacher.get("kind", "pure_quadratic")
+    teacher_kind = cfg.teacher["kind"]
     pred = krr.asymptotic_risk(kernel, cov, cfg.alpha, cfg.lam, cfg.sigma_eps, teacher_kind)
 
     def one(seed):
@@ -534,23 +573,12 @@ def _build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--d", help="dimension, or comma list for approx_norm ladders")
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--kernel", help="exp | cosh | quartic:b0,b2,b4 | custom_poly:c0,c1,...")
-        p.add_argument("--cov", help="identity | uniform:lo,hi | two_point:v1,v2,p")
-        p.add_argument("--sampler", help="gaussian | gh_discrete:m")
-        p.add_argument("--lambda", dest="lam", type=float)
-        p.add_argument("--sigma-eps", type=float)
-        p.add_argument("--teacher", help="pure_quadratic | deterministic_sigma")
-        p.add_argument("--seeds", help="count, or comma list of seeds")
-        p.add_argument("--out")
-        p.add_argument("--n-test", type=int)
-        p.add_argument("--n-repl", type=int)
-        p.add_argument("--c2", type=float)
-        p.add_argument("--a-star-override", type=float)
-        p.add_argument("--asymptotic-nu", action="store_true", default=None)
-        p.add_argument("--compare-naive", action="store_true", default=None)
-        p.add_argument("--mc-draws", type=int)
+        for key, f in _FIELDS.items():
+            flag = "--" + key.replace("_", "-")
+            if f.metadata["load"] is _bool:
+                p.add_argument(flag, dest=f.name, action="store_true", default=None)
+            else:
+                p.add_argument(flag, dest=f.name, help=f.metadata["help"])
 
     for name in EXPERIMENTS:
         add_common(sub.add_parser(name.replace("_", "-"), aliases=[name] if "_" in name else []))
@@ -570,69 +598,22 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise _ConfigError("cannot read config file: %s" % exc) from exc
         if not isinstance(base, dict):
             raise _ConfigError("config file must hold a JSON object")
+    named = base.pop("experiment", None)
+    if named and named != experiment:
+        raise _ConfigError("config file experiment %r conflicts with %r" % (named, experiment))
+    unknown = sorted(set(base) - set(_FIELDS))
+    if unknown:
+        raise _ConfigError("unknown config key(s): %s" % ", ".join(unknown))
     cfg = ExperimentConfig(experiment=experiment)
-    loaders = {
-        "d": lambda v: [int(x) for x in (v if isinstance(v, list) else [v])],
-        "alpha": float,
-        "kernel": dict,
-        "cov": dict,
-        "sampler": dict,
-        "lambda": float,
-        "sigma_eps": float,
-        "teacher": dict,
-        "seeds": lambda v: [int(x) for x in v],
-        "out": str,
-        "n_test": int,
-        "n_repl": int,
-        "c2": float,
-        "a_star_override": lambda v: None if v is None else float(v),
-        "asymptotic_nu": bool,
-        "compare_naive": bool,
-        "mc_draws": int,
-    }
-    attr = {"lambda": "lam"}
-    for key, load in loaders.items():
-        if key in base:
+    for key, f in _FIELDS.items():
+        given = [("config key %r" % key, base[key])] if key in base else []
+        if getattr(args, f.name) is not None:
+            given.append(("--" + key.replace("_", "-"), getattr(args, f.name)))
+        for source, value in given:  # the flag comes last, so it wins
             try:
-                setattr(cfg, attr.get(key, key), load(base[key]))
+                setattr(cfg, f.name, f.metadata["load"](value))
             except (TypeError, ValueError) as exc:
-                raise _ConfigError("config field %r: %s" % (key, exc)) from exc
-    if base.get("experiment") and base["experiment"] != experiment:
-        raise _ConfigError("config file experiment %r conflicts with %r" % (base["experiment"], experiment))
-    if args.d is not None:
-        cfg.d = [int(v) for v in str(args.d).split(",")]
-    if args.alpha is not None:
-        cfg.alpha = args.alpha
-    if args.kernel is not None:
-        cfg.kernel = _parse_kernel_flag(args.kernel)
-    if args.cov is not None:
-        cfg.cov = _parse_cov_flag(args.cov)
-    if args.sampler is not None:
-        cfg.sampler = _parse_sampler_flag(args.sampler)
-    if args.lam is not None:
-        cfg.lam = args.lam
-    if args.sigma_eps is not None:
-        cfg.sigma_eps = args.sigma_eps
-    if args.teacher is not None:
-        cfg.teacher = _parse_teacher_flag(args.teacher)
-    if args.seeds is not None:
-        cfg.seeds = _parse_seeds(args.seeds)
-    if args.out is not None:
-        cfg.out = args.out
-    for flag in ("n_test", "n_repl", "c2", "a_star_override", "mc_draws"):
-        val = getattr(args, flag)
-        if val is not None:
-            setattr(cfg, flag, val)
-    if args.asymptotic_nu is not None:
-        cfg.asymptotic_nu = args.asymptotic_nu
-    if args.compare_naive is not None:
-        cfg.compare_naive = args.compare_naive
-    if cfg.alpha <= 0:
-        raise _ConfigError("alpha must be positive")
-    if not cfg.seeds:
-        raise _ConfigError("at least one seed is required")
-    if any(d < 1 for d in cfg.d):
-        raise _ConfigError("dimensions must be positive")
+                raise _ConfigError("%s: %s" % (source, exc)) from exc
     return cfg
 
 
@@ -642,16 +623,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         cfg = _config_from_args(args)
         return run(cfg)
-    except _ConfigError as exc:
-        print("configuration error: %s" % exc, file=sys.stderr)
-        return 1
-    except InvalidArgumentError as exc:
+    except (_ConfigError, InvalidArgumentError) as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 1
     except AssumptionViolationError as exc:
         print("assumption violation: %s" % exc, file=sys.stderr)
         return 2
-    except (NumericalFailureError, QrlabError) as exc:
+    except QrlabError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
 

@@ -29,12 +29,7 @@ __all__ = [
     "sigma2_diagonal",
     "pair_index_columns",
     "write_dataset_csv",
-    "write_qrlb",
-    "read_qrlb",
 ]
-
-write_qrlb = matio.write_qrlb
-read_qrlb = matio.read_qrlb
 
 
 def gauss_hermite_rule(m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .datagen import CovarianceSpec, Dataset, reduced_tensor_features
+from .datagen import CovarianceSpec, _as_matrix, reduced_tensor_features
 from .errors import AssumptionWarning, InvalidArgumentError, NumericalFailureError
 
 __all__ = [
@@ -158,14 +158,13 @@ class KernelFunction:
 
 @dataclass(frozen=True)
 class QuadCoeffs:
-    """Surrogate coefficients. ``a_star`` is the diagonal offset at the
-    realized trace (identical to ``a``); ``a_star_limit`` evaluates the same
+    """Surrogate coefficients. ``a_star`` is the diagonal offset ``a`` of the
+    surrogate at the realized trace; ``a_star_limit`` evaluates the same
     expression at the limiting mean diagonal value."""
 
     a0: float
     a1: float
     a2: float
-    a: float
     a_star: float
     a_star_limit: float
 
@@ -180,7 +179,7 @@ def quad_coeffs(kernel: KernelFunction, cov: CovarianceSpec, corrected: bool = T
 
     With ``corrected=False`` the trace correction terms are dropped and the
     plain Taylor coefficients f(0), f'(0)/d, f''(0)/(2 d^2) are returned
-    (the diagonal offset ``a`` is unchanged); useful for measuring how much
+    (the diagonal offset ``a_star`` is unchanged); useful for measuring how much
     the corrections buy.
     """
     d = cov.d
@@ -203,13 +202,7 @@ def quad_coeffs(kernel: KernelFunction, cov: CovarianceSpec, corrected: bool = T
             AssumptionWarning,
             stacklevel=2,
         )
-    return QuadCoeffs(a0=float(a0), a1=float(a1), a2=float(a2), a=float(a), a_star=float(a), a_star_limit=float(a_star_limit))
-
-
-def _as_matrix(data) -> np.ndarray:
-    if isinstance(data, Dataset):
-        return data.X
-    return np.asarray(data, dtype=np.float64)
+    return QuadCoeffs(a0=float(a0), a1=float(a1), a2=float(a2), a_star=float(a), a_star_limit=float(a_star_limit))
 
 
 def kernel_matrix(data, kernel: KernelFunction) -> np.ndarray:
@@ -241,7 +234,7 @@ def quad_kernel_matrix(data, coeffs: QuadCoeffs, route: str = "hadamard") -> np.
     else:
         raise InvalidArgumentError("route must be 'hadamard' or 'tensor'")
     out = coeffs.a0 + coeffs.a1 * gram + coeffs.a2 * had
-    out[np.diag_indices(n)] += coeffs.a
+    out[np.diag_indices(n)] += coeffs.a_star
     return out
 
 
@@ -271,6 +264,8 @@ def _power_iteration_norm(diff: np.ndarray, tol: float, max_steps: int) -> float
     for _ in range(max_steps):
         w = diff @ v
         norm_w = float(np.linalg.norm(w))
+        if not math.isfinite(norm_w):
+            raise NumericalFailureError("spectral norm gap: K - K2 has non-finite entries")
         if norm_w == 0.0:
             return 0.0
         v_new = w / norm_w
@@ -293,6 +288,7 @@ def spectral_norm_gap(k_mat: np.ndarray, k2_mat: np.ndarray, dense_cutoff: int =
 
     Dense symmetric eigensolve up to ``dense_cutoff``; beyond that a power
     iteration on the difference with residual-certified convergence.
+    Non-finite entries in K - K2 raise NumericalFailureError.
     """
     k_mat = np.asarray(k_mat, dtype=np.float64)
     k2_mat = np.asarray(k2_mat, dtype=np.float64)
@@ -300,7 +296,16 @@ def spectral_norm_gap(k_mat: np.ndarray, k2_mat: np.ndarray, dense_cutoff: int =
         raise InvalidArgumentError("K and K2 must be square matrices of the same shape")
     diff = k_mat - k2_mat
     diff = (diff + diff.T) / 2.0
-    if diff.shape[0] <= dense_cutoff:
+    if diff.shape[0] > dense_cutoff:
+        return _power_iteration_norm(diff, tol, max_steps)
+    try:
         eigs = np.linalg.eigvalsh(diff)
-        return float(max(abs(eigs[0]), abs(eigs[-1])))
-    return _power_iteration_norm(diff, tol, max_steps)
+    except np.linalg.LinAlgError as exc:
+        # Inf/NaN input is the usual cause; the check runs only on failure.
+        cause = "has non-finite entries" if not np.isfinite(diff).all() else "defeats the eigensolver (%s)" % exc
+        raise NumericalFailureError("spectral norm gap: K - K2 %s" % cause) from exc
+    # Not just the end values: LAPACK can leave NaN eigenvalues mid-array.
+    gap = float(np.abs(eigs).max())
+    if not math.isfinite(gap):
+        raise NumericalFailureError("spectral norm gap: K - K2 has non-finite entries")
+    return gap

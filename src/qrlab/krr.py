@@ -45,6 +45,7 @@ __all__ = [
     "train_error_limit",
     "asymptotic_training_error",
     "lambda_star_solve",
+    "limit_inputs",
     "lambda_star",
     "risk_limit",
     "asymptotic_risk",
@@ -356,6 +357,29 @@ def lambda_star_solve(
     return LambdaStarResult(value=float(t), alt_value=float(alt), residual=residual)
 
 
+def limit_inputs(
+    kernel: KernelFunction,
+    cov: CovarianceSpec,
+    a_star_override: float | None = None,
+    asymptotic_nu: bool = False,
+) -> tuple[float, DiscreteLaw]:
+    """The diagonal offset a_star and the population law nu of the limit formulas.
+
+    ``a_star_override`` substitutes the diagonal offset. ``asymptotic_nu``
+    swaps the finite-size atom law of the tensor covariance for its large-d
+    limit (identity covariance: a single atom at 2).
+    """
+    a_star = quad_coeffs(kernel, cov).a_star if a_star_override is None else float(a_star_override)
+    if not asymptotic_nu:
+        return a_star, sigma2_diagonal(cov).compressed()
+    # Large-d limit: diagonal tensor coordinates carry vanishing weight,
+    # leaving the law of 2 * sigma * sigma' for independent sigma, sigma'.
+    if cov.kind == "identity":
+        return a_star, DiscreteLaw.delta(2.0)
+    values = 2.0 * np.outer(cov.diag, cov.diag).ravel()
+    return a_star, DiscreteLaw.from_values(values).compressed()
+
+
 def lambda_star(
     kernel: KernelFunction,
     cov: CovarianceSpec,
@@ -364,38 +388,25 @@ def lambda_star(
     a_star_override: float | None = None,
     asymptotic_nu: bool = False,
 ) -> LambdaStarResult:
-    """Effective regularization for a kernel/covariance pair.
-
-    ``asymptotic_nu`` swaps the finite-size atom law of the tensor
-    covariance for its large-d limit (identity covariance: a single atom
-    at 2); ``a_star_override`` substitutes the diagonal offset.
-    """
-    coeffs = quad_coeffs(kernel, cov)
-    a_star = coeffs.a_star if a_star_override is None else float(a_star_override)
-    nu = _population_law(cov, asymptotic_nu)
+    """Effective regularization for a kernel/covariance pair (inputs as in
+    :func:`limit_inputs`)."""
+    a_star, nu = limit_inputs(kernel, cov, a_star_override, asymptotic_nu)
     return lambda_star_solve(alpha, nu, a_star, lam, kernel.derivs0[2])
-
-
-def _population_law(cov: CovarianceSpec, asymptotic: bool) -> DiscreteLaw:
-    if not asymptotic:
-        return sigma2_diagonal(cov).compressed()
-    # Large-d limit: diagonal tensor coordinates carry vanishing weight,
-    # leaving the law of 2 * sigma * sigma' for independent sigma, sigma'.
-    if cov.kind == "identity":
-        return DiscreteLaw.delta(2.0)
-    values = 2.0 * np.outer(cov.diag, cov.diag).ravel()
-    return DiscreteLaw.from_values(values).compressed()
 
 
 @dataclass(frozen=True)
 class RiskPrediction:
-    """Asymptotic risk bundle: total = sigma_eps^2 V (+ B for random teachers)."""
+    """Asymptotic risk bundle: total = sigma_eps^2 V (+ B for random teachers),
+    with the lambda_* solve it was evaluated at."""
 
-    lambda_star: float
+    solution: LambdaStarResult
     V: float
     B: float
     total: float
-    route: str
+
+    @property
+    def lambda_star(self) -> float:
+        return self.solution.value
 
 
 def risk_limit(
@@ -406,7 +417,6 @@ def risk_limit(
     lam: float,
     sigma_eps: float,
     teacher_kind: str,
-    route: str = "direct_root",
 ) -> RiskPrediction:
     """Variance/bias limits:
 
@@ -419,7 +429,7 @@ def risk_limit(
     if teacher_kind not in RISK_TEACHERS:
         raise InvalidArgumentError("teacher_kind must be one of %r" % (RISK_TEACHERS,))
     ls = lambda_star_solve(alpha, nu, a_star, lam, second_deriv)
-    t = ls.alt_value if route == "stieltjes" else ls.value
+    t = ls.value
     x, w = nu.atoms, nu.weights
     j1 = float(np.sum(w * x / (x + t) ** 2))
     j2 = float(np.sum(w * x**2 / (x + t) ** 2))
@@ -437,7 +447,7 @@ def risk_limit(
     else:
         total = sigma_eps**2 * v + b
         b_out = b
-    return RiskPrediction(lambda_star=t, V=v, B=b_out, total=total, route=route)
+    return RiskPrediction(solution=ls, V=v, B=b_out, total=total)
 
 
 def asymptotic_risk(
@@ -450,13 +460,10 @@ def asymptotic_risk(
     asymptotic_nu: bool = False,
 ) -> RiskPrediction:
     _check_risk_kernel(kernel)
-    coeffs = quad_coeffs(kernel, cov)
-    if coeffs.a_star <= 0:
-        raise AssumptionViolationError(
-            "a_star = %g must be positive for the risk formulas" % coeffs.a_star
-        )
-    nu = _population_law(cov, asymptotic_nu)
-    return risk_limit(alpha, nu, coeffs.a_star, kernel.derivs0[2], lam, sigma_eps, teacher_kind)
+    a_star, nu = limit_inputs(kernel, cov, asymptotic_nu=asymptotic_nu)
+    if a_star <= 0:
+        raise AssumptionViolationError("a_star = %g must be positive for the risk formulas" % a_star)
+    return risk_limit(alpha, nu, a_star, kernel.derivs0[2], lam, sigma_eps, teacher_kind)
 
 
 def empirical_risk(
@@ -534,7 +541,7 @@ def deterministic_equivalents(
     x2 = reduced_tensor_features(dataset, allow_large=True)
     x2_bar = x2 - tensor_mean_vector(cov)[None, :]
     p = x2.shape[1]
-    m_mat = coeffs.a2 * (x2_bar.T @ x2_bar) + (coeffs.a + lam) * np.eye(p)
+    m_mat = coeffs.a2 * (x2_bar.T @ x2_bar) + (coeffs.a_star + lam) * np.eye(p)
     try:
         cho = scipy.linalg.cho_factor(m_mat, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
@@ -542,18 +549,18 @@ def deterministic_equivalents(
     inv = scipy.linalg.cho_solve(cho, np.eye(p), check_finite=False)
     sig2 = nu.atoms
     first_emp = coeffs.a2 * float(np.sum(np.diag(inv) * sig2))
-    second_emp = coeffs.a2 * (coeffs.a + lam) * float(np.sum((inv * inv).sum(axis=0) * sig2))
+    second_emp = coeffs.a2 * (coeffs.a_star + lam) * float(np.sum((inv * inv).sum(axis=0) * sig2))
     bias_emp = 2.0 / cov.d**2 * float(np.sum((inv * inv).sum(axis=0) * sig2))
 
     a_star = coeffs.a_star
-    ls = lambda_star_solve(alpha, nu.compressed(), a_star, lam, second_deriv)
-    t = ls.value
     nu_c = nu.compressed()
+    pred = risk_limit(alpha, nu_c, a_star, second_deriv, lam, 0.0, "pure_quadratic")
+    t = pred.lambda_star
     j2 = float(np.sum(nu_c.weights * nu_c.atoms**2 / (nu_c.atoms + t) ** 2))
     head = second_deriv * t / (4.0 * alpha * (a_star + lam))
     first_pred = head - 1.0
     second_pred = head - 1.0 / (1.0 - alpha * j2)
-    bias_pred = risk_limit(alpha, nu_c, a_star, second_deriv, lam, 0.0, "pure_quadratic").B
+    bias_pred = pred.B
     return {
         "first": (first_emp, first_pred),
         "second": (second_emp, second_pred),

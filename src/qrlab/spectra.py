@@ -100,13 +100,16 @@ class StieltjesEval:
 def esd(matrix: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a (nearly) symmetric matrix.
 
-    The input must be symmetric within 1e-10 relative to its largest entry;
-    it is explicitly symmetrized before the dense solve.
+    The input must be finite and symmetric within 1e-10 relative to its
+    largest entry; it is explicitly symmetrized before the dense solve.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidArgumentError("esd expects a square matrix")
-    scale = max(1.0, float(np.abs(m).max()))
+    peak = float(np.abs(m).max())
+    if not math.isfinite(peak):
+        raise NumericalFailureError("esd: matrix has non-finite entries")
+    scale = max(1.0, peak)
     asym = float(np.abs(m - m.T).max())
     if asym > 1e-10 * scale:
         raise InvalidArgumentError("matrix is not symmetric: max|M - M^T| = %g" % asym)

@@ -136,13 +136,13 @@ def test_criterion_04_limit_law_ks():
     for seed in range(3):
         data = sample_dataset(n, d, cov_i, GAUSS, seed)
         k = kernel_matrix(data, kern)
-        scaled = (2.0 * alpha / kern.derivs0[2]) * (k - coeffs_i.a * np.eye(n))
+        scaled = (2.0 * alpha / kern.derivs0[2]) * (k - coeffs_i.a_star * np.eye(n))
         ks_kernel.append(ks_distance(esd(scaled), law_iso))
         gram = data.X @ data.X.T
         ks_hadamard.append(ks_distance(esd(gram * gram / (2.0 * n)), law_iso))
         data_u = sample_dataset(n, d, cov_u, GAUSS, seed)
         k_u = kernel_matrix(data_u, kern)
-        scaled_u = (4.0 * alpha / kern.derivs0[2]) * (k_u - coeffs_u.a * np.eye(n))
+        scaled_u = (4.0 * alpha / kern.derivs0[2]) * (k_u - coeffs_u.a_star * np.eye(n))
         ks_nontrivial.append(ks_distance(esd(scaled_u), law_uni))
     m_k, m_h, m_u = (float(np.median(v)) for v in (ks_kernel, ks_hadamard, ks_nontrivial))
     ok = m_k <= 0.06 and m_h <= 0.06 and m_u <= 0.08

@@ -259,3 +259,78 @@ def test_esd_solves_each_seed_once(tmp_path, monkeypatch):
     eigs = cli._scaled_kernel_eigs(cfg, 12, seeds[0])
     expected = "eigenvalue\n" + "".join("%r\n" % float(v) for v in eigs)
     assert (out / "eigs.csv").read_text() == expected
+
+
+def _write_config(tmp_path, config, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(config))
+    return ["--config", str(path)]
+
+
+@pytest.mark.parametrize("args, config", [
+    (["--kernel", "quartic:1,x,1"], None),
+    (["--kernel", "custom_poly:"], None),
+    (["--cov", "uniform:1"], None),
+    (["--sampler", "gh_discrete:"], None),
+    (["--seeds", "abc"], None),
+    (["--d", "abc"], None),
+    ([], {"kernel": {"type": "quartic"}}),
+    ([], {"cov": {"kind": "uniform", "lo": 1}}),
+    ([], {"lam": 3}),
+    ([], {"kernel": {"type": "exp", "junk": 5}}),
+], ids=["kernel-value", "custom-poly-empty", "cov-arity", "sampler-empty", "seeds-text", "d-text",
+        "json-kernel-params", "json-cov-params", "json-unknown-key", "json-unknown-spec-key"])
+def test_malformed_config_is_configuration_error(tmp_path, capsys, args, config):
+    if config is not None:
+        args = args + _write_config(tmp_path, config)
+    code = main(["esd", "--d", "6"] + args + ["--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_spec_dict_spec_string_and_flag_agree(tmp_path):
+    run = ["lambda-star", "--alpha", "1", "--lambda", "0.5"]
+    flags = ["--d", "12", "--kernel", "quartic:1,1,1", "--cov", "uniform:1,2", "--sampler", "gh_discrete:5"]
+    as_dict = {"d": 12, "kernel": {"type": "quartic", "b0": 1, "b2": 1, "b4": 1},
+               "cov": {"kind": "uniform", "lo": 1, "hi": 2}, "sampler": {"mode": "gh_discrete", "m": 5}}
+    as_text = {"d": "12", "kernel": "quartic:1,1,1", "cov": "uniform:1,2", "sampler": "gh_discrete:5"}
+    outs = []
+    for i, extra in enumerate([flags, _write_config(tmp_path, as_dict, "a.json"), _write_config(tmp_path, as_text, "b.json")]):
+        outs.append(tmp_path / ("o%d" % i))
+        assert main(run + extra + ["--out", str(outs[-1])]) == 0
+    blobs = [(out / "results.json").read_bytes() for out in outs]
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_json_seed_count_matches_flag(tmp_path):
+    run = ["approx-norm", "--d", "6", "--kernel", "exp"]
+    assert main(run + ["--seeds", "3", "--out", str(tmp_path / "flag")]) == 0
+    assert main(run + _write_config(tmp_path, {"seeds": 3}) + ["--out", str(tmp_path / "json")]) == 0
+    flag, from_json = _read(tmp_path / "flag"), _read(tmp_path / "json")
+    assert flag == from_json
+    assert flag["config"]["seeds"] == [0, 1, 2]
+
+
+def test_json_only_spec_keys(tmp_path):
+    config = {"cov": {"kind": "uniform", "lo": 0.5, "hi": 1.5, "seed": 3},
+              "teacher": {"kind": "pure_quadratic", "c0": 1, "c1": 0.5}}
+    code = main(["train-error", "--d", "8", "--kernel", "quartic:1,1,1"] + _write_config(tmp_path, config)
+                + ["--out", str(tmp_path / "o")])
+    assert code == 0
+    echoed = _read(tmp_path / "o")["config"]
+    assert echoed["cov"] == {"kind": "uniform", "lo": 0.5, "hi": 1.5, "seed": 3}
+    assert echoed["teacher"] == {"kind": "pure_quadratic", "c0": 1.0, "c1": 0.5}
+
+
+@pytest.mark.parametrize("experiment", ["approx-norm", "esd"])
+def test_non_finite_kernel_exits_numerical_failure(tmp_path, capsys, experiment):
+    # exp overflows on this covariance: tau = 1000.
+    code = main([experiment, "--d", "10", "--kernel", "exp", "--cov", "uniform:0,2000", "--seeds", "1",
+                 "--out", str(tmp_path / "x")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "non-finite" in err
+    assert "Traceback" not in err

@@ -10,15 +10,14 @@ from qrlab.datagen import (
     MomentMatchedSampler,
     gauss_hermite_rule,
     pair_index_columns,
-    read_qrlb,
     reduced_tensor_features,
     sample_dataset,
     sigma2_diagonal,
     tensor_mean_vector,
     write_dataset_csv,
-    write_qrlb,
 )
 from qrlab.errors import CapacityError, InvalidArgumentError
+from qrlab.matio import read_qrlb, write_qrlb
 from qrlab.oracles import wick_matching_count
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qrlab.datagen import CovarianceSpec, MomentMatchedSampler, sample_dataset
-from qrlab.errors import AssumptionWarning, InvalidArgumentError
+from qrlab.errors import AssumptionWarning, InvalidArgumentError, NumericalFailureError
 from qrlab.kernels import (
     KernelFunction,
     cross_kernel,
@@ -45,8 +45,7 @@ def test_assumption_check_flags():
 def test_quad_coeffs_exp_identity():
     cov = CovarianceSpec.identity(10)
     coeffs = quad_coeffs(KernelFunction.exp(), cov)
-    assert coeffs.a == pytest.approx(math.e - 2.5, abs=1e-12)
-    assert coeffs.a_star == coeffs.a
+    assert coeffs.a_star == pytest.approx(math.e - 2.5, abs=1e-12)
     assert coeffs.a0 == pytest.approx(1.0 - 100.0 / 80_000.0, abs=1e-15)
     assert coeffs.a1 == pytest.approx(1.0 / 10.0 + 10.0 / (2.0 * 10.0**3), abs=1e-15)
     assert coeffs.a2 == pytest.approx(1.0 / 200.0 + 10.0 / (4.0 * 10.0**4), abs=1e-15)
@@ -65,7 +64,7 @@ def test_quad_coeffs_naive_drops_corrections():
     assert naive.a0 == 1.0
     assert naive.a1 == pytest.approx(0.1)
     assert naive.a2 == pytest.approx(1.0 / 200.0)
-    assert naive.a == pytest.approx(math.e - 2.5, abs=1e-12)
+    assert naive.a_star == pytest.approx(math.e - 2.5, abs=1e-12)
 
 
 def test_quad_coeffs_warns_for_nonpositive_offset():
@@ -105,7 +104,7 @@ def test_kernel_matrix_against_extended_precision():
 def test_quad_kernel_matrix_zero_data():
     coeffs = quad_coeffs(KernelFunction.exp(), CovarianceSpec.identity(3))
     k2 = quad_kernel_matrix(np.zeros((4, 3)), coeffs)
-    expected = coeffs.a0 * np.ones((4, 4)) + coeffs.a * np.eye(4)
+    expected = coeffs.a0 * np.ones((4, 4)) + coeffs.a_star * np.eye(4)
     assert np.allclose(k2, expected, atol=1e-15)
 
 
@@ -116,7 +115,7 @@ def test_quad_kernel_matrix_scalar_case():
     norm2 = (x @ x.T).item()
     k2 = quad_kernel_matrix(x, coeffs)
     assert k2[0, 0] == pytest.approx(
-        coeffs.a0 + coeffs.a1 * norm2 + coeffs.a2 * norm2**2 + coeffs.a
+        coeffs.a0 + coeffs.a1 * norm2 + coeffs.a2 * norm2**2 + coeffs.a_star
     )
 
 
@@ -136,7 +135,7 @@ def test_quad_kernel_decomposition_is_exact():
     k2 = quad_kernel_matrix(data, coeffs)
     gram = data.X @ data.X.T
     gram = (gram + gram.T) / 2.0
-    recon = coeffs.a0 * np.ones_like(k2) + coeffs.a1 * gram + coeffs.a2 * gram**2 + coeffs.a * np.eye(25)
+    recon = coeffs.a0 * np.ones_like(k2) + coeffs.a1 * gram + coeffs.a2 * gram**2 + coeffs.a_star * np.eye(25)
     assert np.abs(k2 - recon).max() == 0.0
 
 
@@ -146,7 +145,7 @@ def test_quad_kernel_eigenvalue_floor():
     assert min(coeffs.a0, coeffs.a1, coeffs.a2) >= 0
     k2 = quad_kernel_matrix(data, coeffs)
     eig_min = float(np.linalg.eigvalsh(k2)[0])
-    assert eig_min >= coeffs.a - 1e-10
+    assert eig_min >= coeffs.a_star - 1e-10
 
 
 def test_spectral_norm_gap_trivial_cases():
@@ -165,6 +164,16 @@ def test_spectral_norm_gap_power_iteration_matches_dense():
     dense = spectral_norm_gap(a, b)
     iterative = spectral_norm_gap(a, b, dense_cutoff=10)
     assert iterative == pytest.approx(dense, rel=1e-6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("dense_cutoff", [2048, 2])
+def test_spectral_norm_gap_rejects_non_finite(bad, dense_cutoff):
+    k = np.eye(6)
+    k[2, 3] = k[3, 2] = bad
+    # dense_cutoff=2 takes the power-iteration branch.
+    with pytest.raises(NumericalFailureError, match="non-finite"):
+        spectral_norm_gap(k, np.zeros((6, 6)), dense_cutoff=dense_cutoff)
 
 
 def test_cross_kernel_values():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrlab.datagen import CovarianceSpec, MomentMatchedSampler, sample_dataset
-from qrlab.errors import InvalidArgumentError
+from qrlab.errors import InvalidArgumentError, NumericalFailureError
 from qrlab.spectra import (
     DiscreteLaw,
     GridSpec,
@@ -48,6 +48,14 @@ def test_esd_basics():
     assert abs(eigs.sum() - np.trace(m)) < 1e-10
     with pytest.raises(InvalidArgumentError):
         esd(rng.normal(size=(5, 5)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_esd_rejects_non_finite(bad):
+    m = np.eye(4)
+    m[1, 2] = m[2, 1] = bad
+    with pytest.raises(NumericalFailureError, match="non-finite"):
+        esd(m)
 
 
 def test_mp_density_point_values():
