@@ -19,6 +19,7 @@ the spec string or an object such as {"type": "quartic", "b0": 1, "b2": 1,
 take the JSON-only keys "seed" (uniform and two_point covariances) and
 "c0", "c1" (teachers). Unknown keys, at the top level or in a spec, are a
 configuration error. The sample count is derived as n = round(d^2/(2 alpha)).
+Only approx_norm takes a ladder of d values; the other experiments take one.
 Seeds fan out to a thread pool capped by QRLAB_THREADS (an integer >= 1;
 default the CPU count). Every run writes results.json (deterministic given
 config, seeds and the BLAS thread count; its sha256 config hash is
@@ -554,6 +555,8 @@ def run(cfg: ExperimentConfig) -> int:
         runner = _RUNNERS[cfg.experiment]
     except KeyError:
         raise _ConfigError("unknown experiment %r" % cfg.experiment) from None
+    if cfg.experiment != "approx_norm" and len(cfg.d) > 1:
+        raise _ConfigError("%s takes one d, got the ladder %s" % (cfg.experiment, ",".join(map(str, cfg.d))))
     _thread_limit()  # a bad QRLAB_THREADS fails before any work starts
     records, summary, header, rows, timings = runner(cfg)
     out = _write_outputs(cfg, records, summary, header, rows, timings)

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .datagen import CovarianceSpec, _as_matrix, reduced_tensor_features
+from .datagen import CovarianceSpec, _as_matrix
 from .errors import AssumptionWarning, InvalidArgumentError, NumericalFailureError
 
 __all__ = [
@@ -214,26 +214,16 @@ def kernel_matrix(data, kernel: KernelFunction) -> np.ndarray:
     return kernel.eval(gram / d)
 
 
-def quad_kernel_matrix(data, coeffs: QuadCoeffs, route: str = "hadamard") -> np.ndarray:
+def quad_kernel_matrix(data, coeffs: QuadCoeffs) -> np.ndarray:
     """Quadratic surrogate a0 11' + a1 XX' + a2 (XX')^{o2} + a I.
 
-    ``route='hadamard'`` squares the Gram matrix entrywise (O(n^2 d));
-    ``route='tensor'`` builds the same term as the Gram matrix of the
-    reduced tensor features, kept as an independent cross-check.
+    The quadratic term squares the Gram matrix entrywise (O(n^2 d)).
     """
     x = _as_matrix(data)
     n, _ = x.shape
     gram = x @ x.T
     gram = (gram + gram.T) / 2.0
-    if route == "hadamard":
-        had = gram * gram
-    elif route == "tensor":
-        x2 = reduced_tensor_features(x, allow_large=True)
-        had = x2 @ x2.T
-        had = (had + had.T) / 2.0
-    else:
-        raise InvalidArgumentError("route must be 'hadamard' or 'tensor'")
-    out = coeffs.a0 + coeffs.a1 * gram + coeffs.a2 * had
+    out = coeffs.a0 + coeffs.a1 * gram + coeffs.a2 * (gram * gram)
     out[np.diag_indices(n)] += coeffs.a_star
     return out
 
@@ -255,57 +245,43 @@ def cross_kernel(data, x_test, kernel: KernelFunction) -> np.ndarray:
     return kernel.eval(inner)
 
 
-def _power_iteration_norm(diff: np.ndarray, tol: float, max_steps: int) -> float:
-    # Deterministic seeded start; convergence certified by the eigen residual.
-    rng = np.random.default_rng(0x51B)
-    v = rng.standard_normal(diff.shape[0])
-    v /= np.linalg.norm(v)
-    theta = 0.0
-    for _ in range(max_steps):
-        w = diff @ v
-        norm_w = float(np.linalg.norm(w))
-        if not math.isfinite(norm_w):
-            raise NumericalFailureError("spectral norm gap: K - K2 has non-finite entries")
-        if norm_w == 0.0:
-            return 0.0
-        v_new = w / norm_w
-        theta_new = float(v_new @ (diff @ v_new))
-        residual = float(np.linalg.norm(diff @ v_new - theta_new * v_new))
-        if abs(abs(theta_new) - abs(theta)) <= tol * max(1.0, abs(theta_new)) and residual <= tol * max(
-            1.0, abs(theta_new)
-        ):
-            # Two-sided: |theta| <= norm <= |theta| + residual.
-            return abs(theta_new)
-        v, theta = v_new, theta_new
-    raise NumericalFailureError(
-        "power iteration did not converge in %d steps" % max_steps, residual=residual
-    )
-
-
-def spectral_norm_gap(k_mat: np.ndarray, k2_mat: np.ndarray, dense_cutoff: int = 2048,
-                      tol: float = 1e-8, max_steps: int = 10_000) -> float:
+def spectral_norm_gap(k_mat: np.ndarray, k2_mat: np.ndarray) -> float:
     """Spectral norm of K - K2 (largest absolute eigenvalue).
 
-    Dense symmetric eigensolve up to ``dense_cutoff``; beyond that a power
-    iteration on the difference with residual-certified convergence.
-    Non-finite entries in K - K2 raise NumericalFailureError.
+    One route for every n: Lanczos (ARPACK ``eigsh``, the one eigenpair of
+    largest magnitude) on the symmetrized difference D, from a fixed seeded
+    start vector, so the result is deterministic. The Ritz pair (theta, v)
+    is certified by its eigen-residual |D v - theta v| <= 1e-8 max(1, |theta|).
+    An all-zero D gives exactly 0.0. Non-finite entries in D, an ARPACK
+    failure or a residual above the bound raise NumericalFailureError.
     """
+    # Imported here: scipy.sparse.linalg costs ~20 ms of import time that
+    # experiments which never compute a gap should not pay.
+    from scipy.sparse.linalg import ArpackError, eigsh
+
     k_mat = np.asarray(k_mat, dtype=np.float64)
     k2_mat = np.asarray(k2_mat, dtype=np.float64)
     if k_mat.shape != k2_mat.shape or k_mat.ndim != 2 or k_mat.shape[0] != k_mat.shape[1]:
         raise InvalidArgumentError("K and K2 must be square matrices of the same shape")
     diff = k_mat - k2_mat
     diff = (diff + diff.T) / 2.0
-    if diff.shape[0] > dense_cutoff:
-        return _power_iteration_norm(diff, tol, max_steps)
-    try:
-        eigs = np.linalg.eigvalsh(diff)
-    except np.linalg.LinAlgError as exc:
-        # Inf/NaN input is the usual cause; the check runs only on failure.
-        cause = "has non-finite entries" if not np.isfinite(diff).all() else "defeats the eigensolver (%s)" % exc
-        raise NumericalFailureError("spectral norm gap: K - K2 %s" % cause) from exc
-    # Not just the end values: LAPACK can leave NaN eigenvalues mid-array.
-    gap = float(np.abs(eigs).max())
-    if not math.isfinite(gap):
+    # ARPACK fails on inf/NaN entries and on an all-zero D, and cannot take
+    # n = 1 (where the norm is |D_11|); max |D_ij| settles all three.
+    scale = float(np.abs(diff).max())
+    if not math.isfinite(scale):
         raise NumericalFailureError("spectral norm gap: K - K2 has non-finite entries")
-    return gap
+    if scale == 0.0 or len(diff) == 1:
+        return scale
+    v0 = np.random.default_rng(0x51B).standard_normal(len(diff))
+    try:
+        theta, vec = eigsh(diff, k=1, which="LM", v0=v0)
+    except ArpackError as exc:  # includes ArpackNoConvergence
+        raise NumericalFailureError("spectral norm gap: Lanczos failed on K - K2 (%s)" % exc) from exc
+    theta, v = float(theta[0]), vec[:, 0]
+    residual = float(np.linalg.norm(diff @ v - theta * v))
+    bound = 1e-8 * max(1.0, abs(theta))
+    if residual > bound:
+        raise NumericalFailureError(
+            "spectral norm gap: Lanczos residual %g exceeds %g" % (residual, bound), residual=residual
+        )
+    return abs(theta)

@@ -67,8 +67,9 @@ def _draw_g_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
 class TeacherModel:
     """Target function f_*(x) = c0 + c1 <x, beta> + (c2/d) x' G x.
 
-    ``pure_quadratic`` uses c0 = c1 = 0, c2 = 1 with random symmetric G;
-    ``deterministic_sigma`` fixes G = Sigma (so f_* = x' Sigma x / d).
+    ``pure_quadratic`` uses c0 = c1 = 0 with random symmetric G;
+    ``deterministic_sigma`` fixes G = Sigma (so f_* = c2 x' Sigma x / d).
+    Both default to c2 = 1.
     """
 
     kind: str
@@ -94,12 +95,12 @@ class TeacherModel:
         return TeacherModel("general", float(c0), float(c1), beta, float(c2), G)
 
     @staticmethod
-    def pure_quadratic(G: np.ndarray) -> "TeacherModel":
-        return TeacherModel("pure_quadratic", 0.0, 0.0, None, 1.0, G)
+    def pure_quadratic(G: np.ndarray, c2: float = 1.0) -> "TeacherModel":
+        return TeacherModel("pure_quadratic", 0.0, 0.0, None, float(c2), G)
 
     @staticmethod
-    def deterministic_sigma(cov: CovarianceSpec) -> "TeacherModel":
-        return TeacherModel("deterministic_sigma", 0.0, 0.0, None, 1.0, np.diag(cov.diag))
+    def deterministic_sigma(cov: CovarianceSpec, c2: float = 1.0) -> "TeacherModel":
+        return TeacherModel("deterministic_sigma", 0.0, 0.0, None, float(c2), np.diag(cov.diag))
 
     @staticmethod
     def draw(
@@ -116,10 +117,10 @@ class TeacherModel:
         for its linear term.
         """
         if kind == "deterministic_sigma":
-            return TeacherModel.deterministic_sigma(cov)
+            return TeacherModel.deterministic_sigma(cov, c2)
         g = _draw_g_matrix(cov.d, rng)
         if kind == "pure_quadratic":
-            return TeacherModel.pure_quadratic(g)
+            return TeacherModel.pure_quadratic(g, c2)
         if kind == "general":
             beta = np.full(cov.d, 1.0 / math.sqrt(cov.d))
             return TeacherModel.general(c0, c1, beta, c2, g)
@@ -202,24 +203,13 @@ def krr_fit(k_mat: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     return RidgeFactor(k_mat, lam).solve(np.asarray(y, dtype=np.float64))
 
 
-def training_error(k_mat: np.ndarray, y: np.ndarray, lam: float, route: str = "resolvent") -> float:
-    """Mean squared training residual of the ridge fit.
-
-    'resolvent' evaluates (lambda^2/n) y'(K+lambda I)^{-2} y; 'residual'
-    evaluates (1/n) |K (K+lambda I)^{-1} y - y|^2. The two agree to
-    round-off and are kept as mutual checks.
-    """
+def training_error(k_mat: np.ndarray, y: np.ndarray, lam: float) -> float:
+    """Mean squared training residual of the ridge fit,
+    (lambda^2/n) y'(K+lambda I)^{-2} y = (lambda^2/n) |w|^2 for the
+    representer weights w."""
     y = np.asarray(y, dtype=np.float64)
-    n = y.size
-    factor = RidgeFactor(k_mat, lam)
-    w = factor.solve(y)
-    if route == "resolvent":
-        return float(lam**2 / n * (w @ w))
-    if route == "residual":
-        k_only = factor.matrix - lam * np.eye(n)
-        r = k_only @ w - y
-        return float((r @ r) / n)
-    raise InvalidArgumentError("route must be 'resolvent' or 'residual'")
+    w = RidgeFactor(k_mat, lam).solve(y)
+    return float(lam**2 / y.size * (w @ w))
 
 
 def _check_risk_kernel(kernel: KernelFunction) -> None:

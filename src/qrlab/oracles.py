@@ -1,8 +1,10 @@
 """Slow, independent reference implementations used as test oracles.
 
 Everything here is deliberately naive: exhaustive pairing enumeration,
-plain recurrences, Monte Carlo companions. Main-path modules never import
-this one; it exists to validate them.
+plain recurrences, Monte Carlo companions, and second routes to main-path
+results (the surrogate from tensor features, the training error from the
+fit residual, the population-side Stieltjes transform). Main-path modules
+never import this one; it exists to validate them.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, InvalidArgumentError
-from .spectra import DiscreteLaw
+from .datagen import _as_matrix, reduced_tensor_features
+from .errors import CapacityError, InvalidArgumentError, NumericalFailureError
+from .kernels import QuadCoeffs
+from .spectra import DiscreteLaw, _check_point
 
 __all__ = [
     "hermite",
@@ -28,6 +32,9 @@ __all__ = [
     "quadform_moment_mc",
     "random_projector",
     "quadform_concentration_stat",
+    "quad_kernel_matrix_tensor",
+    "training_error_residual",
+    "population_stieltjes",
     "oracle_check",
 ]
 
@@ -267,6 +274,69 @@ def quadform_concentration_stat(
     target = float(np.sum(np.diag(a_mat) * sigma2.atoms))
     quad = np.einsum("ij,jk,ik->i", rows, a_mat, rows)
     return np.abs(quad - target) / n
+
+
+def quad_kernel_matrix_tensor(data, coeffs: QuadCoeffs) -> np.ndarray:
+    """The surrogate of :func:`qrlab.kernels.quad_kernel_matrix`, with its
+    quadratic term built as the Gram matrix of the reduced tensor features
+    instead of the entrywise square of XX'."""
+    x = _as_matrix(data)
+    x2 = reduced_tensor_features(x, allow_large=True)
+    out = coeffs.a0 + coeffs.a1 * (x @ x.T) + coeffs.a2 * (x2 @ x2.T)
+    out[np.diag_indices(len(x))] += coeffs.a_star
+    return out
+
+
+def training_error_residual(k_mat: np.ndarray, y: np.ndarray, lam: float) -> float:
+    """(1/n) |K (K+lambda I)^{-1} y - y|^2 by a dense LU solve: the second
+    route to :func:`qrlab.krr.training_error`."""
+    k_mat = np.asarray(k_mat, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    w = np.linalg.solve(k_mat + lam * np.eye(y.size), y)
+    r = k_mat @ w - y
+    return float((r @ r) / y.size)
+
+
+def population_stieltjes(
+    z: complex,
+    alpha: float,
+    nu: DiscreteLaw,
+    max_steps: int = 2000,
+    tol: float = 1e-13,
+) -> complex:
+    """Stieltjes transform m(z) of the population-side deformed MP law.
+
+    Solves m = int dnu(x) / (x (1 - alpha - alpha z m) - z) by damped
+    iteration with a Newton polish. Kept independent of
+    ``companion_stieltjes`` so the identity mt = alpha m + (1-alpha)(-1/z)
+    can be cross-checked between two solvers.
+    """
+    z = _check_point(z)
+
+    def g(m: complex) -> complex:
+        u = 1.0 - alpha - alpha * z * m
+        return complex(np.sum(nu.weights / (nu.atoms * u - z)))
+
+    m = -1.0 / z
+    resid = math.inf
+    for _ in range(max_steps):
+        gm = g(m)
+        resid = abs(gm - m)
+        if resid <= tol:
+            break
+        # Newton on r(m) = g(m) - m once close, damped picard otherwise.
+        if resid < 1e-2:
+            u = 1.0 - alpha - alpha * z * m
+            dg = complex(np.sum(nu.weights * nu.atoms * alpha * z / (nu.atoms * u - z) ** 2))
+            if dg != 1.0:
+                cand = m - (gm - m) / (dg - 1.0)
+                if np.isfinite(cand.real) and np.isfinite(cand.imag):
+                    m = cand
+                    continue
+        m = 0.5 * (m + gm)
+    else:
+        raise NumericalFailureError("population fixed point did not converge at z=%r" % z, residual=resid)
+    return m
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ __all__ = [
     "mp_support",
     "mp_density",
     "companion_stieltjes",
-    "population_stieltjes",
     "deformed_mp_density",
     "deformed_mp_law",
     "law_integrals",
@@ -273,48 +272,6 @@ def companion_stieltjes(
     dprime_den = 1.0 / m**2 - alpha * f2
     m_prime = 1.0 / dprime_den if dprime_den != 0 else complex(math.inf)
     return StieltjesEval(z=z, m_tilde=m, m_tilde_prime=m_prime, iterations=used, residual=resid)
-
-
-def population_stieltjes(
-    z: complex,
-    alpha: float,
-    nu: DiscreteLaw,
-    max_steps: int = 2000,
-    tol: float = 1e-13,
-) -> complex:
-    """Stieltjes transform m(z) of the population-side deformed MP law.
-
-    Solves m = int dnu(x) / (x (1 - alpha - alpha z m) - z) by damped
-    iteration with a Newton polish. Kept independent of
-    ``companion_stieltjes`` so the identity mt = alpha m + (1-alpha)(-1/z)
-    can be cross-checked between two solvers.
-    """
-    z = _check_point(z)
-
-    def g(m: complex) -> complex:
-        u = 1.0 - alpha - alpha * z * m
-        return complex(np.sum(nu.weights / (nu.atoms * u - z)))
-
-    m = -1.0 / z
-    resid = math.inf
-    for _ in range(max_steps):
-        gm = g(m)
-        resid = abs(gm - m)
-        if resid <= tol:
-            break
-        # Newton on r(m) = g(m) - m once close, damped picard otherwise.
-        if resid < 1e-2:
-            u = 1.0 - alpha - alpha * z * m
-            dg = complex(np.sum(nu.weights * nu.atoms * alpha * z / (nu.atoms * u - z) ** 2))
-            if dg != 1.0:
-                cand = m - (gm - m) / (dg - 1.0)
-                if np.isfinite(cand.real) and np.isfinite(cand.imag):
-                    m = cand
-                    continue
-        m = 0.5 * (m + gm)
-    else:
-        raise NumericalFailureError("population fixed point did not converge at z=%r" % z, residual=resid)
-    return m
 
 
 @dataclass(frozen=True)

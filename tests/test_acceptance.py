@@ -34,7 +34,7 @@ from qrlab.krr import (
     make_labels,
     training_error,
 )
-from qrlab.oracles import oracle_check, quadform_concentration_stat, random_projector
+from qrlab.oracles import oracle_check, population_stieltjes, quadform_concentration_stat, random_projector
 from qrlab.seeding import TEACHER, substream
 from qrlab.spectra import (
     DiscreteLaw,
@@ -42,7 +42,6 @@ from qrlab.spectra import (
     deformed_mp_law,
     esd,
     ks_distance,
-    population_stieltjes,
 )
 
 GAUSS = MomentMatchedSampler.gaussian()

@@ -102,6 +102,20 @@ def test_train_error_experiment(tmp_path):
     assert len(payload["records"]) == 2
 
 
+def test_train_error_c2_scales_the_empirical_teacher(tmp_path):
+    means = []
+    for c2 in ("1", "2"):
+        out = tmp_path / ("c2_" + c2)
+        code = main([
+            "train-error", "--d", "16", "--alpha", "1", "--kernel", "quartic:1,1,1",
+            "--lambda", "0.5", "--seeds", "2", "--c2", c2, "--out", str(out),
+        ])
+        assert code == 0
+        means.append(_read(out)["summary"]["mean_empirical"])
+    # The teacher's share of the error grows by c2^2 = 4; the noise's does not.
+    assert means[1] / means[0] > 2.0
+
+
 def test_risk_experiment_small(tmp_path):
     out = tmp_path / "risk"
     code = main([
@@ -159,6 +173,17 @@ def test_thread_cap_env(tmp_path, monkeypatch):
     ])
     assert code == 0
     assert len(_read(out)["records"]) == 2
+
+
+def test_approx_norm_bytes_independent_of_worker_count(tmp_path, monkeypatch):
+    args = ["approx-norm", "--d", "8,12", "--alpha", "1", "--kernel", "exp",
+            "--sampler", "gh_discrete:5", "--seeds", "3", "--compare-naive"]
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("QRLAB_THREADS", threads)
+        outs.append(tmp_path / ("threads_" + threads))
+        assert main(args + ["--out", str(outs[-1])]) == 0
+    assert (outs[0] / "results.json").read_bytes() == (outs[1] / "results.json").read_bytes()
 
 
 def test_run_alias_and_other_kernels(tmp_path):
@@ -267,23 +292,27 @@ def _write_config(tmp_path, config, name="cfg.json"):
     return ["--config", str(path)]
 
 
-@pytest.mark.parametrize("args, config", [
-    (["--kernel", "quartic:1,x,1"], None),
-    (["--kernel", "custom_poly:"], None),
-    (["--cov", "uniform:1"], None),
-    (["--sampler", "gh_discrete:"], None),
-    (["--seeds", "abc"], None),
-    (["--d", "abc"], None),
-    ([], {"kernel": {"type": "quartic"}}),
-    ([], {"cov": {"kind": "uniform", "lo": 1}}),
-    ([], {"lam": 3}),
-    ([], {"kernel": {"type": "exp", "junk": 5}}),
+@pytest.mark.parametrize("command, args, config", [
+    ("esd", ["--kernel", "quartic:1,x,1"], None),
+    ("esd", ["--kernel", "custom_poly:"], None),
+    ("esd", ["--cov", "uniform:1"], None),
+    ("esd", ["--sampler", "gh_discrete:"], None),
+    ("esd", ["--seeds", "abc"], None),
+    ("esd", ["--d", "abc"], None),
+    ("esd", [], {"kernel": {"type": "quartic"}}),
+    ("esd", [], {"cov": {"kind": "uniform", "lo": 1}}),
+    ("esd", [], {"lam": 3}),
+    ("esd", [], {"kernel": {"type": "exp", "junk": 5}}),
+    # Single-d experiments reject a ladder instead of using its first rung.
+    ("esd", ["--d", "10,20"], None),
+    ("mp-law", ["--d", "10,20"], None),
 ], ids=["kernel-value", "custom-poly-empty", "cov-arity", "sampler-empty", "seeds-text", "d-text",
-        "json-kernel-params", "json-cov-params", "json-unknown-key", "json-unknown-spec-key"])
-def test_malformed_config_is_configuration_error(tmp_path, capsys, args, config):
+        "json-kernel-params", "json-cov-params", "json-unknown-key", "json-unknown-spec-key",
+        "esd-d-ladder", "mp-law-d-ladder"])
+def test_malformed_config_is_configuration_error(tmp_path, capsys, command, args, config):
     if config is not None:
         args = args + _write_config(tmp_path, config)
-    code = main(["esd", "--d", "6"] + args + ["--out", str(tmp_path / "x")])
+    code = main([command, "--d", "6"] + args + ["--out", str(tmp_path / "x")])
     assert code == 1
     err = capsys.readouterr().err
     assert "configuration error" in err

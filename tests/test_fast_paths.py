@@ -1,4 +1,5 @@
-"""The in-place kernel and teacher evaluations against their plain forms."""
+"""The in-place kernel and teacher evaluations and the Lanczos spectral-norm
+gap against their plain forms."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from qrlab.kernels import KernelFunction, cross_kernel, kernel_matrix
+from qrlab.kernels import KernelFunction, cross_kernel, kernel_matrix, spectral_norm_gap
 from qrlab.krr import TeacherModel
 
 COEF = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
@@ -104,3 +105,30 @@ def test_teacher_predict_matches_row_loop(seed, m, d, c0, c1, c2):
     assert np.all(np.abs(got - ref) <= 1e-12 * scale + UNDERFLOW)
     assert teacher.predict(x[0]) == pytest.approx(ref[0], rel=0, abs=1e-12 * scale[0] + UNDERFLOW)
 
+
+def _symmetric(m):
+    return (m + m.T) / 2.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    top=st.sampled_from(["random", "plus_minus", "near_tie"]),
+)
+def test_spectral_norm_gap_matches_dense_eigvalsh(n, seed, top):
+    rng = np.random.default_rng(seed)
+    b = _symmetric(rng.normal(size=(n, n)))
+    if top == "random":
+        a = _symmetric(rng.normal(size=(n, n)))
+    else:
+        # a - b has its two largest |eigenvalues| at +-lam or tied to 1e-3.
+        eigs = rng.uniform(-1.0, 1.0, n)
+        lam = rng.uniform(1.5, 3.0)
+        eigs[0] = lam
+        if n > 1:
+            eigs[1] = -lam if top == "plus_minus" else lam * (1.0 - 1e-3)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        a = b + _symmetric((q * eigs) @ q.T)
+    want = float(np.abs(np.linalg.eigvalsh(_symmetric(a - b))).max())
+    assert spectral_norm_gap(a, b) == pytest.approx(want, rel=1e-10)

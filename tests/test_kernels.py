@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qrlab.kernels import (
     quad_kernel_matrix,
     spectral_norm_gap,
 )
+from qrlab.oracles import quad_kernel_matrix_tensor
 
 
 @pytest.mark.parametrize(
@@ -122,11 +124,9 @@ def test_quad_kernel_matrix_scalar_case():
 def test_quad_kernel_matrix_routes_agree():
     data = sample_dataset(30, 12, CovarianceSpec.identity(12), MomentMatchedSampler.gaussian(), 4)
     coeffs = quad_coeffs(KernelFunction.exp(), data.covariance)
-    via_hadamard = quad_kernel_matrix(data, coeffs, route="hadamard")
-    via_tensor = quad_kernel_matrix(data, coeffs, route="tensor")
+    via_hadamard = quad_kernel_matrix(data, coeffs)
+    via_tensor = quad_kernel_matrix_tensor(data, coeffs)
     assert np.abs(via_hadamard - via_tensor).max() <= 1e-10
-    with pytest.raises(InvalidArgumentError):
-        quad_kernel_matrix(data, coeffs, route="nope")
 
 
 def test_quad_kernel_decomposition_is_exact():
@@ -155,25 +155,34 @@ def test_spectral_norm_gap_trivial_cases():
     assert spectral_norm_gap(k, k2) == pytest.approx(5.0)
 
 
-def test_spectral_norm_gap_power_iteration_matches_dense():
-    rng = np.random.default_rng(2)
-    a = rng.normal(size=(60, 60))
-    a = (a + a.T) / 2.0
-    b = rng.normal(size=(60, 60))
-    b = (b + b.T) / 2.0
-    dense = spectral_norm_gap(a, b)
-    iterative = spectral_norm_gap(a, b, dense_cutoff=10)
-    assert iterative == pytest.approx(dense, rel=1e-6)
+def test_spectral_norm_gap_single_entry_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spectral_norm_gap(np.array([[2.0]]), np.array([[5.5]])) == 3.5
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("dense_cutoff", [2048, 2])
-def test_spectral_norm_gap_rejects_non_finite(bad, dense_cutoff):
-    k = np.eye(6)
-    k[2, 3] = k[3, 2] = bad
-    # dense_cutoff=2 takes the power-iteration branch.
+@pytest.mark.parametrize("n", [2048, 2])
+def test_spectral_norm_gap_rejects_non_finite(bad, n, capfd):
+    # The check runs before Lanczos at every size, smallest and large alike.
+    k = np.eye(n)
+    k[0, 1] = k[1, 0] = bad
     with pytest.raises(NumericalFailureError, match="non-finite"):
-        spectral_norm_gap(k, np.zeros((6, 6)), dense_cutoff=dense_cutoff)
+        spectral_norm_gap(k, np.zeros((n, n)))
+    out, err = capfd.readouterr()
+    assert out == "" and err == ""
+
+
+def test_spectral_norm_gap_matches_dense_at_d70():
+    # n = 2450, above every size the acceptance ladders reach.
+    d = 70
+    kern = KernelFunction.exp()
+    cov = CovarianceSpec.identity(d)
+    data = sample_dataset(d * d // 2, d, cov, MomentMatchedSampler.gh_discrete(5), 0)
+    k = kernel_matrix(data, kern)
+    k2 = quad_kernel_matrix(data, quad_coeffs(kern, cov))
+    dense = float(np.abs(np.linalg.eigvalsh(k - k2)).max())
+    assert spectral_norm_gap(k, k2) == pytest.approx(dense, rel=1e-10)
 
 
 def test_cross_kernel_values():

@@ -26,6 +26,7 @@ from qrlab.krr import (
     train_error_limit,
     training_error,
 )
+from qrlab.oracles import training_error_residual
 from qrlab.seeding import TEACHER, substream
 from qrlab.spectra import DiscreteLaw, companion_stieltjes, deformed_mp_law
 
@@ -42,6 +43,17 @@ def test_labels_deterministic_sigma():
     teacher = TeacherModel.deterministic_sigma(data.covariance)
     y = make_labels(data, teacher, 0.0, seed=1)
     assert np.allclose(y, (data.X**2).sum(axis=1) / data.d)
+
+
+@pytest.mark.parametrize("kind", ["pure_quadratic", "deterministic_sigma", "general"])
+def test_teacher_draw_scales_with_c2(kind):
+    cov = CovarianceSpec.uniform(7, 0.5, 1.5)
+    x = np.random.default_rng(4).normal(size=(9, 7))
+    one = TeacherModel.draw(kind, cov, substream(5, TEACHER), c2=1.0)
+    two = TeacherModel.draw(kind, cov, substream(5, TEACHER), c2=2.0)
+    assert two.c2 == 2.0
+    # Doubling c2 is exact in floating point.
+    assert np.array_equal(two.predict(x), 2.0 * one.predict(x))
 
 
 def test_labels_constant_teacher():
@@ -138,8 +150,8 @@ def test_training_error_routes_agree():
     k = m @ m.T + 0.2 * np.eye(40)
     y = rng.normal(size=40)
     for lam in (0.1, 1.0, 7.5):
-        a = training_error(k, y, lam, route="resolvent")
-        b = training_error(k, y, lam, route="residual")
+        a = training_error(k, y, lam)
+        b = training_error_residual(k, y, lam)
         assert a == pytest.approx(b, rel=1e-10)
 
 

@@ -20,8 +20,8 @@ from qrlab.spectra import (
     law_to_csv,
     mp_density,
     mp_support,
-    population_stieltjes,
 )
+from qrlab.oracles import population_stieltjes
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
