@@ -17,14 +17,16 @@ flag's text or its JSON type; a spec (kernel, cov, sampler, teacher) may be
 the spec string or an object such as {"type": "quartic", "b0": 1, "b2": 1,
 "b4": 1}, and both give the flag's canonical config and hash. Objects also
 take the JSON-only keys "seed" (uniform and two_point covariances) and
-"c0", "c1" (teachers). Unknown keys, at the top level or in a spec, are a
-configuration error. The sample count is derived as n = round(d^2/(2 alpha)).
-Only approx_norm takes a ladder of d values; the other experiments take one.
-Seeds fan out to a thread pool capped by QRLAB_THREADS (an integer >= 1;
-default the CPU count). Every run writes results.json (deterministic given
-config, seeds and the BLAS thread count; its sha256 config hash is
-embedded), results.csv, and a results.meta.json sidecar holding the
-wall-clock data. esd runs also emit an SVG histogram/density overlay,
+"c0", "c1" (teachers; train_error only, other experiments reject them).
+Unknown keys, at the top level or in a spec, are a configuration error.
+The sample count is derived as n = round(d^2/(2 alpha)). Only approx_norm
+takes a ladder of d values; the other experiments take one. Seeds fan out
+to a thread pool capped by QRLAB_THREADS (an integer >= 1; default the CPU
+count). Every run writes results.json (deterministic given config, seeds
+and the BLAS thread count; its sha256 config hash is embedded),
+results.csv, and a results.meta.json sidecar holding the wall-clock data
+and the environment (library versions, CPU count, BLAS thread variables,
+seed workers). esd runs also emit an SVG histogram/density overlay,
 law.csv, and eigs.csv.
 
 results.csv columns by experiment:
@@ -50,6 +52,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -57,6 +60,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import datagen, kernels, krr, oracles, plots, spectra
 from .seeding import TEACHER, substream
@@ -280,6 +284,22 @@ def _worker_count(n_tasks: int) -> int:
     return max(1, min(_thread_limit(), n_tasks))
 
 
+_POOLED = ("approx_norm", "esd", "train_error", "risk")  # the experiments that call _map_seeds
+
+
+def _environment(cfg: ExperimentConfig) -> dict:
+    """Library versions, CPUs, raw BLAS thread variables (None when unset), seed workers."""
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        **{var: os.environ.get(var) for var in blas_vars},
+        "seed_workers": _worker_count(len(cfg.seeds)) if cfg.experiment in _POOLED else 1,
+    }
+
+
 def _map_seeds(fn, seeds):
     records = [None] * len(seeds)
     timings = [0.0] * len(seeds)
@@ -317,6 +337,7 @@ def _write_outputs(cfg: ExperimentConfig, records, summary, csv_header, csv_rows
         "written_at_unix": time.time(),
         "runtime_ms": timings,
         "config_hash": cfg.config_hash(),
+        "environment": _environment(cfg),
     }
     (out / "results.meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
     return out
@@ -442,14 +463,7 @@ def _run_train_error(cfg: ExperimentConfig):
 
     def one(seed):
         data = datagen.sample_dataset(cfg.n_for(d), d, cov, sampler, seed)
-        teacher = krr.TeacherModel.draw(
-            "general" if (c0 or c1) else teacher_kind,
-            cov,
-            substream(seed, TEACHER, 0),
-            c0=c0,
-            c1=c1,
-            c2=cfg.c2,
-        )
+        teacher = krr.TeacherModel.draw(teacher_kind, cov, substream(seed, TEACHER, 0), c0, c1, cfg.c2)
         y = krr.make_labels(data, teacher, cfg.sigma_eps, seed)
         k_mat = kernels.kernel_matrix(data, kernel)
         emp = krr.training_error(k_mat, y, cfg.lam)
@@ -557,6 +571,8 @@ def run(cfg: ExperimentConfig) -> int:
         raise _ConfigError("unknown experiment %r" % cfg.experiment) from None
     if cfg.experiment != "approx_norm" and len(cfg.d) > 1:
         raise _ConfigError("%s takes one d, got the ladder %s" % (cfg.experiment, ",".join(map(str, cfg.d))))
+    if cfg.experiment != "train_error" and {"c0", "c1"} & set(cfg.teacher):
+        raise _ConfigError("teacher c0/c1 apply only to train_error, not to %s" % cfg.experiment)
     _thread_limit()  # a bad QRLAB_THREADS fails before any work starts
     records, summary, header, rows, timings = runner(cfg)
     out = _write_outputs(cfg, records, summary, header, rows, timings)

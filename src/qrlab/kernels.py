@@ -31,6 +31,8 @@ __all__ = [
     "spectral_norm_gap",
 ]
 
+DERIV_RTOL = 1e-4  # KernelFunction.validate_derivatives: claimed vs finite differences
+
 
 def _horner(x, coeffs):
     """sum_k coeffs[k] x^k (low to high degree) by Horner's rule.
@@ -108,24 +110,18 @@ class KernelFunction:
         return KernelFunction("custom_poly:" + ",".join("%g" % v for v in c), fn, derivs)
 
     @staticmethod
-    def from_callable(
-        name: str,
-        fn: Callable,
-        derivs0,
-        bounded_high_derivs: bool = True,
-        validate: bool = True,
-    ) -> "KernelFunction":
+    def from_callable(name: str, fn: Callable, derivs0, bounded_high_derivs: bool = True) -> "KernelFunction":
         kernel = KernelFunction(name, fn, tuple(float(v) for v in derivs0), bounded_high_derivs)
-        if validate:
-            kernel.validate_derivatives()
+        kernel.validate_derivatives()
         return kernel
 
-    def validate_derivatives(self, rtol: float = 1e-4) -> None:
-        """Check ``derivs0`` against central finite differences at zero.
+    def validate_derivatives(self) -> None:
+        """Check ``derivs0`` against central finite differences at zero,
+        within ``DERIV_RTOL`` relative to max(1, |claimed|).
 
         Orders up to 2 use step 1e-3. Orders 3 and 4 use step 1e-2: at step
         1e-3 the float64 rounding noise in the high-order stencils already
-        exceeds the requested tolerance.
+        exceeds the tolerance.
         """
         f = self.eval
         h = 1e-3
@@ -138,7 +134,7 @@ class KernelFunction:
         fd.append((f(2 * h) - 2 * f(h) + 2 * f(-h) - f(-2 * h)) / (2 * h**3))
         fd.append((f(2 * h) - 4 * f(h) + 6 * f(0.0) - 4 * f(-h) + f(-2 * h)) / h**4)
         for order, (approx, claimed) in enumerate(zip(fd, self.derivs0)):
-            if abs(approx - claimed) > rtol * max(1.0, abs(claimed)):
+            if abs(approx - claimed) > DERIV_RTOL * max(1.0, abs(claimed)):
                 raise InvalidArgumentError(
                     "derivative %d mismatch: claimed %r, finite difference %r" % (order, claimed, approx)
                 )
@@ -209,8 +205,9 @@ def kernel_matrix(data, kernel: KernelFunction) -> np.ndarray:
     """K_ij = f(<x_i, x_j>/d), symmetric, K_ii = f(|x_i|^2/d)."""
     x = _as_matrix(data)
     d = x.shape[1]
+    # numpy forms x @ x.T by a symmetric rank-k update (BLAS syrk), so the
+    # Gram matrix is exactly symmetric.
     gram = x @ x.T
-    gram = (gram + gram.T) / 2.0
     return kernel.eval(gram / d)
 
 
@@ -222,7 +219,6 @@ def quad_kernel_matrix(data, coeffs: QuadCoeffs) -> np.ndarray:
     x = _as_matrix(data)
     n, _ = x.shape
     gram = x @ x.T
-    gram = (gram + gram.T) / 2.0
     out = coeffs.a0 + coeffs.a1 * gram + coeffs.a2 * (gram * gram)
     out[np.diag_indices(n)] += coeffs.a_star
     return out

@@ -55,6 +55,13 @@ __all__ = [
 
 RISK_TEACHERS = ("pure_quadratic", "deterministic_sigma")
 
+# Ridge solves must reach |K w + lambda w - y| <= RIDGE_RESIDUAL_RTOL |y|.
+# Cholesky does unless K + lambda I is too ill-conditioned for float64 (at
+# condition number 1e12 the residual is ~4e-6 |y|, with refinement or without).
+RIDGE_RESIDUAL_RTOL = 1e-8
+LAMBDA_STAR_TOL = 1e-12  # lambda_star_solve: root residual, relative to the largest term
+LAMBDA_STAR_AGREEMENT = 1e-10  # lambda_star_solve: relative agreement of the Stieltjes route
+
 
 def _draw_g_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
     """Symmetric matrix with independent N(0,1) entries on the upper triangle."""
@@ -67,9 +74,10 @@ def _draw_g_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
 class TeacherModel:
     """Target function f_*(x) = c0 + c1 <x, beta> + (c2/d) x' G x.
 
-    ``pure_quadratic`` uses c0 = c1 = 0 with random symmetric G;
-    ``deterministic_sigma`` fixes G = Sigma (so f_* = c2 x' Sigma x / d).
-    Both default to c2 = 1.
+    The kind names the quadratic part: ``pure_quadratic`` has a random
+    symmetric G, ``deterministic_sigma`` fixes G = Sigma (so f_* = c2 x'
+    Sigma x / d for c0 = c1 = 0), ``general`` takes any G. The constructors
+    of the first two use c0 = c1 = 0; all default to c2 = 1.
     """
 
     kind: str
@@ -111,20 +119,18 @@ class TeacherModel:
         c1: float = 0.0,
         c2: float = 1.0,
     ) -> "TeacherModel":
-        """Realize a teacher of the given kind, drawing G where it is random.
-
-        The general kind uses the deterministic unit direction 1/sqrt(d)
-        for its linear term.
+        """Realize a ``pure_quadratic`` or ``deterministic_sigma`` teacher,
+        drawing G where it is random, with offset ``c0`` and a linear term
+        ``c1`` along the deterministic unit direction 1/sqrt(d).
         """
         if kind == "deterministic_sigma":
-            return TeacherModel.deterministic_sigma(cov, c2)
-        g = _draw_g_matrix(cov.d, rng)
-        if kind == "pure_quadratic":
-            return TeacherModel.pure_quadratic(g, c2)
-        if kind == "general":
-            beta = np.full(cov.d, 1.0 / math.sqrt(cov.d))
-            return TeacherModel.general(c0, c1, beta, c2, g)
-        raise InvalidArgumentError("unknown teacher kind %r" % kind)
+            g = np.diag(cov.diag)
+        elif kind == "pure_quadratic":
+            g = _draw_g_matrix(cov.d, rng)
+        else:
+            raise InvalidArgumentError("unknown teacher kind %r" % kind)
+        beta = np.full(cov.d, 1.0 / math.sqrt(cov.d))
+        return TeacherModel(kind, float(c0), float(c1), beta, float(c2), g)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -141,55 +147,48 @@ def make_labels(
     teacher: TeacherModel,
     sigma_eps: float,
     seed: int,
-    noise: str = "gaussian",
     replicate: int = 0,
 ) -> np.ndarray:
-    """Noisy labels y_i = f_*(x_i) + eps_i with iid noise of variance sigma_eps^2.
-
-    ``noise`` is 'gaussian' or 'two_point' (+-sigma_eps with probability 1/2,
-    a bounded option for robustness runs).
-    """
+    """Noisy labels y_i = f_*(x_i) + eps_i with iid N(0, sigma_eps^2) noise."""
     if sigma_eps < 0:
         raise InvalidArgumentError("sigma_eps must be nonnegative")
     y = teacher.predict(dataset.X)
     if sigma_eps > 0:
-        rng = substream(seed, NOISE, replicate)
-        if noise == "gaussian":
-            eps = sigma_eps * rng.standard_normal(dataset.n)
-        elif noise == "two_point":
-            eps = sigma_eps * (2.0 * rng.integers(0, 2, dataset.n) - 1.0)
-        else:
-            raise InvalidArgumentError("unknown noise kind %r" % noise)
-        y = y + eps
+        y = y + sigma_eps * substream(seed, NOISE, replicate).standard_normal(dataset.n)
     return y
 
 
 class RidgeFactor:
-    """Cholesky factorization of K + lambda I, reusable across label vectors."""
+    """Cholesky factorization of K + lambda I, reusable across label vectors.
+
+    Each solve checks its residual against the caller's K, which is held by
+    reference: K must not change while the factor is in use.
+    """
 
     def __init__(self, k_mat: np.ndarray, lam: float):
         if lam < 0:
             raise InvalidArgumentError("lambda must be nonnegative")
-        k_mat = np.asarray(k_mat, dtype=np.float64)
-        self.matrix = k_mat + lam * np.eye(k_mat.shape[0])
-        if not np.isfinite(self.matrix).all():
+        self._k = np.asarray(k_mat, dtype=np.float64)
+        self._lam = float(lam)
+        # One fresh K + lambda I, in the Fortran order LAPACK factors in place.
+        shifted = np.array(self._k, order="F")
+        shifted[np.diag_indices_from(shifted)] += self._lam
+        if not np.isfinite(shifted).all():
             # The unchecked Cholesky below would factor inf/NaN silently.
             raise NumericalFailureError("ridge factorization: K + lambda I has non-finite entries")
         try:
-            self._factor = scipy.linalg.cho_factor(self.matrix, lower=True, check_finite=False)
+            self._factor = scipy.linalg.cho_factor(shifted, lower=True, overwrite_a=True, check_finite=False)
         except scipy.linalg.LinAlgError as exc:
-            lam_min = float(np.linalg.eigvalsh(self.matrix)[0])
+            lam_min = float(np.linalg.eigvalsh(self._k + self._lam * np.eye(len(self._k)))[0])
             raise SingularSystemError(
                 "K + lambda I is not positive definite (lambda_min about %g)" % lam_min,
                 lambda_min=lam_min,
             ) from exc
 
-    def solve(self, y: np.ndarray, refine: bool = True, rtol: float = 1e-8) -> np.ndarray:
+    def solve(self, y: np.ndarray) -> np.ndarray:
         w = scipy.linalg.cho_solve(self._factor, y, check_finite=False)
-        if refine:
-            w = w + scipy.linalg.cho_solve(self._factor, y - self.matrix @ w, check_finite=False)
-        residual = float(np.linalg.norm(self.matrix @ w - y))
-        bound = rtol * max(float(np.linalg.norm(y)), 1e-300)
+        residual = float(np.linalg.norm(self._k @ w + self._lam * w - y))
+        bound = RIDGE_RESIDUAL_RTOL * max(float(np.linalg.norm(y)), 1e-300)
         # Negated so that a NaN residual (non-finite labels) fails too.
         if not residual <= bound:
             raise NumericalFailureError(
@@ -283,17 +282,15 @@ def lambda_star_solve(
     a_star: float,
     lam: float,
     second_deriv: float,
-    tol: float = 1e-12,
-    check_agreement: float = 1e-10,
 ) -> LambdaStarResult:
     """Unique positive root of the self-consistent equation
 
         1/alpha - 4 (a_star + lambda) / (f''(0) t) = integral x/(x+t) dnu(x).
 
     The left side minus right side is strictly increasing in t, so a
-    bracketing search plus Newton converges to ``tol``. The independent
-    route t = 1 / mt(-s) at s = 4 alpha (a_star + lambda)/f''(0) must agree
-    to ``check_agreement``.
+    bracketing search plus Newton converges to ``LAMBDA_STAR_TOL``. The
+    independent route t = 1 / mt(-s) at s = 4 alpha (a_star + lambda)/f''(0)
+    must agree to ``LAMBDA_STAR_AGREEMENT``.
     """
     if second_deriv <= 0:
         raise AssumptionViolationError("f''(0) must be positive")
@@ -327,7 +324,7 @@ def lambda_star_solve(
     t = 0.5 * (lo + hi)
     # The residual is resolvable only relative to the equation's own terms
     # (they blow up like 1/alpha for small aspect ratios).
-    tol_eff = tol * max(1.0, 1.0 / alpha, s / (alpha * t))
+    tol_eff = LAMBDA_STAR_TOL * max(1.0, 1.0 / alpha, s / (alpha * t))
     for _ in range(100):
         r = equation(t)
         if abs(r) <= tol_eff:
@@ -340,7 +337,7 @@ def lambda_star_solve(
     if residual > tol_eff:
         raise NumericalFailureError("effective regularization root residual %g" % residual, residual=residual)
     alt = 1.0 / float(companion_stieltjes(-s, alpha, nu).m_tilde.real)
-    if abs(alt - t) > check_agreement * max(1.0, abs(t)):
+    if abs(alt - t) > LAMBDA_STAR_AGREEMENT * max(1.0, abs(t)):
         raise NumericalFailureError(
             "root and Stieltjes routes disagree: %r vs %r" % (t, alt), residual=abs(alt - t)
         )
@@ -467,7 +464,6 @@ def empirical_risk(
     seed: int,
     test_sampler: MomentMatchedSampler | None = None,
     test_points: np.ndarray | None = None,
-    noise: str = "gaussian",
 ) -> tuple[float, float]:
     """Monte Carlo generalization error, conditioned on the training inputs.
 
@@ -494,7 +490,7 @@ def empirical_risk(
     means = []
     for r in range(n_repl):
         teacher = TeacherModel.draw(teacher_kind, cov, substream(seed, TEACHER, r))
-        y = make_labels(dataset, teacher, sigma_eps, seed, noise=noise, replicate=r)
+        y = make_labels(dataset, teacher, sigma_eps, seed, replicate=r)
         w = factor.solve(y)
         if test_points is None:
             z = sampler.sample(substream(seed, TEST, r), (n_test, cov.d))

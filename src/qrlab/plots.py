@@ -8,6 +8,7 @@ from .spectra import SpectralLaw
 
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 60, 20, 30, 45
+_BINS = 60
 
 
 def _xmap(x, lo, hi):
@@ -26,7 +27,6 @@ def svg_histogram_overlay(
     eigs: np.ndarray,
     law: SpectralLaw | None,
     path,
-    bins: int = 60,
     title: str = "",
 ) -> None:
     """Histogram bars for the eigenvalues plus the law density polyline.
@@ -40,7 +40,7 @@ def svg_histogram_overlay(
     if law is not None:
         hi = max(hi, float(law.grid[-1]))
     hi = hi if hi > lo else lo + 1.0
-    counts, edges = np.histogram(eigs, bins=bins, range=(lo, hi), density=True)
+    counts, edges = np.histogram(eigs, bins=_BINS, range=(lo, hi), density=True)
     top = float(counts.max()) if counts.size else 1.0
     if law is not None and law.density.size:
         top = max(top, float(law.density.max()))

@@ -26,7 +26,6 @@ __all__ = [
     "DiscreteLaw",
     "StieltjesEval",
     "SpectralLaw",
-    "GridSpec",
     "esd",
     "mp_support",
     "mp_density",
@@ -37,6 +36,23 @@ __all__ = [
     "ks_distance",
     "law_to_csv",
 ]
+
+# Companion fixed point: iteration budget shared by all continuation stages,
+# and final residual tolerance relative to max(1, |z|).
+STIELTJES_MAX_STEPS = 500
+STIELTJES_TOL = 1e-12
+
+# Deformed-MP inversion grid: LAW_GRID_POINTS points, sqrt-concentrated near
+# zero (where the density can blow up like x^(-1/2)), out to LAW_GRID_PAD times
+# the support scale s = max_atom(nu) (1 + sqrt(alpha))^2, trimmed to where the
+# density exceeds LAW_DENSITY_FLOOR. The bandwidth is eta = LAW_ETA_SCALE * s:
+# a hard edge at zero loses mass of order sqrt(eta) to the negative axis under
+# Cauchy smearing, which must stay far below the 2e-3 normalization budget;
+# 1e-8 * s keeps the loss near 1e-6 (1e-4 * s measurably fails).
+LAW_GRID_POINTS = 4000
+LAW_GRID_PAD = 1.3
+LAW_ETA_SCALE = 1e-8
+LAW_DENSITY_FLOOR = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,17 +229,15 @@ def companion_stieltjes(
     alpha: float,
     nu: DiscreteLaw,
     initial: complex | None = None,
-    max_steps: int = 500,
-    tol: float = 1e-12,
 ) -> StieltjesEval:
     """Solve z = -1/mt + alpha * int x/(1+x*mt) dnu for the companion transform.
 
     Damped fixed-point steps (theta = 0.5) pull the iterate into the basin;
     a Newton polish, accepted only while it shrinks the residual, drives it
-    to ``tol * max(1, |z|)`` (the residual lives in z units, so it can only
-    be resolved relative to |z|). Cold starts use -1/z, preceded by a short continuation
+    to ``STIELTJES_TOL * max(1, |z|)`` (the residual lives in z units, so it
+    can only be resolved relative to |z|). Cold starts use -1/z, preceded by a short continuation
     ladder from z values at the support scale when |z| is small (the -1/z
-    guess is far off there). All stages share the ``max_steps`` budget.
+    guess is far off there). All stages share the ``STIELTJES_MAX_STEPS`` budget.
     The derivative comes in closed form:
     mt' = 1 / (1/mt^2 - alpha * int x^2/(1+x*mt)^2 dnu).
     """
@@ -250,12 +264,12 @@ def companion_stieltjes(
 
     used = 0
     resid = math.inf
-    final_tol = tol * max(1.0, abs(z))
+    final_tol = STIELTJES_TOL * max(1.0, abs(z))
     for stage in stages:
-        stage_tol = tol if stage == z else min(1e-9, 1e-6 * abs(stage))
-        m, its, resid = _solve_companion(stage, alpha, nu, m, max_steps - used, stage_tol)
+        stage_tol = STIELTJES_TOL if stage == z else min(1e-9, 1e-6 * abs(stage))
+        m, its, resid = _solve_companion(stage, alpha, nu, m, STIELTJES_MAX_STEPS - used, stage_tol)
         used += its
-        if used >= max_steps and (stage != z or resid > final_tol):
+        if used >= STIELTJES_MAX_STEPS and (stage != z or resid > final_tol):
             raise NumericalFailureError(
                 "companion fixed point did not converge at z=%r (residual %.3g)" % (z, resid),
                 residual=resid,
@@ -272,25 +286,6 @@ def companion_stieltjes(
     dprime_den = 1.0 / m**2 - alpha * f2
     m_prime = 1.0 / dprime_den if dprime_den != 0 else complex(math.inf)
     return StieltjesEval(z=z, m_tilde=m, m_tilde_prime=m_prime, iterations=used, residual=resid)
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Inversion grid controls for :func:`deformed_mp_law`.
-
-    ``eta_scale`` sets the inversion bandwidth eta = eta_scale * s where
-    s = max_atom(nu) * (1 + sqrt(alpha))^2 is the support scale; ``pad``
-    stretches the grid beyond s; points are sqrt-concentrated near zero
-    where the density can blow up like x^(-1/2). A hard edge at zero loses
-    mass of order sqrt(eta) to the negative axis under Cauchy smearing, so
-    the bandwidth must sit far below the 2e-3 normalization budget; the
-    default 1e-8 * s keeps the loss near 1e-6 (1e-4 * s measurably fails).
-    """
-
-    points: int = 4000
-    pad: float = 1.3
-    eta_scale: float = 1e-8
-    density_floor: float = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,18 +341,16 @@ def deformed_mp_density(
     alpha: float,
     nu: DiscreteLaw,
     x,
-    eta: float | None = None,
 ) -> np.ndarray | float:
     """Continuous part of the deformed MP law at points ``x``.
 
-    Stieltjes inversion density = Im mt(x + i eta) / pi, with the smeared
-    contribution of the analytic atom at zero subtracted when alpha < 1.
+    Stieltjes inversion density = Im mt(x + i LAW_ETA_SCALE s) / pi, with the
+    smeared contribution of the analytic atom at zero subtracted when alpha < 1.
     """
     if alpha <= 0:
         raise InvalidArgumentError("alpha must be positive")
     nu_c = nu.compressed()
-    if eta is None:
-        eta = 1e-8 * _support_scale(alpha, nu_c)
+    eta = LAW_ETA_SCALE * _support_scale(alpha, nu_c)
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
     # Sweep from large x (outside the support, where -1/z is an accurate
     # start) down toward the hard edge, warm-starting each solve.
@@ -384,29 +377,26 @@ def deformed_mp_density(
     return dens
 
 
-def deformed_mp_law(alpha: float, nu: DiscreteLaw, grid_spec: GridSpec | None = None) -> SpectralLaw:
+def deformed_mp_law(alpha: float, nu: DiscreteLaw) -> SpectralLaw:
     """Deformed MP law for ratio ``alpha`` and population law ``nu``.
 
     The returned law carries the analytic atom max(1-alpha, 0) at zero and
     the inverted density on a sqrt-concentrated grid trimmed to where the
-    density exceeds ``grid_spec.density_floor``.
+    density exceeds ``LAW_DENSITY_FLOOR``.
     """
     if alpha <= 0:
         raise InvalidArgumentError("alpha must be positive")
-    gs = grid_spec or GridSpec()
     nu_c = nu.compressed()
-    scale = _support_scale(alpha, nu_c)
-    eta = gs.eta_scale * scale
-    t = np.linspace(0.0, 1.0, gs.points)
-    grid = gs.pad * scale * t**2
+    t = np.linspace(0.0, 1.0, LAW_GRID_POINTS)
+    grid = LAW_GRID_PAD * _support_scale(alpha, nu_c) * t**2
     grid[0] = 0.0
     try:
-        dens = deformed_mp_density(alpha, nu_c, grid, eta=eta)
+        dens = deformed_mp_density(alpha, nu_c, grid)
     except NumericalFailureError as exc:
         raise NumericalFailureError("density inversion failed: %s" % exc, residual=exc.residual) from exc
     atom0 = max(1.0 - alpha, 0.0)
     # Trim flat tails but keep one padding point on each side.
-    live = np.nonzero(dens > gs.density_floor)[0]
+    live = np.nonzero(dens > LAW_DENSITY_FLOOR)[0]
     if live.size:
         lo = max(int(live[0]) - 1, 0)
         hi = min(int(live[-1]) + 2, grid.size)

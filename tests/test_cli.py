@@ -36,6 +36,27 @@ def test_results_json_is_reproducible(tmp_path):
     assert (out1 / "results.meta.json").exists()
 
 
+@pytest.mark.parametrize("experiment, seeds, workers", [
+    ("approx-norm", "3", 2), ("approx-norm", "1", 1), ("lambda-star", "3", 1),
+])
+def test_meta_records_environment(tmp_path, monkeypatch, experiment, seeds, workers):
+    import numpy
+    import scipy
+
+    monkeypatch.setenv("QRLAB_THREADS", "2")
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "o"
+    assert main([experiment, "--d", "6", "--kernel", "quartic:1,1,1", "--seeds", seeds, "--out", str(out)]) == 0
+    env = json.loads((out / "results.meta.json").read_text())["environment"]
+    assert set(env) == {"python", "numpy", "scipy", "cpu_count", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                        "MKL_NUM_THREADS", "seed_workers"}
+    assert (env["numpy"], env["scipy"]) == (numpy.__version__, scipy.__version__)
+    assert env["OMP_NUM_THREADS"] == "3" and env["MKL_NUM_THREADS"] is None
+    assert env["seed_workers"] == workers
+    assert "environment" not in _read(out)
+
+
 def test_config_hash_tracks_fields(tmp_path):
     base = ["lambda-star", "--alpha", "1", "--kernel", "quartic:1,1,1", "--d", "30"]
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -306,9 +327,12 @@ def _write_config(tmp_path, config, name="cfg.json"):
     # Single-d experiments reject a ladder instead of using its first rung.
     ("esd", ["--d", "10,20"], None),
     ("mp-law", ["--d", "10,20"], None),
+    # The risk formulas have no teacher offset or linear term.
+    ("risk", [], {"teacher": {"kind": "deterministic_sigma", "c0": 5}}),
+    ("lambda-star", [], {"teacher": {"kind": "pure_quadratic", "c1": 0.5}}),
 ], ids=["kernel-value", "custom-poly-empty", "cov-arity", "sampler-empty", "seeds-text", "d-text",
         "json-kernel-params", "json-cov-params", "json-unknown-key", "json-unknown-spec-key",
-        "esd-d-ladder", "mp-law-d-ladder"])
+        "esd-d-ladder", "mp-law-d-ladder", "risk-teacher-c0", "lambda-star-teacher-c1"])
 def test_malformed_config_is_configuration_error(tmp_path, capsys, command, args, config):
     if config is not None:
         args = args + _write_config(tmp_path, config)

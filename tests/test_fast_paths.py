@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from qrlab.kernels import KernelFunction, cross_kernel, kernel_matrix, spectral_norm_gap
+from qrlab.kernels import (
+    KernelFunction,
+    QuadCoeffs,
+    cross_kernel,
+    kernel_matrix,
+    quad_kernel_matrix,
+    spectral_norm_gap,
+)
 from qrlab.krr import TeacherModel
 
 COEF = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
@@ -72,18 +79,43 @@ def test_scalar_in_float_out(kernel):
     assert type(kernel.value_at(0.25)) is float
 
 
-@settings(max_examples=25, deadline=None)
+# Memory layouts of the data matrix: C order, Fortran order, and views that
+# skip every other row or column.
+LAYOUTS = {
+    "C": lambda x: x,
+    "F": np.asfortranarray,
+    "row_strided": lambda x: np.repeat(x, 2, axis=0)[::2],
+    "col_strided": lambda x: np.repeat(x, 2, axis=1)[:, ::2],
+}
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 5), st.integers(1, 6),
-       st.sampled_from(KERNELS))
-def test_kernel_blocks_match_entrywise_definition(seed, n, m, d, kernel):
+       st.sampled_from(KERNELS), st.sampled_from(sorted(LAYOUTS)))
+def test_kernel_blocks_match_entrywise_definition(seed, n, m, d, kernel, layout):
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n, d))
+    x = LAYOUTS[layout](rng.normal(size=(n, d)))
     y = rng.normal(size=(m, d))
     cross_ref = np.array([[kernel.value_at(float(y[i] @ x[j]) / d) for j in range(n)] for i in range(m)])
     gram_ref = np.array([[kernel.value_at(float(x[i] @ x[j]) / d) for j in range(n)] for i in range(n)])
     np.testing.assert_allclose(cross_kernel(x, y, kernel), cross_ref, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(cross_kernel(x, y[0], kernel), cross_ref[0], rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(kernel_matrix(x, kernel), gram_ref, rtol=1e-12, atol=1e-12)
+    k = kernel_matrix(x, kernel)
+    np.testing.assert_allclose(k, gram_ref, rtol=1e-12, atol=1e-12)
+    # Exactly symmetric without an explicit (G + G')/2.
+    assert np.array_equal(k, k.T)
+    k2 = quad_kernel_matrix(x, QuadCoeffs(*rng.normal(size=5)))
+    assert np.array_equal(k2, k2.T)
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_desk_scale_gram_is_exactly_symmetric(layout):
+    # BLAS blocks large products differently from the small ones above.
+    x = LAYOUTS[layout](np.random.default_rng(7).normal(size=(1800, 60)))
+    k = kernel_matrix(x, KernelFunction.exp())
+    assert np.array_equal(k, k.T)
+    k2 = quad_kernel_matrix(x, QuadCoeffs(1.0, 0.5, 0.25, 0.125, 0.125))
+    assert np.array_equal(k2, k2.T)
 
 
 @settings(max_examples=25, deadline=None)

@@ -45,15 +45,29 @@ def test_labels_deterministic_sigma():
     assert np.allclose(y, (data.X**2).sum(axis=1) / data.d)
 
 
-@pytest.mark.parametrize("kind", ["pure_quadratic", "deterministic_sigma", "general"])
-def test_teacher_draw_scales_with_c2(kind):
+@pytest.mark.parametrize("kind, c0, c1", [
+    ("pure_quadratic", 0.0, 0.0),
+    ("deterministic_sigma", 0.0, 0.0),
+    ("pure_quadratic", 1.5, -0.75),
+], ids=["pure_quadratic", "deterministic_sigma", "pure_quadratic-offsets"])
+def test_teacher_draw_scales_with_c2(kind, c0, c1):
     cov = CovarianceSpec.uniform(7, 0.5, 1.5)
     x = np.random.default_rng(4).normal(size=(9, 7))
-    one = TeacherModel.draw(kind, cov, substream(5, TEACHER), c2=1.0)
-    two = TeacherModel.draw(kind, cov, substream(5, TEACHER), c2=2.0)
+    one = TeacherModel.draw(kind, cov, substream(5, TEACHER), c0=c0, c1=c1, c2=1.0)
+    two = TeacherModel.draw(kind, cov, substream(5, TEACHER), c0=2 * c0, c1=2 * c1, c2=2.0)
     assert two.c2 == 2.0
-    # Doubling c2 is exact in floating point.
+    # Doubling every coefficient is exact in floating point.
     assert np.array_equal(two.predict(x), 2.0 * one.predict(x))
+
+
+def test_teacher_draw_offsets_keep_deterministic_sigma():
+    cov = CovarianceSpec.uniform(7, 0.5, 1.5)
+    teacher = TeacherModel.draw("deterministic_sigma", cov, substream(5, TEACHER), c0=5.0, c1=0.5)
+    assert teacher.kind == "deterministic_sigma"
+    assert np.array_equal(teacher.G, np.diag(cov.diag))
+    x = np.random.default_rng(4).normal(size=(9, 7))
+    expected = 5.0 + 0.5 * x.sum(axis=1) / math.sqrt(7) + (x**2 * cov.diag).sum(axis=1) / 7
+    assert np.allclose(teacher.predict(x), expected, rtol=1e-14, atol=1e-14)
 
 
 def test_labels_constant_teacher():
@@ -76,12 +90,8 @@ def test_labels_noise_options():
     data = _dataset(n=2000)
     teacher = TeacherModel.deterministic_sigma(data.covariance)
     y_gauss = make_labels(data, teacher, 0.7, seed=5)
-    y_two = make_labels(data, teacher, 0.7, seed=5, noise="two_point")
     base = teacher.predict(data.X)
-    assert np.allclose(np.abs(y_two - base), 0.7)
     assert abs((y_gauss - base).std() - 0.7) < 0.05
-    with pytest.raises(InvalidArgumentError):
-        make_labels(data, teacher, 0.7, seed=5, noise="cauchy")
 
 
 def test_teacher_validation():
@@ -99,14 +109,29 @@ def test_krr_fit_scalar_resolvents():
     assert np.allclose(krr_fit(np.zeros((3, 3)), y, 2.0), y / 2.0)
 
 
-def test_krr_fit_matches_dense_solve():
-    rng = np.random.default_rng(8)
-    m = rng.normal(size=(25, 25))
-    k = m @ m.T + 0.5 * np.eye(25)
-    y = rng.normal(size=25)
-    w = krr_fit(k, y, 0.3)
-    w_ref = np.linalg.solve(k + 0.3 * np.eye(25), y)
+def _ridge_system(cond, n=25, lam=0.3, seed=8):
+    """K, y and lambda with K + lambda I SPD of condition number ``cond``."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    eigs = np.geomspace(1.0, 1.0 / cond, n) * lam * cond
+    k = (q * (eigs - lam)) @ q.T
+    return (k + k.T) / 2.0, rng.normal(size=n), lam
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e6], ids=["cond1e2", "cond1e6"])
+def test_krr_fit_matches_dense_solve(cond):
+    k, y, lam = _ridge_system(cond)
+    w = krr_fit(k, y, lam)
+    w_ref = np.linalg.solve(k + lam * np.eye(len(y)), y)
     assert np.linalg.norm(w - w_ref) <= 1e-9 * np.linalg.norm(w_ref)
+
+
+def test_ridge_solve_residual_check_rejects_ill_conditioned_system():
+    # The residual bound, not refinement, guards the solve: at condition
+    # number 1e12 float64 cannot resolve w to it.
+    k, y, lam = _ridge_system(1e12)
+    with pytest.raises(NumericalFailureError, match="ridge solve residual"):
+        krr_fit(k, y, lam)
 
 
 def test_krr_fit_singular_system_reports_lambda_min():

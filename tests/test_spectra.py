@@ -10,7 +10,6 @@ from qrlab.datagen import CovarianceSpec, MomentMatchedSampler, sample_dataset
 from qrlab.errors import InvalidArgumentError, NumericalFailureError
 from qrlab.spectra import (
     DiscreteLaw,
-    GridSpec,
     companion_stieltjes,
     deformed_mp_density,
     deformed_mp_law,
@@ -211,7 +210,7 @@ def test_ks_distance_disjoint_mass():
 
 
 def test_law_csv_export(tmp_path):
-    law = deformed_mp_law(0.5, DiscreteLaw.delta(1.0), GridSpec(points=200))
+    law = deformed_mp_law(0.5, DiscreteLaw.delta(1.0))
     path = tmp_path / "law.csv"
     law_to_csv(law, path)
     lines = path.read_text().splitlines()
