@@ -22,12 +22,13 @@ Unknown keys, at the top level or in a spec, are a configuration error.
 The sample count is derived as n = round(d^2/(2 alpha)). Only approx_norm
 takes a ladder of d values; the other experiments take one. Seeds fan out
 to a thread pool capped by QRLAB_THREADS (an integer >= 1; default the CPU
-count). Every run writes results.json (deterministic given config, seeds
-and the BLAS thread count; its sha256 config hash is embedded),
+count). esd builds its limit law as the pool's first task, next to the
+seeds' spectra. Every run writes results.json (deterministic given config,
+seeds and the BLAS thread count; its sha256 config hash is embedded),
 results.csv, and a results.meta.json sidecar holding the wall-clock data
-and the environment (library versions, CPU count, BLAS thread variables,
-seed workers). esd runs also emit an SVG histogram/density overlay,
-law.csv, and eigs.csv.
+(per-seed runtime_ms; law_build_ms for esd and mp_law) and the environment
+(library versions, CPU count, BLAS thread variables, seed workers). esd
+runs also emit an SVG histogram/density overlay, law.csv, and eigs.csv.
 
 results.csv columns by experiment:
   approx_norm   d,n,seed,gap[,gap_naive]   (plus one median row per d)
@@ -51,6 +52,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -296,7 +298,8 @@ def _environment(cfg: ExperimentConfig) -> dict:
         "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
         **{var: os.environ.get(var) for var in blas_vars},
-        "seed_workers": _worker_count(len(cfg.seeds)) if cfg.experiment in _POOLED else 1,
+        # esd's law build is one more pool task.
+        "seed_workers": _worker_count(len(cfg.seeds) + (cfg.experiment == "esd")) if cfg.experiment in _POOLED else 1,
     }
 
 
@@ -319,7 +322,7 @@ def _map_seeds(fn, seeds):
     return records, timings
 
 
-def _write_outputs(cfg: ExperimentConfig, records, summary, csv_header, csv_rows, timings) -> Path:
+def _write_outputs(cfg: ExperimentConfig, records, summary, csv_header, csv_rows, timings: dict) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -335,7 +338,7 @@ def _write_outputs(cfg: ExperimentConfig, records, summary, csv_header, csv_rows
             fh.write(",".join(str(v) for v in row) + "\n")
     meta = {
         "written_at_unix": time.time(),
-        "runtime_ms": timings,
+        **timings,
         "config_hash": cfg.config_hash(),
         "environment": _environment(cfg),
     }
@@ -343,19 +346,34 @@ def _write_outputs(cfg: ExperimentConfig, records, summary, csv_header, csv_rows
     return out
 
 
-def _scaled_kernel_eigs(cfg: ExperimentConfig, d: int, seed: int):
-    cov = _build_cov(cfg.cov, d)
-    kernel = _build_kernel(cfg.kernel)
-    sampler = _build_sampler(cfg.sampler)
-    data = datagen.sample_dataset(cfg.n_for(d), d, cov, sampler, seed)
-    k_mat = kernels.kernel_matrix(data, kernel)
-    coeffs = kernels.quad_coeffs(kernel, cov)
+def _finite_coeffs(kernel: kernels.KernelFunction, cov: datagen.CovarianceSpec) -> kernels.QuadCoeffs:
+    """Surrogate coefficients, refused before any n x n work when a_star overflows."""
+    # The typed error below reports the overflow; numpy's warning would repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = kernels.quad_coeffs(kernel, cov)
+    if not math.isfinite(coeffs.a_star):
+        raise NumericalFailureError("kernel diagonal offset a_star = %r is non-finite" % coeffs.a_star)
+    return coeffs
+
+
+def _esd_recentring(kernel: kernels.KernelFunction, cov: datagen.CovarianceSpec, alpha: float) -> tuple[float, float]:
+    """a_star and the factor 4 alpha / f''(0) of the recentred kernel matrix."""
     second = kernel.derivs0[2]
     if second == 0:
         raise AssumptionViolationError("f''(0) must be nonzero for the spectral limit")
-    n = data.n
-    scaled = (4.0 * cfg.alpha / second) * (k_mat - coeffs.a_star * np.eye(n))
-    return spectra.esd(scaled)
+    return _finite_coeffs(kernel, cov).a_star, 4.0 * alpha / second
+
+
+def _scaled_kernel_eigs(cfg: ExperimentConfig, d: int, seed: int):
+    cov = _build_cov(cfg.cov, d)
+    kernel = _build_kernel(cfg.kernel)
+    a_star, factor = _esd_recentring(kernel, cov, cfg.alpha)
+    data = datagen.sample_dataset(cfg.n_for(d), d, cov, _build_sampler(cfg.sampler), seed)
+    # Recentred and scaled in place: (4 alpha / f''(0)) (K - a_star I).
+    k_mat = kernels.kernel_matrix(data, kernel)
+    k_mat[np.diag_indices(data.n)] -= a_star
+    k_mat *= factor
+    return spectra.esd(k_mat)
 
 
 def _run_approx_norm(cfg: ExperimentConfig):
@@ -366,7 +384,7 @@ def _run_approx_norm(cfg: ExperimentConfig):
     timings = []
     for d in cfg.d:
         cov = _build_cov(cfg.cov, d)
-        coeffs = kernels.quad_coeffs(kernel, cov)
+        coeffs = _finite_coeffs(kernel, cov)
         naive = kernels.quad_coeffs(kernel, cov, corrected=False)
 
         def one(seed, d=d, cov=cov, coeffs=coeffs, naive=naive):
@@ -398,26 +416,27 @@ def _run_approx_norm(cfg: ExperimentConfig):
             med_row.append(med_naive)
         csv_rows.append(med_row)
     header = "d,n,seed,gap" + (",gap_naive" if cfg.compare_naive else "")
-    return records, summary, header, csv_rows, timings
+    return records, summary, header, csv_rows, {"runtime_ms": timings}
 
 
 def _run_esd(cfg: ExperimentConfig):
     d = cfg.d[0]
     cov = _build_cov(cfg.cov, d)
+    _esd_recentring(_build_kernel(cfg.kernel), cov, cfg.alpha)  # fails here, before the law and K
     nu = datagen.sigma2_diagonal(cov)
-    law = spectra.deformed_mp_law(cfg.alpha, nu)
 
-    # The first seed's spectrum is kept for the overlay and eigs.csv.
-    first = {}
-
+    # The law does not depend on the seeds: it is the pool's first (and
+    # longest) task, None, while the other tasks compute the spectra.
     def one(seed):
-        eigs = _scaled_kernel_eigs(cfg, d, seed)
-        if seed == cfg.seeds[0]:
-            first["eigs"] = eigs
-        return {"d": d, "n": cfg.n_for(d), "seed": seed, "ks": spectra.ks_distance(eigs, law)}
+        if seed is None:
+            return spectra.deformed_mp_law(cfg.alpha, nu)
+        return _scaled_kernel_eigs(cfg, d, seed)
 
-    records, timings = _map_seeds(one, cfg.seeds)
-    eigs0 = first["eigs"]
+    (law, *spectrum), timings = _map_seeds(one, [None] + cfg.seeds)
+    records = [{"d": d, "n": cfg.n_for(d), "seed": seed, "ks": spectra.ks_distance(eigs, law)}
+               for seed, eigs in zip(cfg.seeds, spectrum)]
+    # The first seed's spectrum goes into the overlay and eigs.csv.
+    eigs0 = spectrum[0]
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     plots.svg_histogram_overlay(eigs0, law, out / "overlay.svg", title="recentered kernel spectrum, d=%d" % d)
@@ -429,14 +448,16 @@ def _run_esd(cfg: ExperimentConfig):
     summary = {"median_ks": float(np.median([r["ks"] for r in records]))}
     rows = [[r["d"], r["n"], r["seed"], r["ks"]] for r in records]
     print("KS median over %d seeds: %.4f" % (len(records), summary["median_ks"]))
-    return records, summary, "d,n,seed,ks", rows, timings
+    return records, summary, "d,n,seed,ks", rows, {"runtime_ms": timings[1:], "law_build_ms": timings[0]}
 
 
 def _run_mp_law(cfg: ExperimentConfig):
     d = cfg.d[0]
     cov = _build_cov(cfg.cov, d)
     nu = datagen.sigma2_diagonal(cov)
+    t0 = time.perf_counter()
     law = spectra.deformed_mp_law(cfg.alpha, nu)
+    law_build_ms = (time.perf_counter() - t0) * 1000.0
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     spectra.law_to_csv(law, out / "law.csv")
@@ -448,7 +469,7 @@ def _run_mp_law(cfg: ExperimentConfig):
         "grid_points": int(law.grid.size),
     }]
     rows = [[cfg.alpha, law.atom0_mass, law.total_mass()]]
-    return records, records[0], "alpha,atom0_mass,total_mass", rows, [0.0]
+    return records, records[0], "alpha,atom0_mass,total_mass", rows, {"runtime_ms": [0.0], "law_build_ms": law_build_ms}
 
 
 def _run_train_error(cfg: ExperimentConfig):
@@ -478,7 +499,7 @@ def _run_train_error(cfg: ExperimentConfig):
     }
     rows = [[r["seed"], r["empirical"], r["predicted"]] for r in records]
     print("train error: mean empirical %.6g vs predicted %.6g" % (mean, predicted))
-    return records, summary, "seed,empirical,predicted", rows, timings
+    return records, summary, "seed,empirical,predicted", rows, {"runtime_ms": timings}
 
 
 def _run_lambda_star(cfg: ExperimentConfig):
@@ -498,7 +519,7 @@ def _run_lambda_star(cfg: ExperimentConfig):
     }
     print("lambda_star = %.10f (stieltjes route %.10f)" % (ls.value, ls.alt_value))
     rows = [[ls.value, ls.alt_value, pred.V, pred.B, pred.total]]
-    return [record], record, "lambda_star,lambda_star_stieltjes,V,B,total", rows, [0.0]
+    return [record], record, "lambda_star,lambda_star_stieltjes,V,B,total", rows, {"runtime_ms": [0.0]}
 
 
 def _run_risk(cfg: ExperimentConfig):
@@ -536,7 +557,7 @@ def _run_risk(cfg: ExperimentConfig):
     }
     rows = [[r["seed"], r["empirical"], r["stderr"], r["predicted"]] for r in records]
     print("risk: mean empirical %.6g vs predicted %.6g" % (mean, pred.total))
-    return records, summary, "seed,empirical,stderr,predicted", rows, timings
+    return records, summary, "seed,empirical,stderr,predicted", rows, {"runtime_ms": timings}
 
 
 def _run_oracle_check(cfg: ExperimentConfig):
@@ -549,7 +570,7 @@ def _run_oracle_check(cfg: ExperimentConfig):
     rows = [[r.name, int(r.passed), '"%s"' % r.detail] for r in results]
     if not summary["passed"]:
         raise NumericalFailureError("oracle suite reported failures")
-    return records, summary, "name,passed,detail", rows, [0.0]
+    return records, summary, "name,passed,detail", rows, {"runtime_ms": [0.0]}
 
 
 _RUNNERS = {

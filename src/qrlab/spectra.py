@@ -37,9 +37,12 @@ __all__ = [
     "law_to_csv",
 ]
 
-# Companion fixed point: iteration budget shared by all continuation stages,
-# and final residual tolerance relative to max(1, |z|).
+# Companion fixed point: iteration budget shared by all continuation stages
+# of a cold start, the smaller budget of a warm start (a caller that misses it
+# falls back to a cold start), and final residual tolerance relative to
+# max(1, |z|).
 STIELTJES_MAX_STEPS = 500
+STIELTJES_WARM_STEPS = 100
 STIELTJES_TOL = 1e-12
 
 # Deformed-MP inversion grid: LAW_GRID_POINTS points, sqrt-concentrated near
@@ -75,6 +78,9 @@ class DiscreteLaw:
             raise InvalidArgumentError("weights must be positive")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
             raise InvalidArgumentError("weights must sum to 1 within 1e-12, got %r" % float(weights.sum()))
+        # Numerators of the companion fixed point's atom sums.
+        object.__setattr__(self, "_wa", weights * atoms)
+        object.__setattr__(self, "_wa2", weights * atoms**2)
 
     @staticmethod
     def delta(c: float) -> "DiscreteLaw":
@@ -116,7 +122,8 @@ def esd(matrix: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a (nearly) symmetric matrix.
 
     The input must be finite and symmetric within 1e-10 relative to its
-    largest entry; it is explicitly symmetrized before the dense solve.
+    largest entry; it is symmetrized before the dense solve unless it is
+    exactly symmetric.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -128,7 +135,7 @@ def esd(matrix: np.ndarray) -> np.ndarray:
     asym = float(np.abs(m - m.T).max())
     if asym > 1e-10 * scale:
         raise InvalidArgumentError("matrix is not symmetric: max|M - M^T| = %g" % asym)
-    sym = (m + m.T) / 2.0
+    sym = (m + m.T) / 2.0 if asym > 0 else m
     try:
         return np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
@@ -160,19 +167,16 @@ def mp_density(gamma: float, x) -> np.ndarray | float:
     return out
 
 
-def _frac_integrals(nu: DiscreteLaw, m: complex) -> tuple[complex, complex]:
-    """(integral x/(1+x m) dnu, integral x^2/(1+x m)^2 dnu)."""
+def _first_integral(nu: DiscreteLaw, m: complex) -> tuple[np.ndarray, complex]:
+    """(1 + a m over the atoms a, integral x/(1+x m) dnu); the second
+    integral x^2/(1+x m)^2 dnu is (nu._wa2 / den**2).sum() from that den."""
     den = 1.0 + nu.atoms * m
-    f1 = np.sum(nu.weights * nu.atoms / den)
-    f2 = np.sum(nu.weights * nu.atoms**2 / den**2)
-    return complex(f1), complex(f2)
+    return den, complex((nu._wa / den).sum())
 
 
 def _check_point(z: complex) -> complex:
     z = complex(z)
-    if z.imag > 0:
-        return z
-    if z.imag == 0 and z.real < 0:
+    if z.imag > 0 or (z.imag == 0 and z.real < 0):
         return z
     raise InvalidArgumentError("z must lie in the upper half plane or on the negative real axis, got %r" % z)
 
@@ -185,42 +189,35 @@ def _solve_companion(
     budget: int,
     tol: float,
 ) -> tuple[complex, int, float]:
-    """Damped fixed point with a residual-guarded Newton accelerator."""
+    """Damped fixed point with a residual-guarded Newton accelerator. An
+    accepted Newton candidate hands its den and f1 on to the next iterate."""
     on_axis = z.imag == 0.0
-
-    def _residual(mm: complex) -> complex:
-        f1, _ = _frac_integrals(nu, mm)
-        return z + 1.0 / mm - alpha * f1
-
     resid = math.inf
     tol_abs = tol * max(1.0, abs(z))
+    den, f1 = _first_integral(nu, m)
     for it in range(1, budget + 1):
-        f1, f2 = _frac_integrals(nu, m)
         r = z + 1.0 / m - alpha * f1
         resid = abs(r)
         if resid <= tol_abs:
             return m, it, resid
         # Newton step, accepted only when it actually shrinks the residual
         # (it can diverge far from the root, e.g. near the support edge).
-        stepped = False
-        dr = -1.0 / m**2 + alpha * f2
+        dr = -1.0 / m**2 + alpha * complex((nu._wa2 / den**2).sum())
         if dr != 0:
             cand = m - r / dr
-            ok = np.isfinite(cand.real) and np.isfinite(cand.imag) and cand != 0
-            if ok and not on_axis and cand.imag < -1e-13:
-                ok = False
-            if ok and on_axis and cand.real <= 0:
-                ok = False
-            if ok and abs(_residual(cand)) < 0.9 * resid:
-                m = cand
-                stepped = True
-        if not stepped:
-            denom = alpha * f1 - z
-            if denom == 0:
-                raise NumericalFailureError("degenerate fixed-point map at z=%r" % z, residual=resid)
-            m = 0.5 * (m + 1.0 / denom)
-            if on_axis:
-                m = complex(max(m.real, 1e-300), 0.0)
+            ok = math.isfinite(cand.real) and math.isfinite(cand.imag) and cand != 0
+            if ok and (cand.real > 0 if on_axis else cand.imag >= -1e-13):
+                cand_den, cand_f1 = _first_integral(nu, cand)
+                if abs(z + 1.0 / cand - alpha * cand_f1) < 0.9 * resid:
+                    m, den, f1 = cand, cand_den, cand_f1
+                    continue
+        denom = alpha * f1 - z
+        if denom == 0:
+            raise NumericalFailureError("degenerate fixed-point map at z=%r" % z, residual=resid)
+        m = 0.5 * (m + 1.0 / denom)
+        if on_axis:
+            m = complex(max(m.real, 1e-300), 0.0)
+        den, f1 = _first_integral(nu, m)
     return m, budget, resid
 
 
@@ -237,7 +234,8 @@ def companion_stieltjes(
     to ``STIELTJES_TOL * max(1, |z|)`` (the residual lives in z units, so it
     can only be resolved relative to |z|). Cold starts use -1/z, preceded by a short continuation
     ladder from z values at the support scale when |z| is small (the -1/z
-    guess is far off there). All stages share the ``STIELTJES_MAX_STEPS`` budget.
+    guess is far off there). All stages share the ``STIELTJES_MAX_STEPS`` budget;
+    a warm start from ``initial`` gets ``STIELTJES_WARM_STEPS``.
     The derivative comes in closed form:
     mt' = 1 / (1/mt^2 - alpha * int x^2/(1+x*mt)^2 dnu).
     """
@@ -262,14 +260,15 @@ def companion_stieltjes(
     if on_axis and m.real <= 0:
         m = -1.0 / z.real
 
+    budget = STIELTJES_MAX_STEPS if initial is None else STIELTJES_WARM_STEPS
     used = 0
     resid = math.inf
     final_tol = STIELTJES_TOL * max(1.0, abs(z))
     for stage in stages:
         stage_tol = STIELTJES_TOL if stage == z else min(1e-9, 1e-6 * abs(stage))
-        m, its, resid = _solve_companion(stage, alpha, nu, m, STIELTJES_MAX_STEPS - used, stage_tol)
+        m, its, resid = _solve_companion(stage, alpha, nu, m, budget - used, stage_tol)
         used += its
-        if used >= STIELTJES_MAX_STEPS and (stage != z or resid > final_tol):
+        if used >= budget and (stage != z or resid > final_tol):
             raise NumericalFailureError(
                 "companion fixed point did not converge at z=%r (residual %.3g)" % (z, resid),
                 residual=resid,
@@ -282,8 +281,7 @@ def companion_stieltjes(
 
     if not on_axis and m.imag < -1e-10:
         raise NumericalFailureError("Nevanlinna violation: Im m = %g < 0 for Im z > 0" % m.imag, residual=resid)
-    _, f2 = _frac_integrals(nu, m)
-    dprime_den = 1.0 / m**2 - alpha * f2
+    dprime_den = 1.0 / m**2 - alpha * complex((nu._wa2 / (1.0 + nu.atoms * m) ** 2).sum())
     m_prime = 1.0 / dprime_den if dprime_den != 0 else complex(math.inf)
     return StieltjesEval(z=z, m_tilde=m, m_tilde_prime=m_prime, iterations=used, residual=resid)
 

@@ -38,6 +38,8 @@ def test_results_json_is_reproducible(tmp_path):
 
 @pytest.mark.parametrize("experiment, seeds, workers", [
     ("approx-norm", "3", 2), ("approx-norm", "1", 1), ("lambda-star", "3", 1),
+    # esd's law build is a pool task of its own.
+    ("esd", "1", 2), ("mp-law", "1", 1),
 ])
 def test_meta_records_environment(tmp_path, monkeypatch, experiment, seeds, workers):
     import numpy
@@ -48,13 +50,19 @@ def test_meta_records_environment(tmp_path, monkeypatch, experiment, seeds, work
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     out = tmp_path / "o"
     assert main([experiment, "--d", "6", "--kernel", "quartic:1,1,1", "--seeds", seeds, "--out", str(out)]) == 0
-    env = json.loads((out / "results.meta.json").read_text())["environment"]
+    meta = json.loads((out / "results.meta.json").read_text())
+    env = meta["environment"]
     assert set(env) == {"python", "numpy", "scipy", "cpu_count", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                         "MKL_NUM_THREADS", "seed_workers"}
     assert (env["numpy"], env["scipy"]) == (numpy.__version__, scipy.__version__)
     assert env["OMP_NUM_THREADS"] == "3" and env["MKL_NUM_THREADS"] is None
     assert env["seed_workers"] == workers
     assert "environment" not in _read(out)
+    assert len(meta["runtime_ms"]) == (int(seeds) if experiment in ("approx-norm", "esd") else 1)
+    if experiment in ("esd", "mp-law"):
+        assert meta["law_build_ms"] > 0
+    else:
+        assert "law_build_ms" not in meta
 
 
 def test_config_hash_tracks_fields(tmp_path):
@@ -387,3 +395,36 @@ def test_non_finite_kernel_exits_numerical_failure(tmp_path, capsys, experiment)
     err = capsys.readouterr().err
     assert "numerical failure" in err and "non-finite" in err
     assert "Traceback" not in err
+
+
+def test_esd_outputs_independent_of_worker_count(tmp_path, monkeypatch):
+    blobs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("QRLAB_THREADS", threads)
+        out = tmp_path / ("t" + threads)
+        assert main(["esd", "--d", "12", "--kernel", "quartic:1,1,1", "--cov", "uniform:0.5,1.5",
+                     "--seeds", "2,0,1", "--out", str(out)]) == 0
+        blobs.append([(out / name).read_bytes() for name in ("results.json", "law.csv", "eigs.csv")])
+    assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("experiment, kernel, cov, code, message", [
+    ("esd", "exp", "uniform:0,2000", 3, "non-finite"),
+    ("approx-norm", "exp", "uniform:0,2000", 3, "non-finite"),
+    ("esd", "custom_poly:1,1", "identity", 2, "f''(0) must be nonzero"),
+], ids=["esd-overflow", "approx-norm-overflow", "esd-flat-kernel"])
+def test_esd_and_gap_fail_before_the_n_by_n_work(tmp_path, monkeypatch, capsys, recwarn,
+                                                 experiment, kernel, cov, code, message):
+    import qrlab.kernels as kernels
+    import qrlab.spectra as spectra
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called after a check that should have failed the run")
+
+    monkeypatch.setattr(spectra, "deformed_mp_law", forbidden)
+    monkeypatch.setattr(kernels, "kernel_matrix", forbidden)
+    assert main([experiment, "--d", "10", "--kernel", kernel, "--cov", cov, "--seeds", "1",
+                 "--out", str(tmp_path / "x")]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -1,5 +1,7 @@
-"""The in-place kernel and teacher evaluations and the Lanczos spectral-norm
-gap against their plain forms."""
+"""The in-place kernel and teacher evaluations, the Lanczos spectral-norm
+gap and the one-sum companion solver against their plain forms."""
+
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from qrlab.kernels import (
     quad_kernel_matrix,
     spectral_norm_gap,
 )
+from qrlab.errors import NumericalFailureError
 from qrlab.krr import TeacherModel
+from qrlab.spectra import STIELTJES_MAX_STEPS, STIELTJES_TOL, DiscreteLaw, companion_stieltjes
 
 COEF = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
 POINTS = arrays(
@@ -164,3 +168,107 @@ def test_spectral_norm_gap_matches_dense_eigvalsh(n, seed, top):
         a = b + _symmetric((q * eigs) @ q.T)
     want = float(np.abs(np.linalg.eigvalsh(_symmetric(a - b))).max())
     assert spectral_norm_gap(a, b) == pytest.approx(want, rel=1e-10)
+
+
+def _two_sum_companion(z, alpha, nu):
+    """Cold-start companion solve that sums both atom integrals at every
+    iterate and again at every Newton candidate: the plain form of
+    ``companion_stieltjes``, same steps and same floating-point operations."""
+
+    def frac_integrals(m):
+        den = 1.0 + nu.atoms * m
+        f1 = np.sum(nu.weights * nu.atoms / den)
+        f2 = np.sum(nu.weights * nu.atoms**2 / den**2)
+        return complex(f1), complex(f2)
+
+    def solve(z, m, budget, tol):
+        on_axis = z.imag == 0.0
+        resid = math.inf
+        tol_abs = tol * max(1.0, abs(z))
+        for it in range(1, budget + 1):
+            f1, f2 = frac_integrals(m)
+            r = z + 1.0 / m - alpha * f1
+            resid = abs(r)
+            if resid <= tol_abs:
+                return m, it, resid
+            stepped = False
+            dr = -1.0 / m**2 + alpha * f2
+            if dr != 0:
+                cand = m - r / dr
+                ok = np.isfinite(cand.real) and np.isfinite(cand.imag) and cand != 0
+                if ok and not on_axis and cand.imag < -1e-13:
+                    ok = False
+                if ok and on_axis and cand.real <= 0:
+                    ok = False
+                if ok and abs(z + 1.0 / cand - alpha * frac_integrals(cand)[0]) < 0.9 * resid:
+                    m = cand
+                    stepped = True
+            if not stepped:
+                denom = alpha * f1 - z
+                if denom == 0:
+                    raise NumericalFailureError("degenerate fixed-point map")
+                m = 0.5 * (m + 1.0 / denom)
+                if on_axis:
+                    m = complex(max(m.real, 1e-300), 0.0)
+        return m, budget, resid
+
+    on_axis = z.imag == 0.0
+    stages = []
+    level = nu.support_max * (1.0 + math.sqrt(alpha)) ** 2
+    level = level if level > 0 else 1.0
+    while level > 4.0 * (abs(z.real) if on_axis else z.imag):
+        stages.append(complex(-level, 0.0) if on_axis else complex(z.real, level))
+        level /= 4.0
+    stages.append(z)
+    m = -1.0 / stages[0]
+    if on_axis and m.real <= 0:
+        m = -1.0 / z.real
+    used = 0
+    resid = math.inf
+    final_tol = STIELTJES_TOL * max(1.0, abs(z))
+    for stage in stages:
+        stage_tol = STIELTJES_TOL if stage == z else min(1e-9, 1e-6 * abs(stage))
+        m, its, resid = solve(stage, m, STIELTJES_MAX_STEPS - used, stage_tol)
+        used += its
+        if used >= STIELTJES_MAX_STEPS and (stage != z or resid > final_tol):
+            raise NumericalFailureError("did not converge")
+    if resid > final_tol:
+        raise NumericalFailureError("did not converge")
+    if not on_axis and m.imag < -1e-10:
+        raise NumericalFailureError("Nevanlinna violation")
+    _, f2 = frac_integrals(m)
+    dprime_den = 1.0 / m**2 - alpha * f2
+    m_prime = 1.0 / dprime_den if dprime_den != 0 else complex(math.inf)
+    return m, m_prime, used, resid
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except NumericalFailureError:
+        return "failed"
+
+
+UPPER_HALF_PLANE = st.builds(complex, st.floats(-5.0, 20.0), st.floats(-8.0, 1.0).map(lambda e: 10.0**e))
+NEGATIVE_AXIS = st.floats(-4.0, 2.0).map(lambda e: complex(-(10.0**e), 0.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    atoms=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=12),
+    raw_weights=st.lists(st.floats(0.05, 1.0), min_size=12, max_size=12),
+    alpha=st.floats(0.05, 4.0),
+    z=st.one_of(UPPER_HALF_PLANE, NEGATIVE_AXIS),
+)
+def test_companion_matches_two_sum_loop(atoms, raw_weights, alpha, z):
+    w = np.array(raw_weights[: len(atoms)])
+    nu = DiscreteLaw(np.array(atoms), w / w.sum())
+
+    def one_sum():
+        ev = companion_stieltjes(z, alpha, nu)
+        return ev.m_tilde, ev.m_tilde_prime, ev.iterations, ev.residual
+
+    got = _outcome(one_sum)
+    want = _outcome(lambda: _two_sum_companion(z, alpha, nu))
+    # Bit for bit: equal floats, including the iteration count.
+    assert got == want

@@ -6,7 +6,8 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrlab.datagen import CovarianceSpec, MomentMatchedSampler, sample_dataset
+from qrlab import spectra
+from qrlab.datagen import CovarianceSpec, MomentMatchedSampler, sample_dataset, sigma2_diagonal
 from qrlab.errors import InvalidArgumentError, NumericalFailureError
 from qrlab.spectra import (
     DiscreteLaw,
@@ -242,3 +243,27 @@ def test_companion_wide_scale_population():
     ev = companion_stieltjes(complex(-1e-9, 0.0), 1.0, nu)
     assert ev.residual <= 1e-12 * max(1.0, 1e-9)
     assert deformed_mp_law(1.0, nu).total_mass() == pytest.approx(1.0, abs=2e-3)
+
+
+@pytest.mark.parametrize("cov, alpha", [
+    (CovarianceSpec.uniform(60, 0.5, 1.5), 1.0),  # the esd-law benchmark law
+    (CovarianceSpec.uniform(60, 0.5, 1.5), 0.5),  # the README mp-law example
+    (CovarianceSpec.identity(60), 1.0),
+], ids=["esd-law", "mp-law", "identity"])
+def test_law_build_solves_within_warm_budget(monkeypatch, cov, alpha):
+    # A warm start that stalls at a support edge gives up after
+    # STIELTJES_WARM_STEPS and falls back to the cold ladder, which needs
+    # far fewer steps than the 400-500 the stall used to take.
+    solve = spectra.companion_stieltjes
+    iterations = []
+
+    def counting(*args, **kwargs):
+        ev = solve(*args, **kwargs)
+        iterations.append(ev.iterations)
+        return ev
+
+    monkeypatch.setattr(spectra, "companion_stieltjes", counting)
+    law = deformed_mp_law(alpha, sigma2_diagonal(cov))
+    assert len(iterations) >= spectra.LAW_GRID_POINTS
+    assert max(iterations) <= 100
+    assert law.total_mass() == pytest.approx(1.0, abs=2e-3)
