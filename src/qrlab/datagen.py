@@ -119,16 +119,9 @@ class CovarianceSpec:
             return p * v1 + (1.0 - p) * v2
         return self.tau()
 
-    def trace(self) -> float:
-        return float(self.diag.sum())
-
     def trace_square(self) -> float:
         """Tr(Sigma^2) for the diagonal covariance."""
         return float(np.sum(self.diag**2))
-
-    def bound(self) -> float:
-        """Operator norm of Sigma (the largest diagonal value)."""
-        return float(self.diag.max())
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .datagen import CovarianceSpec, _as_matrix
 from .errors import AssumptionWarning, InvalidArgumentError, NumericalFailureError
+from .spectra import _checked_symmetric
 
 __all__ = [
     "KernelFunction",
@@ -204,11 +205,9 @@ def quad_coeffs(kernel: KernelFunction, cov: CovarianceSpec, corrected: bool = T
 def kernel_matrix(data, kernel: KernelFunction) -> np.ndarray:
     """K_ij = f(<x_i, x_j>/d), symmetric, K_ii = f(|x_i|^2/d)."""
     x = _as_matrix(data)
-    d = x.shape[1]
-    # numpy forms x @ x.T by a symmetric rank-k update (BLAS syrk), so the
-    # Gram matrix is exactly symmetric.
-    gram = x @ x.T
-    return kernel.eval(gram / d)
+    # Both sides are the same array, so numpy forms x @ x.T by a symmetric
+    # rank-k update (BLAS syrk) and the Gram matrix is exactly symmetric.
+    return cross_kernel(x, x, kernel)
 
 
 def quad_kernel_matrix(data, coeffs: QuadCoeffs) -> np.ndarray:
@@ -245,11 +244,14 @@ def spectral_norm_gap(k_mat: np.ndarray, k2_mat: np.ndarray) -> float:
     """Spectral norm of K - K2 (largest absolute eigenvalue).
 
     One route for every n: Lanczos (ARPACK ``eigsh``, the one eigenpair of
-    largest magnitude) on the symmetrized difference D, from a fixed seeded
-    start vector, so the result is deterministic. The Ritz pair (theta, v)
-    is certified by its eigen-residual |D v - theta v| <= 1e-8 max(1, |theta|).
-    An all-zero D gives exactly 0.0. Non-finite entries in D, an ARPACK
-    failure or a residual above the bound raise NumericalFailureError.
+    largest magnitude) on the difference D, from a fixed seeded start vector,
+    so the result is deterministic. D is used as it is when exactly
+    symmetric, averaged with its transpose when symmetric within 1e-10
+    relative to its largest entry, and rejected (InvalidArgumentError)
+    otherwise. The Ritz pair (theta, v) is certified by its eigen-residual
+    |D v - theta v| <= 1e-8 max(1, |theta|). An all-zero D gives exactly 0.0.
+    Non-finite entries in D, an ARPACK failure or a residual above the bound
+    raise NumericalFailureError.
     """
     # Imported here: scipy.sparse.linalg costs ~20 ms of import time that
     # experiments which never compute a gap should not pay.
@@ -259,13 +261,9 @@ def spectral_norm_gap(k_mat: np.ndarray, k2_mat: np.ndarray) -> float:
     k2_mat = np.asarray(k2_mat, dtype=np.float64)
     if k_mat.shape != k2_mat.shape or k_mat.ndim != 2 or k_mat.shape[0] != k_mat.shape[1]:
         raise InvalidArgumentError("K and K2 must be square matrices of the same shape")
-    diff = k_mat - k2_mat
-    diff = (diff + diff.T) / 2.0
     # ARPACK fails on inf/NaN entries and on an all-zero D, and cannot take
     # n = 1 (where the norm is |D_11|); max |D_ij| settles all three.
-    scale = float(np.abs(diff).max())
-    if not math.isfinite(scale):
-        raise NumericalFailureError("spectral norm gap: K - K2 has non-finite entries")
+    diff, scale = _checked_symmetric(k_mat - k2_mat, "spectral norm gap: K - K2")
     if scale == 0.0 or len(diff) == 1:
         return scale
     v0 = np.random.default_rng(0x51B).standard_normal(len(diff))

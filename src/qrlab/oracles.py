@@ -272,7 +272,7 @@ def quadform_concentration_stat(
     n = x2.shape[0]
     rows = x2 if trials is None else x2[: int(trials)]
     target = float(np.sum(np.diag(a_mat) * sigma2.atoms))
-    quad = np.einsum("ij,jk,ik->i", rows, a_mat, rows)
+    quad = np.einsum("ij,ij->i", rows @ a_mat, rows)
     return np.abs(quad - target) / n
 
 

@@ -37,10 +37,9 @@ __all__ = [
     "law_to_csv",
 ]
 
-# Companion fixed point: iteration budget shared by all continuation stages
-# of a cold start, the smaller budget of a warm start (a caller that misses it
-# falls back to a cold start), and final residual tolerance relative to
-# max(1, |z|).
+# Companion fixed point: the step budget of a cold start (all ladder stages),
+# the smaller one of a warm start (a caller that misses it falls back to a cold
+# start), and the residual tolerance at z relative to max(1, |z|).
 STIELTJES_MAX_STEPS = 500
 STIELTJES_WARM_STEPS = 100
 STIELTJES_TOL = 1e-12
@@ -111,11 +110,26 @@ class DiscreteLaw:
 class StieltjesEval:
     """One converged companion fixed-point solve."""
 
-    z: complex
     m_tilde: complex
     m_tilde_prime: complex
     iterations: int
     residual: float
+
+
+def _checked_symmetric(m: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """(symmetric matrix, its largest |entry|) for a finite input that is
+    symmetric within 1e-10 relative to its largest entry. Exactly symmetric
+    input comes back as it is; a smaller asymmetry is averaged out."""
+    peak = float(np.abs(m).max())
+    if not math.isfinite(peak):
+        raise NumericalFailureError("%s has non-finite entries" % what)
+    if np.array_equal(m, m.T):
+        return m, peak
+    asym = float(np.abs(m - m.T).max())
+    if asym > 1e-10 * max(1.0, peak):
+        raise InvalidArgumentError("%s is not symmetric: max|M - M^T| = %g" % (what, asym))
+    sym = (m + m.T) / 2.0
+    return sym, float(np.abs(sym).max())
 
 
 def esd(matrix: np.ndarray) -> np.ndarray:
@@ -128,14 +142,7 @@ def esd(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidArgumentError("esd expects a square matrix")
-    peak = float(np.abs(m).max())
-    if not math.isfinite(peak):
-        raise NumericalFailureError("esd: matrix has non-finite entries")
-    scale = max(1.0, peak)
-    asym = float(np.abs(m - m.T).max())
-    if asym > 1e-10 * scale:
-        raise InvalidArgumentError("matrix is not symmetric: max|M - M^T| = %g" % asym)
-    sym = (m + m.T) / 2.0 if asym > 0 else m
+    sym, _ = _checked_symmetric(m, "esd: matrix")
     try:
         return np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
@@ -181,62 +188,22 @@ def _check_point(z: complex) -> complex:
     raise InvalidArgumentError("z must lie in the upper half plane or on the negative real axis, got %r" % z)
 
 
-def _solve_companion(
-    z: complex,
-    alpha: float,
-    nu: DiscreteLaw,
-    m: complex,
-    budget: int,
-    tol: float,
-) -> tuple[complex, int, float]:
-    """Damped fixed point with a residual-guarded Newton accelerator. An
-    accepted Newton candidate hands its den and f1 on to the next iterate."""
-    on_axis = z.imag == 0.0
-    resid = math.inf
-    tol_abs = tol * max(1.0, abs(z))
-    den, f1 = _first_integral(nu, m)
-    for it in range(1, budget + 1):
-        r = z + 1.0 / m - alpha * f1
-        resid = abs(r)
-        if resid <= tol_abs:
-            return m, it, resid
-        # Newton step, accepted only when it actually shrinks the residual
-        # (it can diverge far from the root, e.g. near the support edge).
-        dr = -1.0 / m**2 + alpha * complex((nu._wa2 / den**2).sum())
-        if dr != 0:
-            cand = m - r / dr
-            ok = math.isfinite(cand.real) and math.isfinite(cand.imag) and cand != 0
-            if ok and (cand.real > 0 if on_axis else cand.imag >= -1e-13):
-                cand_den, cand_f1 = _first_integral(nu, cand)
-                if abs(z + 1.0 / cand - alpha * cand_f1) < 0.9 * resid:
-                    m, den, f1 = cand, cand_den, cand_f1
-                    continue
-        denom = alpha * f1 - z
-        if denom == 0:
-            raise NumericalFailureError("degenerate fixed-point map at z=%r" % z, residual=resid)
-        m = 0.5 * (m + 1.0 / denom)
-        if on_axis:
-            m = complex(max(m.real, 1e-300), 0.0)
-        den, f1 = _first_integral(nu, m)
-    return m, budget, resid
+def _support_scale(alpha: float, nu: DiscreteLaw) -> float:
+    return nu.support_max * (1.0 + math.sqrt(alpha)) ** 2
 
 
-def companion_stieltjes(
-    z: complex,
-    alpha: float,
-    nu: DiscreteLaw,
-    initial: complex | None = None,
-) -> StieltjesEval:
+def companion_stieltjes(z: complex, alpha: float, nu: DiscreteLaw, initial: complex | None = None) -> StieltjesEval:
     """Solve z = -1/mt + alpha * int x/(1+x*mt) dnu for the companion transform.
 
-    Damped fixed-point steps (theta = 0.5) pull the iterate into the basin;
-    a Newton polish, accepted only while it shrinks the residual, drives it
-    to ``STIELTJES_TOL * max(1, |z|)`` (the residual lives in z units, so it
-    can only be resolved relative to |z|). Cold starts use -1/z, preceded by a short continuation
-    ladder from z values at the support scale when |z| is small (the -1/z
-    guess is far off there). All stages share the ``STIELTJES_MAX_STEPS`` budget;
-    a warm start from ``initial`` gets ``STIELTJES_WARM_STEPS``.
-    The derivative comes in closed form:
+    A cold start runs a continuation ladder of z values from the support
+    scale down toward z (the -1/z guess is far off when |z| is small), then
+    z, starting from -1/(first stage); a warm start from ``initial`` runs z
+    alone. Each stage takes damped fixed-point steps (theta = 0.5), or a
+    Newton step when it shrinks the residual, until the residual is within
+    ``min(1e-9, 1e-6 |stage|) * max(1, |stage|)`` on the ladder and
+    ``STIELTJES_TOL * max(1, |z|)`` at z (the residual lives in z units).
+    Every residual evaluation counts against one budget: ``STIELTJES_MAX_STEPS``
+    cold, ``STIELTJES_WARM_STEPS`` warm. The derivative comes in closed form:
     mt' = 1 / (1/mt^2 - alpha * int x^2/(1+x*mt)^2 dnu).
     """
     z = _check_point(z)
@@ -244,46 +211,63 @@ def companion_stieltjes(
         raise InvalidArgumentError("alpha must be nonnegative")
     on_axis = z.imag == 0.0
 
-    stages: list[complex] = []
     if initial is None:
-        scale = nu.support_max * (1.0 + math.sqrt(max(alpha, 0.0))) ** 2
-        scale = scale if scale > 0 else 1.0
-        level = scale
+        stages = []
+        level = _support_scale(alpha, nu)
+        level = level if level > 0 else 1.0  # atoms may be <= 0
         while level > 4.0 * (abs(z.real) if on_axis else z.imag):
             stages.append(complex(-level, 0.0) if on_axis else complex(z.real, level))
             level /= 4.0
         stages.append(z)
         m = -1.0 / stages[0]
+        budget = STIELTJES_MAX_STEPS
     else:
-        stages.append(z)
+        stages = [z]
         m = complex(initial)
+        budget = STIELTJES_WARM_STEPS
     if on_axis and m.real <= 0:
         m = -1.0 / z.real
 
-    budget = STIELTJES_MAX_STEPS if initial is None else STIELTJES_WARM_STEPS
     used = 0
     resid = math.inf
-    final_tol = STIELTJES_TOL * max(1.0, abs(z))
+    den, f1 = _first_integral(nu, m)
     for stage in stages:
-        stage_tol = STIELTJES_TOL if stage == z else min(1e-9, 1e-6 * abs(stage))
-        m, its, resid = _solve_companion(stage, alpha, nu, m, budget - used, stage_tol)
-        used += its
-        if used >= budget and (stage != z or resid > final_tol):
-            raise NumericalFailureError(
-                "companion fixed point did not converge at z=%r (residual %.3g)" % (z, resid),
-                residual=resid,
-            )
-    if resid > final_tol:
-        raise NumericalFailureError(
-            "companion fixed point did not converge at z=%r (residual %.3g)" % (z, resid),
-            residual=resid,
-        )
+        tol = (STIELTJES_TOL if stage == z else min(1e-9, 1e-6 * abs(stage))) * max(1.0, abs(stage))
+        while True:
+            if used == budget:
+                raise NumericalFailureError(
+                    "companion fixed point did not converge at z=%r (residual %.3g)" % (z, resid), residual=resid
+                )
+            used += 1
+            r = stage + 1.0 / m - alpha * f1
+            resid = abs(r)
+            if resid <= tol:
+                break
+            # Newton step, accepted only when it actually shrinks the residual
+            # (it can diverge far from the root, e.g. near the support edge);
+            # an accepted candidate hands its den and f1 on to the next step.
+            dr = -1.0 / m**2 + alpha * complex((nu._wa2 / den**2).sum())
+            if dr != 0:
+                cand = m - r / dr
+                ok = math.isfinite(cand.real) and math.isfinite(cand.imag) and cand != 0
+                if ok and (cand.real > 0 if on_axis else cand.imag >= -1e-13):
+                    cand_den, cand_f1 = _first_integral(nu, cand)
+                    if abs(stage + 1.0 / cand - alpha * cand_f1) < 0.9 * resid:
+                        m, den, f1 = cand, cand_den, cand_f1
+                        continue
+            denom = alpha * f1 - stage
+            if denom == 0:
+                raise NumericalFailureError("degenerate fixed-point map at z=%r" % stage, residual=resid)
+            m = 0.5 * (m + 1.0 / denom)
+            if on_axis:
+                m = complex(max(m.real, 1e-300), 0.0)
+            den, f1 = _first_integral(nu, m)
 
     if not on_axis and m.imag < -1e-10:
         raise NumericalFailureError("Nevanlinna violation: Im m = %g < 0 for Im z > 0" % m.imag, residual=resid)
     dprime_den = 1.0 / m**2 - alpha * complex((nu._wa2 / (1.0 + nu.atoms * m) ** 2).sum())
     m_prime = 1.0 / dprime_den if dprime_den != 0 else complex(math.inf)
-    return StieltjesEval(z=z, m_tilde=m, m_tilde_prime=m_prime, iterations=used, residual=resid)
+    return StieltjesEval(m_tilde=m, m_tilde_prime=m_prime, iterations=used, residual=resid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,8 +277,6 @@ class SpectralLaw:
     atom0_mass: float
     grid: np.ndarray
     density: np.ndarray
-    alpha: float
-    nu: DiscreteLaw
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=np.float64)
@@ -331,15 +313,7 @@ class SpectralLaw:
         return out
 
 
-def _support_scale(alpha: float, nu: DiscreteLaw) -> float:
-    return nu.support_max * (1.0 + math.sqrt(alpha)) ** 2
-
-
-def deformed_mp_density(
-    alpha: float,
-    nu: DiscreteLaw,
-    x,
-) -> np.ndarray | float:
+def deformed_mp_density(alpha: float, nu: DiscreteLaw, x) -> np.ndarray | float:
     """Continuous part of the deformed MP law at points ``x``.
 
     Stieltjes inversion density = Im mt(x + i LAW_ETA_SCALE s) / pi, with the
@@ -384,12 +358,11 @@ def deformed_mp_law(alpha: float, nu: DiscreteLaw) -> SpectralLaw:
     """
     if alpha <= 0:
         raise InvalidArgumentError("alpha must be positive")
-    nu_c = nu.compressed()
     t = np.linspace(0.0, 1.0, LAW_GRID_POINTS)
-    grid = LAW_GRID_PAD * _support_scale(alpha, nu_c) * t**2
+    grid = LAW_GRID_PAD * _support_scale(alpha, nu) * t**2
     grid[0] = 0.0
     try:
-        dens = deformed_mp_density(alpha, nu_c, grid)
+        dens = deformed_mp_density(alpha, nu, grid)
     except NumericalFailureError as exc:
         raise NumericalFailureError("density inversion failed: %s" % exc, residual=exc.residual) from exc
     atom0 = max(1.0 - alpha, 0.0)
@@ -399,7 +372,7 @@ def deformed_mp_law(alpha: float, nu: DiscreteLaw) -> SpectralLaw:
         lo = max(int(live[0]) - 1, 0)
         hi = min(int(live[-1]) + 2, grid.size)
         grid, dens = grid[lo:hi], dens[lo:hi]
-    return SpectralLaw(atom0_mass=atom0, grid=grid, density=dens, alpha=float(alpha), nu=nu)
+    return SpectralLaw(atom0_mass=atom0, grid=grid, density=dens)
 
 
 def law_integrals(alpha: float, nu: DiscreteLaw, s: float) -> tuple[float, float, float]:

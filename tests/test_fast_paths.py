@@ -19,7 +19,13 @@ from qrlab.kernels import (
 )
 from qrlab.errors import NumericalFailureError
 from qrlab.krr import TeacherModel
-from qrlab.spectra import STIELTJES_MAX_STEPS, STIELTJES_TOL, DiscreteLaw, companion_stieltjes
+from qrlab.spectra import (
+    STIELTJES_MAX_STEPS,
+    STIELTJES_TOL,
+    STIELTJES_WARM_STEPS,
+    DiscreteLaw,
+    companion_stieltjes,
+)
 
 COEF = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
 POINTS = arrays(
@@ -170,10 +176,12 @@ def test_spectral_norm_gap_matches_dense_eigvalsh(n, seed, top):
     assert spectral_norm_gap(a, b) == pytest.approx(want, rel=1e-10)
 
 
-def _two_sum_companion(z, alpha, nu):
-    """Cold-start companion solve that sums both atom integrals at every
-    iterate and again at every Newton candidate: the plain form of
-    ``companion_stieltjes``, same steps and same floating-point operations."""
+def _two_sum_companion(z, alpha, nu, initial=None):
+    """Companion solve that sums both atom integrals at every iterate and
+    again at every Newton candidate, one call per continuation stage: the
+    plain form of ``companion_stieltjes``, same steps and same floating-point
+    operations. A warm start from ``initial`` runs the stage z alone on the
+    smaller budget."""
 
     def frac_integrals(m):
         den = 1.0 + nu.atoms * m
@@ -221,6 +229,9 @@ def _two_sum_companion(z, alpha, nu):
         level /= 4.0
     stages.append(z)
     m = -1.0 / stages[0]
+    budget = STIELTJES_MAX_STEPS
+    if initial is not None:
+        stages, m, budget = [z], complex(initial), STIELTJES_WARM_STEPS
     if on_axis and m.real <= 0:
         m = -1.0 / z.real
     used = 0
@@ -228,9 +239,9 @@ def _two_sum_companion(z, alpha, nu):
     final_tol = STIELTJES_TOL * max(1.0, abs(z))
     for stage in stages:
         stage_tol = STIELTJES_TOL if stage == z else min(1e-9, 1e-6 * abs(stage))
-        m, its, resid = solve(stage, m, STIELTJES_MAX_STEPS - used, stage_tol)
+        m, its, resid = solve(stage, m, budget - used, stage_tol)
         used += its
-        if used >= STIELTJES_MAX_STEPS and (stage != z or resid > final_tol):
+        if used >= budget and (stage != z or resid > final_tol):
             raise NumericalFailureError("did not converge")
     if resid > final_tol:
         raise NumericalFailureError("did not converge")
@@ -251,6 +262,7 @@ def _outcome(solve):
 
 UPPER_HALF_PLANE = st.builds(complex, st.floats(-5.0, 20.0), st.floats(-8.0, 1.0).map(lambda e: 10.0**e))
 NEGATIVE_AXIS = st.floats(-4.0, 2.0).map(lambda e: complex(-(10.0**e), 0.0))
+WARM_START = st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).filter(lambda m: abs(m) > 1e-3)
 
 
 @settings(max_examples=150, deadline=None)
@@ -259,16 +271,17 @@ NEGATIVE_AXIS = st.floats(-4.0, 2.0).map(lambda e: complex(-(10.0**e), 0.0))
     raw_weights=st.lists(st.floats(0.05, 1.0), min_size=12, max_size=12),
     alpha=st.floats(0.05, 4.0),
     z=st.one_of(UPPER_HALF_PLANE, NEGATIVE_AXIS),
+    initial=st.one_of(st.none(), WARM_START),
 )
-def test_companion_matches_two_sum_loop(atoms, raw_weights, alpha, z):
+def test_companion_matches_two_sum_loop(atoms, raw_weights, alpha, z, initial):
     w = np.array(raw_weights[: len(atoms)])
     nu = DiscreteLaw(np.array(atoms), w / w.sum())
 
     def one_sum():
-        ev = companion_stieltjes(z, alpha, nu)
+        ev = companion_stieltjes(z, alpha, nu, initial=initial)
         return ev.m_tilde, ev.m_tilde_prime, ev.iterations, ev.residual
 
     got = _outcome(one_sum)
-    want = _outcome(lambda: _two_sum_companion(z, alpha, nu))
+    want = _outcome(lambda: _two_sum_companion(z, alpha, nu, initial))
     # Bit for bit: equal floats, including the iteration count.
     assert got == want

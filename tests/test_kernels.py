@@ -161,6 +161,19 @@ def test_spectral_norm_gap_single_entry_without_warning():
         assert spectral_norm_gap(np.array([[2.0]]), np.array([[5.5]])) == 3.5
 
 
+def test_spectral_norm_gap_rejects_asymmetric_difference():
+    k = np.array([[1.0, 0.2], [0.2, 1.0]])
+    k2 = k.copy()
+    k2[0, 1] += 0.5
+    with pytest.raises(InvalidArgumentError, match="not symmetric"):
+        spectral_norm_gap(k, k2)
+    # Round-off asymmetry is averaged out: D = [[0, -e], [0, 0]] acts as
+    # [[0, -e/2], [-e/2, 0]].
+    k2[0, 1] = 0.2 + 1e-13
+    e = k2[0, 1] - k[0, 1]
+    assert spectral_norm_gap(k, k2) == pytest.approx(e / 2.0, rel=1e-10)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("n", [2048, 2])
 def test_spectral_norm_gap_rejects_non_finite(bad, n, capfd):

@@ -11,6 +11,7 @@ from qrlab.datagen import CovarianceSpec, MomentMatchedSampler, sample_dataset, 
 from qrlab.errors import InvalidArgumentError, NumericalFailureError
 from qrlab.spectra import (
     DiscreteLaw,
+    _checked_symmetric,
     companion_stieltjes,
     deformed_mp_density,
     deformed_mp_law,
@@ -48,6 +49,20 @@ def test_esd_basics():
     assert abs(eigs.sum() - np.trace(m)) < 1e-10
     with pytest.raises(InvalidArgumentError):
         esd(rng.normal(size=(5, 5)))
+
+
+def test_symmetric_input_check_keeps_exact_input():
+    m = np.random.default_rng(3).normal(size=(6, 6))
+    m = m + m.T
+    sym, peak = _checked_symmetric(m, "m")
+    assert sym is m and peak == np.abs(m).max()
+    near = m.copy()
+    near[0, 1] += 1e-12
+    sym, peak = _checked_symmetric(near, "m")
+    assert np.array_equal(sym, sym.T) and peak == np.abs(sym).max()
+    near[0, 1] += 1e-3
+    with pytest.raises(InvalidArgumentError, match="m is not symmetric"):
+        _checked_symmetric(near, "m")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
