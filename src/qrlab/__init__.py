@@ -35,7 +35,6 @@ from .krr import (
     asymptotic_training_error,
     empirical_risk,
     krr_fit,
-    lambda_star,
     make_labels,
     training_error,
 )

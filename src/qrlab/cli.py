@@ -286,10 +286,7 @@ def _worker_count(n_tasks: int) -> int:
     return max(1, min(_thread_limit(), n_tasks))
 
 
-_POOLED = ("approx_norm", "esd", "train_error", "risk")  # the experiments that call _map_seeds
-
-
-def _environment(cfg: ExperimentConfig) -> dict:
+def _environment(seed_workers: int) -> dict:
     """Library versions, CPUs, raw BLAS thread variables (None when unset), seed workers."""
     blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     return {
@@ -298,12 +295,13 @@ def _environment(cfg: ExperimentConfig) -> dict:
         "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
         **{var: os.environ.get(var) for var in blas_vars},
-        # esd's law build is one more pool task.
-        "seed_workers": _worker_count(len(cfg.seeds) + (cfg.experiment == "esd")) if cfg.experiment in _POOLED else 1,
+        "seed_workers": seed_workers,
     }
 
 
 def _map_seeds(fn, seeds):
+    """fn over the seeds on the seed pool: the records, and a dict of the
+    per-seed ``runtime_ms`` and the ``seed_workers`` count."""
     records = [None] * len(seeds)
     timings = [0.0] * len(seeds)
 
@@ -319,10 +317,13 @@ def _map_seeds(fn, seeds):
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(call, range(len(seeds))))
-    return records, timings
+    return records, {"runtime_ms": timings, "seed_workers": workers}
 
 
-def _write_outputs(cfg: ExperimentConfig, records, summary, csv_header, csv_rows, timings: dict) -> Path:
+def _write_outputs(cfg: ExperimentConfig, records, summary, csv_header, csv_rows, stats: dict) -> Path:
+    """results.json, results.csv and results.meta.json; ``stats`` holds the
+    runner's timings and, for experiments run on the seed pool, its
+    ``seed_workers`` (1 otherwise)."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -336,12 +337,8 @@ def _write_outputs(cfg: ExperimentConfig, records, summary, csv_header, csv_rows
         fh.write(csv_header + "\n")
         for row in csv_rows:
             fh.write(",".join(str(v) for v in row) + "\n")
-    meta = {
-        "written_at_unix": time.time(),
-        **timings,
-        "config_hash": cfg.config_hash(),
-        "environment": _environment(cfg),
-    }
+    meta = {"written_at_unix": time.time(), **stats, "config_hash": cfg.config_hash()}
+    meta["environment"] = _environment(meta.pop("seed_workers", 1))
     (out / "results.meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
     return out
 
@@ -381,7 +378,7 @@ def _run_approx_norm(cfg: ExperimentConfig):
     sampler = _build_sampler(cfg.sampler)
     records = []
     csv_rows = []
-    timings = []
+    stats = {"runtime_ms": []}
     for d in cfg.d:
         cov = _build_cov(cfg.cov, d)
         coeffs = _finite_coeffs(kernel, cov)
@@ -398,9 +395,10 @@ def _run_approx_norm(cfg: ExperimentConfig):
                 )
             return rec
 
-        recs, times = _map_seeds(one, cfg.seeds)
+        recs, pool = _map_seeds(one, cfg.seeds)
         records.extend(recs)
-        timings.extend(times)
+        stats["runtime_ms"].extend(pool["runtime_ms"])
+        stats["seed_workers"] = pool["seed_workers"]
         for rec in recs:
             csv_rows.append([rec["d"], rec["n"], rec["seed"], rec["gap"]] + (
                 [rec["gap_naive"]] if cfg.compare_naive else []))
@@ -416,7 +414,7 @@ def _run_approx_norm(cfg: ExperimentConfig):
             med_row.append(med_naive)
         csv_rows.append(med_row)
     header = "d,n,seed,gap" + (",gap_naive" if cfg.compare_naive else "")
-    return records, summary, header, csv_rows, {"runtime_ms": timings}
+    return records, summary, header, csv_rows, stats
 
 
 def _run_esd(cfg: ExperimentConfig):
@@ -432,7 +430,7 @@ def _run_esd(cfg: ExperimentConfig):
             return spectra.deformed_mp_law(cfg.alpha, nu)
         return _scaled_kernel_eigs(cfg, d, seed)
 
-    (law, *spectrum), timings = _map_seeds(one, [None] + cfg.seeds)
+    (law, *spectrum), pool = _map_seeds(one, [None] + cfg.seeds)
     records = [{"d": d, "n": cfg.n_for(d), "seed": seed, "ks": spectra.ks_distance(eigs, law)}
                for seed, eigs in zip(cfg.seeds, spectrum)]
     # The first seed's spectrum goes into the overlay and eigs.csv.
@@ -448,7 +446,9 @@ def _run_esd(cfg: ExperimentConfig):
     summary = {"median_ks": float(np.median([r["ks"] for r in records]))}
     rows = [[r["d"], r["n"], r["seed"], r["ks"]] for r in records]
     print("KS median over %d seeds: %.4f" % (len(records), summary["median_ks"]))
-    return records, summary, "d,n,seed,ks", rows, {"runtime_ms": timings[1:], "law_build_ms": timings[0]}
+    law_build_ms, *runtime_ms = pool["runtime_ms"]
+    stats = {"runtime_ms": runtime_ms, "law_build_ms": law_build_ms, "seed_workers": pool["seed_workers"]}
+    return records, summary, "d,n,seed,ks", rows, stats
 
 
 def _run_mp_law(cfg: ExperimentConfig):
@@ -490,7 +490,7 @@ def _run_train_error(cfg: ExperimentConfig):
         emp = krr.training_error(k_mat, y, cfg.lam)
         return {"seed": seed, "empirical": emp, "predicted": predicted, "config_hash": cfg.config_hash()}
 
-    records, timings = _map_seeds(one, cfg.seeds)
+    records, stats = _map_seeds(one, cfg.seeds)
     mean = float(np.mean([r["empirical"] for r in records]))
     summary = {
         "mean_empirical": mean,
@@ -499,7 +499,7 @@ def _run_train_error(cfg: ExperimentConfig):
     }
     rows = [[r["seed"], r["empirical"], r["predicted"]] for r in records]
     print("train error: mean empirical %.6g vs predicted %.6g" % (mean, predicted))
-    return records, summary, "seed,empirical,predicted", rows, {"runtime_ms": timings}
+    return records, summary, "seed,empirical,predicted", rows, stats
 
 
 def _run_lambda_star(cfg: ExperimentConfig):
@@ -543,21 +543,21 @@ def _run_risk(cfg: ExperimentConfig):
             "config_hash": cfg.config_hash(),
         }
 
-    records, timings = _map_seeds(one, cfg.seeds)
+    records, stats = _map_seeds(one, cfg.seeds)
     per_seed = [r["empirical"] for r in records]
     mean = float(np.mean(per_seed))
     summary = {
         "mean_empirical": mean,
         "empirical_dispersion": float(np.std(per_seed, ddof=1)) if len(per_seed) > 1 else 0.0,
         "predicted": pred.total,
-        "lambda_star": pred.lambda_star,
+        "lambda_star": pred.solution.value,
         "V": pred.V,
         "B": pred.B,
         "relative_gap": abs(mean - pred.total) / abs(pred.total) if pred.total else None,
     }
     rows = [[r["seed"], r["empirical"], r["stderr"], r["predicted"]] for r in records]
     print("risk: mean empirical %.6g vs predicted %.6g" % (mean, pred.total))
-    return records, summary, "seed,empirical,stderr,predicted", rows, {"runtime_ms": timings}
+    return records, summary, "seed,empirical,stderr,predicted", rows, stats
 
 
 def _run_oracle_check(cfg: ExperimentConfig):
@@ -595,8 +595,8 @@ def run(cfg: ExperimentConfig) -> int:
     if cfg.experiment != "train_error" and {"c0", "c1"} & set(cfg.teacher):
         raise _ConfigError("teacher c0/c1 apply only to train_error, not to %s" % cfg.experiment)
     _thread_limit()  # a bad QRLAB_THREADS fails before any work starts
-    records, summary, header, rows, timings = runner(cfg)
-    out = _write_outputs(cfg, records, summary, header, rows, timings)
+    records, summary, header, rows, stats = runner(cfg)
+    out = _write_outputs(cfg, records, summary, header, rows, stats)
     print("wrote %s" % (out / "results.json"))
     return 0
 

@@ -65,7 +65,6 @@ class CovarianceSpec:
     kind: str
     d: int
     diag: np.ndarray
-    params: tuple
 
     def __post_init__(self):
         diag = np.asarray(self.diag, dtype=np.float64)
@@ -79,7 +78,7 @@ class CovarianceSpec:
 
     @staticmethod
     def identity(d: int) -> "CovarianceSpec":
-        return CovarianceSpec("identity", d, np.ones(d), ())
+        return CovarianceSpec("identity", d, np.ones(d))
 
     @staticmethod
     def uniform(d: int, lo: float, hi: float, seed: int | None = None) -> "CovarianceSpec":
@@ -89,7 +88,7 @@ class CovarianceSpec:
             diag = lo + (hi - lo) * (np.arange(d) + 0.5) / d
         else:
             diag = substream(seed, 0).uniform(lo, hi, d)
-        return CovarianceSpec("uniform", d, diag, (float(lo), float(hi), seed))
+        return CovarianceSpec("uniform", d, diag)
 
     @staticmethod
     def two_point(d: int, v1: float, v2: float, p: float, seed: int | None = None) -> "CovarianceSpec":
@@ -101,23 +100,11 @@ class CovarianceSpec:
         else:
             mask = substream(seed, 0).random(d) < p
             diag = np.where(mask, v1, v2)
-        return CovarianceSpec("two_point", d, diag, (float(v1), float(v2), float(p), seed))
+        return CovarianceSpec("two_point", d, diag)
 
     def tau(self) -> float:
         """Realized mean diagonal value, Tr(Sigma)/d."""
         return float(self.diag.mean())
-
-    def tau_limit(self) -> float:
-        """Large-d limit of the mean diagonal value."""
-        if self.kind == "identity":
-            return 1.0
-        if self.kind == "uniform":
-            lo, hi = self.params[0], self.params[1]
-            return (lo + hi) / 2.0
-        if self.kind == "two_point":
-            v1, v2, p = self.params[0], self.params[1], self.params[2]
-            return p * v1 + (1.0 - p) * v2
-        return self.tau()
 
     def trace_square(self) -> float:
         """Tr(Sigma^2) for the diagonal covariance."""
@@ -165,12 +152,10 @@ class MomentMatchedSampler:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """n x d data matrix with the spec that generated it."""
+    """n x d data matrix with the covariance it was drawn under."""
 
     X: np.ndarray
-    seed: int
     covariance: CovarianceSpec
-    sampler: MomentMatchedSampler
 
     @property
     def n(self) -> int:
@@ -196,7 +181,7 @@ def sample_dataset(
     rng = substream(seed, DATA)
     z = sampler.sample(rng, (n, d))
     x = z * np.sqrt(cov.diag)[None, :]
-    return Dataset(X=x, seed=int(seed), covariance=cov, sampler=sampler)
+    return Dataset(X=x, covariance=cov)
 
 
 def pair_index_columns(d: int) -> tuple[np.ndarray, np.ndarray]:

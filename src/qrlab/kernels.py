@@ -156,19 +156,12 @@ class KernelFunction:
 @dataclass(frozen=True)
 class QuadCoeffs:
     """Surrogate coefficients. ``a_star`` is the diagonal offset ``a`` of the
-    surrogate at the realized trace; ``a_star_limit`` evaluates the same
-    expression at the limiting mean diagonal value."""
+    surrogate at the realized mean diagonal value tau = Tr(Sigma)/d."""
 
     a0: float
     a1: float
     a2: float
     a_star: float
-    a_star_limit: float
-
-
-def _diag_offset(kernel: KernelFunction, tau: float) -> float:
-    f0, f1, f2, _, _ = kernel.derivs0
-    return kernel.value_at(tau) - f0 - f1 * tau - 0.5 * f2 * tau**2
 
 
 def quad_coeffs(kernel: KernelFunction, cov: CovarianceSpec, corrected: bool = True) -> QuadCoeffs:
@@ -190,8 +183,8 @@ def quad_coeffs(kernel: KernelFunction, cov: CovarianceSpec, corrected: bool = T
         a0 = f0
         a1 = f1 / d
         a2 = f2 / (2.0 * d**2)
-    a = _diag_offset(kernel, cov.tau())
-    a_star_limit = _diag_offset(kernel, cov.tau_limit())
+    tau = cov.tau()
+    a = kernel.value_at(tau) - f0 - f1 * tau - 0.5 * f2 * tau**2
     if a <= 0.0:
         warnings.warn(
             "diagonal offset a_star = %g is not positive; ridge-less fits and the "
@@ -199,7 +192,7 @@ def quad_coeffs(kernel: KernelFunction, cov: CovarianceSpec, corrected: bool = T
             AssumptionWarning,
             stacklevel=2,
         )
-    return QuadCoeffs(a0=float(a0), a1=float(a1), a2=float(a2), a_star=float(a), a_star_limit=float(a_star_limit))
+    return QuadCoeffs(a0=float(a0), a1=float(a1), a2=float(a2), a_star=float(a))
 
 
 def kernel_matrix(data, kernel: KernelFunction) -> np.ndarray:
@@ -213,12 +206,18 @@ def kernel_matrix(data, kernel: KernelFunction) -> np.ndarray:
 def quad_kernel_matrix(data, coeffs: QuadCoeffs) -> np.ndarray:
     """Quadratic surrogate a0 11' + a1 XX' + a2 (XX')^{o2} + a I.
 
-    The quadratic term squares the Gram matrix entrywise (O(n^2 d)).
+    The quadratic term squares the Gram matrix entrywise (O(n^2 d)). Built
+    in place on the Gram matrix and one more n x n array, with the rounding
+    of (a0 + a1 G) + a2 (G o G).
     """
     x = _as_matrix(data)
     n, _ = x.shape
     gram = x @ x.T
-    out = coeffs.a0 + coeffs.a1 * gram + coeffs.a2 * (gram * gram)
+    out = gram * gram
+    out *= coeffs.a2
+    gram *= coeffs.a1
+    gram += coeffs.a0
+    out += gram
     out[np.diag_indices(n)] += coeffs.a_star
     return out
 

@@ -46,7 +46,6 @@ __all__ = [
     "asymptotic_training_error",
     "lambda_star_solve",
     "limit_inputs",
-    "lambda_star",
     "risk_limit",
     "asymptotic_risk",
     "empirical_risk",
@@ -74,16 +73,14 @@ def _draw_g_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
 class TeacherModel:
     """Target function f_*(x) = c0 + c1 <x, beta> + (c2/d) x' G x.
 
-    The kind names the quadratic part: ``pure_quadratic`` has a random
-    symmetric G, ``deterministic_sigma`` fixes G = Sigma (so f_* = c2 x'
-    Sigma x / d for c0 = c1 = 0), ``general`` takes any G. The constructors
-    of the first two use c0 = c1 = 0; all default to c2 = 1.
+    ``beta`` is a unit vector and ``G`` a symmetric matrix. The constructor
+    takes both as given; :meth:`draw` realizes the two teacher kinds of the
+    risk formulas.
     """
 
-    kind: str
     c0: float
     c1: float
-    beta: np.ndarray | None
+    beta: np.ndarray
     c2: float
     G: np.ndarray
 
@@ -92,23 +89,10 @@ class TeacherModel:
         object.__setattr__(self, "G", g)
         if not np.allclose(g, g.T, atol=1e-12 * max(1.0, float(np.abs(g).max()))):
             raise InvalidArgumentError("G must be symmetric")
-        if self.beta is not None:
-            beta = np.asarray(self.beta, dtype=np.float64)
-            object.__setattr__(self, "beta", beta)
-            if abs(float(np.linalg.norm(beta)) - 1.0) > 1e-12:
-                raise InvalidArgumentError("beta must be a unit vector")
-
-    @staticmethod
-    def general(c0: float, c1: float, beta: np.ndarray, c2: float, G: np.ndarray) -> "TeacherModel":
-        return TeacherModel("general", float(c0), float(c1), beta, float(c2), G)
-
-    @staticmethod
-    def pure_quadratic(G: np.ndarray, c2: float = 1.0) -> "TeacherModel":
-        return TeacherModel("pure_quadratic", 0.0, 0.0, None, float(c2), G)
-
-    @staticmethod
-    def deterministic_sigma(cov: CovarianceSpec, c2: float = 1.0) -> "TeacherModel":
-        return TeacherModel("deterministic_sigma", 0.0, 0.0, None, float(c2), np.diag(cov.diag))
+        beta = np.asarray(self.beta, dtype=np.float64)
+        object.__setattr__(self, "beta", beta)
+        if abs(float(np.linalg.norm(beta)) - 1.0) > 1e-12:
+            raise InvalidArgumentError("beta must be a unit vector")
 
     @staticmethod
     def draw(
@@ -119,9 +103,10 @@ class TeacherModel:
         c1: float = 0.0,
         c2: float = 1.0,
     ) -> "TeacherModel":
-        """Realize a ``pure_quadratic`` or ``deterministic_sigma`` teacher,
-        drawing G where it is random, with offset ``c0`` and a linear term
-        ``c1`` along the deterministic unit direction 1/sqrt(d).
+        """Realize a teacher of the given kind: ``pure_quadratic`` draws a
+        random symmetric G from ``rng``, ``deterministic_sigma`` fixes
+        G = Sigma. Both take offset ``c0`` and a linear term ``c1`` along the
+        deterministic unit direction 1/sqrt(d).
         """
         if kind == "deterministic_sigma":
             g = np.diag(cov.diag)
@@ -130,13 +115,13 @@ class TeacherModel:
         else:
             raise InvalidArgumentError("unknown teacher kind %r" % kind)
         beta = np.full(cov.d, 1.0 / math.sqrt(cov.d))
-        return TeacherModel(kind, float(c0), float(c1), beta, float(c2), g)
+        return TeacherModel(float(c0), float(c1), beta, float(c2), g)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         d = x.shape[-1]
         out = np.full(x.shape[0], self.c0) if x.ndim == 2 else self.c0
-        if self.c1 != 0.0 and self.beta is not None:
+        if self.c1 != 0.0:
             out = out + self.c1 * (x @ self.beta)
         quad = np.einsum("ij,ij->i", x @ self.G, x) if x.ndim == 2 else float(x @ self.G @ x)
         return out + self.c2 / d * quad
@@ -264,9 +249,8 @@ def asymptotic_training_error(
     c2: float,
     sigma_eps: float,
 ) -> float:
-    coeffs = quad_coeffs(kernel, cov)
-    nu = sigma2_diagonal(cov).compressed()
-    return train_error_limit(alpha, nu, coeffs.a_star, kernel.derivs0[2], lam, c2, sigma_eps)
+    a_star, nu = limit_inputs(kernel, cov)
+    return train_error_limit(alpha, nu, a_star, kernel.derivs0[2], lam, c2, sigma_eps)
 
 
 @dataclass(frozen=True)
@@ -367,20 +351,6 @@ def limit_inputs(
     return a_star, DiscreteLaw.from_values(values).compressed()
 
 
-def lambda_star(
-    kernel: KernelFunction,
-    cov: CovarianceSpec,
-    alpha: float,
-    lam: float,
-    a_star_override: float | None = None,
-    asymptotic_nu: bool = False,
-) -> LambdaStarResult:
-    """Effective regularization for a kernel/covariance pair (inputs as in
-    :func:`limit_inputs`)."""
-    a_star, nu = limit_inputs(kernel, cov, a_star_override, asymptotic_nu)
-    return lambda_star_solve(alpha, nu, a_star, lam, kernel.derivs0[2])
-
-
 @dataclass(frozen=True)
 class RiskPrediction:
     """Asymptotic risk bundle: total = sigma_eps^2 V (+ B for random teachers),
@@ -390,10 +360,6 @@ class RiskPrediction:
     V: float
     B: float
     total: float
-
-    @property
-    def lambda_star(self) -> float:
-        return self.solution.value
 
 
 def risk_limit(
@@ -541,7 +507,7 @@ def deterministic_equivalents(
     a_star = coeffs.a_star
     nu_c = nu.compressed()
     pred = risk_limit(alpha, nu_c, a_star, second_deriv, lam, 0.0, "pure_quadratic")
-    t = pred.lambda_star
+    t = pred.solution.value
     j2 = float(np.sum(nu_c.weights * nu_c.atoms**2 / (nu_c.atoms + t) ** 2))
     head = second_deriv * t / (4.0 * alpha * (a_star + lam))
     first_pred = head - 1.0

@@ -15,8 +15,6 @@ DATA = 1
 TEACHER = 2
 NOISE = 3
 TEST = 4
-COV = 5
-PROJECTOR = 6
 
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:

@@ -230,43 +230,51 @@ def companion_stieltjes(z: complex, alpha: float, nu: DiscreteLaw, initial: comp
 
     used = 0
     resid = math.inf
-    den, f1 = _first_integral(nu, m)
-    for stage in stages:
-        tol = (STIELTJES_TOL if stage == z else min(1e-9, 1e-6 * abs(stage))) * max(1.0, abs(stage))
-        while True:
-            if used == budget:
-                raise NumericalFailureError(
-                    "companion fixed point did not converge at z=%r (residual %.3g)" % (z, resid), residual=resid
-                )
-            used += 1
-            r = stage + 1.0 / m - alpha * f1
-            resid = abs(r)
-            if resid <= tol:
-                break
-            # Newton step, accepted only when it actually shrinks the residual
-            # (it can diverge far from the root, e.g. near the support edge);
-            # an accepted candidate hands its den and f1 on to the next step.
-            dr = -1.0 / m**2 + alpha * complex((nu._wa2 / den**2).sum())
-            if dr != 0:
-                cand = m - r / dr
-                ok = math.isfinite(cand.real) and math.isfinite(cand.imag) and cand != 0
-                if ok and (cand.real > 0 if on_axis else cand.imag >= -1e-13):
-                    cand_den, cand_f1 = _first_integral(nu, cand)
-                    if abs(stage + 1.0 / cand - alpha * cand_f1) < 0.9 * resid:
-                        m, den, f1 = cand, cand_den, cand_f1
-                        continue
-            denom = alpha * f1 - stage
-            if denom == 0:
-                raise NumericalFailureError("degenerate fixed-point map at z=%r" % stage, residual=resid)
-            m = 0.5 * (m + 1.0 / denom)
-            if on_axis:
-                m = complex(max(m.real, 1e-300), 0.0)
-            den, f1 = _first_integral(nu, m)
+    try:
+        den, f1 = _first_integral(nu, m)
+        for stage in stages:
+            tol = (STIELTJES_TOL if stage == z else min(1e-9, 1e-6 * abs(stage))) * max(1.0, abs(stage))
+            while True:
+                if used == budget:
+                    raise NumericalFailureError(
+                        "companion fixed point did not converge at z=%r (residual %.3g)" % (z, resid), residual=resid
+                    )
+                used += 1
+                r = stage + 1.0 / m - alpha * f1
+                resid = abs(r)
+                if resid <= tol:
+                    break
+                # Newton step, accepted only when it actually shrinks the residual
+                # (it can diverge far from the root, e.g. near the support edge);
+                # an accepted candidate hands its den and f1 on to the next step.
+                dr = -1.0 / m**2 + alpha * complex((nu._wa2 / den**2).sum())
+                if dr != 0:
+                    cand = m - r / dr
+                    ok = math.isfinite(cand.real) and math.isfinite(cand.imag) and cand != 0
+                    if ok and (cand.real > 0 if on_axis else cand.imag >= -1e-13):
+                        cand_den, cand_f1 = _first_integral(nu, cand)
+                        if abs(stage + 1.0 / cand - alpha * cand_f1) < 0.9 * resid:
+                            m, den, f1 = cand, cand_den, cand_f1
+                            continue
+                denom = alpha * f1 - stage
+                if denom == 0:
+                    raise NumericalFailureError("degenerate fixed-point map at z=%r" % stage, residual=resid)
+                m = 0.5 * (m + 1.0 / denom)
+                if on_axis:
+                    m = complex(max(m.real, 1e-300), 0.0)
+                den, f1 = _first_integral(nu, m)
 
-    if not on_axis and m.imag < -1e-10:
-        raise NumericalFailureError("Nevanlinna violation: Im m = %g < 0 for Im z > 0" % m.imag, residual=resid)
-    dprime_den = 1.0 / m**2 - alpha * complex((nu._wa2 / (1.0 + nu.atoms * m) ** 2).sum())
-    m_prime = 1.0 / dprime_den if dprime_den != 0 else complex(math.inf)
+        if not on_axis and m.imag < -1e-10:
+            raise NumericalFailureError("Nevanlinna violation: Im m = %g < 0 for Im z > 0" % m.imag, residual=resid)
+        dprime_den = 1.0 / m**2 - alpha * complex((nu._wa2 / (1.0 + nu.atoms * m) ** 2).sum())
+        m_prime = 1.0 / dprime_den if dprime_den != 0 else complex(math.inf)
+    except (OverflowError, ZeroDivisionError) as exc:
+        # Python complex arithmetic raises where numpy would return inf: m**2
+        # overflows once |m| passes ~1e154, and 1/m**2 divides by zero once
+        # m**2 underflows (|m| below ~1e-162).
+        raise NumericalFailureError(
+            "companion fixed point left the float range at z=%r (%s)" % (z, exc), residual=resid
+        ) from exc
     return StieltjesEval(m_tilde=m, m_tilde_prime=m_prime, iterations=used, residual=resid)
 
 

@@ -208,7 +208,7 @@ def test_criterion_07_training_error_limit():
         for seed in range(8):
             data = sample_dataset(n, d, cov, GAUSS, seed)
             base = TeacherModel.draw("pure_quadratic", cov, substream(seed, TEACHER, 0))
-            teacher = base if (c0 == 0 and c1 == 0) else TeacherModel.general(c0, c1, beta, c2, base.G)
+            teacher = base if (c0 == 0 and c1 == 0) else TeacherModel(c0, c1, beta, c2, base.G)
             y = make_labels(data, teacher, sig, seed)
             vals.append(training_error(kernel_matrix(data, kern), y, lam))
         return abs(float(np.mean(vals)) - pred) / pred

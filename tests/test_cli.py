@@ -39,7 +39,7 @@ def test_results_json_is_reproducible(tmp_path):
 @pytest.mark.parametrize("experiment, seeds, workers", [
     ("approx-norm", "3", 2), ("approx-norm", "1", 1), ("lambda-star", "3", 1),
     # esd's law build is a pool task of its own.
-    ("esd", "1", 2), ("mp-law", "1", 1),
+    ("esd", "1", 2), ("mp-law", "1", 1), ("train-error", "3", 2), ("risk", "1", 1),
 ])
 def test_meta_records_environment(tmp_path, monkeypatch, experiment, seeds, workers):
     import numpy
@@ -49,7 +49,8 @@ def test_meta_records_environment(tmp_path, monkeypatch, experiment, seeds, work
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     out = tmp_path / "o"
-    assert main([experiment, "--d", "6", "--kernel", "quartic:1,1,1", "--seeds", seeds, "--out", str(out)]) == 0
+    extra = ["--n-test", "50", "--n-repl", "2"] if experiment == "risk" else []
+    assert main([experiment, "--d", "6", "--kernel", "quartic:1,1,1", "--seeds", seeds, "--out", str(out)] + extra) == 0
     meta = json.loads((out / "results.meta.json").read_text())
     env = meta["environment"]
     assert set(env) == {"python", "numpy", "scipy", "cpu_count", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -58,7 +59,8 @@ def test_meta_records_environment(tmp_path, monkeypatch, experiment, seeds, work
     assert env["OMP_NUM_THREADS"] == "3" and env["MKL_NUM_THREADS"] is None
     assert env["seed_workers"] == workers
     assert "environment" not in _read(out)
-    assert len(meta["runtime_ms"]) == (int(seeds) if experiment in ("approx-norm", "esd") else 1)
+    pooled = ("approx-norm", "esd", "train-error", "risk")
+    assert len(meta["runtime_ms"]) == (int(seeds) if experiment in pooled else 1)
     if experiment in ("esd", "mp-law"):
         assert meta["law_build_ms"] > 0
     else:

@@ -105,7 +105,6 @@ def test_covariance_spec_invariants():
         CovarianceSpec.uniform(3, 1.5, 0.5)
     cov = CovarianceSpec.uniform(5, 0.5, 1.5)
     assert cov.tau() == pytest.approx(1.0)
-    assert cov.tau_limit() == pytest.approx(1.0)
     assert cov.trace_square() == pytest.approx(float(np.sum(cov.diag**2)))
     seeded = CovarianceSpec.uniform(5, 0.5, 1.5, seed=3)
     assert np.all((seeded.diag >= 0.5) & (seeded.diag <= 1.5))
@@ -158,7 +157,7 @@ def test_reduced_tensor_capacity_guard():
 def test_sigma2_diagonal_values():
     # Entries are variances of the centered tensor coordinates:
     # Var(sqrt(2) x_k x_l) = 2 s_k s_l and Var(x_k^2) = 2 s_k^2.
-    cov = CovarianceSpec("two_point", 2, np.array([1.0, 4.0]), (1.0, 4.0, 0.5, None))
+    cov = CovarianceSpec("two_point", 2, np.array([1.0, 4.0]))
     law = sigma2_diagonal(cov)
     assert law.atoms.tolist() == [2.0, 8.0, 32.0]
     assert np.allclose(law.weights, 1.0 / 3.0)

@@ -114,7 +114,7 @@ def test_kernel_blocks_match_entrywise_definition(seed, n, m, d, kernel, layout)
     np.testing.assert_allclose(k, gram_ref, rtol=1e-12, atol=1e-12)
     # Exactly symmetric without an explicit (G + G')/2.
     assert np.array_equal(k, k.T)
-    k2 = quad_kernel_matrix(x, QuadCoeffs(*rng.normal(size=5)))
+    k2 = quad_kernel_matrix(x, QuadCoeffs(*rng.normal(size=4)))
     assert np.array_equal(k2, k2.T)
 
 
@@ -124,8 +124,21 @@ def test_desk_scale_gram_is_exactly_symmetric(layout):
     x = LAYOUTS[layout](np.random.default_rng(7).normal(size=(1800, 60)))
     k = kernel_matrix(x, KernelFunction.exp())
     assert np.array_equal(k, k.T)
-    k2 = quad_kernel_matrix(x, QuadCoeffs(1.0, 0.5, 0.25, 0.125, 0.125))
+    k2 = quad_kernel_matrix(x, QuadCoeffs(1.0, 0.5, 0.25, 0.125))
     assert np.array_equal(k2, k2.T)
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_surrogate_matches_written_formula(layout):
+    # The in-place build keeps the rounding of (a0 + a1 G) + a2 (G o G).
+    rng = np.random.default_rng(11)
+    for n, d in [(1, 1), (7, 3), (300, 24)]:
+        coeffs = QuadCoeffs(*rng.normal(size=4))
+        x = LAYOUTS[layout](rng.normal(size=(n, d)))
+        gram = x @ x.T
+        want = coeffs.a0 + coeffs.a1 * gram + coeffs.a2 * (gram * gram)
+        want[np.diag_indices(n)] += coeffs.a_star
+        assert np.array_equal(quad_kernel_matrix(x, coeffs), want)
 
 
 @settings(max_examples=25, deadline=None)
@@ -137,7 +150,7 @@ def test_teacher_predict_matches_row_loop(seed, m, d, c0, c1, c2):
     beta = rng.normal(size=d)
     beta /= np.linalg.norm(beta)
     c1 = c1 or 1.0  # keep the linear term
-    teacher = TeacherModel.general(c0, c1, beta, c2, g)
+    teacher = TeacherModel(c0, c1, beta, c2, g)
     x = rng.normal(size=(m, d))
     ref = np.array([c0 + c1 * (row @ beta) + c2 / d * (row @ g @ row) for row in x])
     abs_x = np.abs(x)

@@ -57,7 +57,6 @@ def test_quad_coeffs_quartic_a_star():
     cov = CovarianceSpec.identity(12)
     coeffs = quad_coeffs(KernelFunction.quartic(1, 1, 1), cov)
     assert coeffs.a_star == pytest.approx(1.0 / 24.0, abs=1e-14)
-    assert coeffs.a_star_limit == pytest.approx(1.0 / 24.0, abs=1e-14)
 
 
 def test_quad_coeffs_naive_drops_corrections():

@@ -19,8 +19,8 @@ from qrlab.krr import (
     deterministic_equivalents,
     empirical_risk,
     krr_fit,
-    lambda_star,
     lambda_star_solve,
+    limit_inputs,
     make_labels,
     risk_limit,
     train_error_limit,
@@ -40,7 +40,7 @@ def _dataset(n=30, d=6, seed=0, cov=None):
 
 def test_labels_deterministic_sigma():
     data = _dataset()
-    teacher = TeacherModel.deterministic_sigma(data.covariance)
+    teacher = TeacherModel.draw("deterministic_sigma", data.covariance, substream(0, TEACHER))
     y = make_labels(data, teacher, 0.0, seed=1)
     assert np.allclose(y, (data.X**2).sum(axis=1) / data.d)
 
@@ -63,7 +63,6 @@ def test_teacher_draw_scales_with_c2(kind, c0, c1):
 def test_teacher_draw_offsets_keep_deterministic_sigma():
     cov = CovarianceSpec.uniform(7, 0.5, 1.5)
     teacher = TeacherModel.draw("deterministic_sigma", cov, substream(5, TEACHER), c0=5.0, c1=0.5)
-    assert teacher.kind == "deterministic_sigma"
     assert np.array_equal(teacher.G, np.diag(cov.diag))
     x = np.random.default_rng(4).normal(size=(9, 7))
     expected = 5.0 + 0.5 * x.sum(axis=1) / math.sqrt(7) + (x**2 * cov.diag).sum(axis=1) / 7
@@ -72,7 +71,7 @@ def test_teacher_draw_offsets_keep_deterministic_sigma():
 
 def test_labels_constant_teacher():
     data = _dataset()
-    teacher = TeacherModel.general(2.5, 0.0, np.eye(data.d)[0], 0.0, np.zeros((data.d, data.d)))
+    teacher = TeacherModel(2.5, 0.0, np.eye(data.d)[0], 0.0, np.zeros((data.d, data.d)))
     y = make_labels(data, teacher, 0.0, seed=1)
     assert np.allclose(y, 2.5)
 
@@ -88,7 +87,7 @@ def test_labels_pure_quadratic_unit_direction():
 
 def test_labels_noise_options():
     data = _dataset(n=2000)
-    teacher = TeacherModel.deterministic_sigma(data.covariance)
+    teacher = TeacherModel.draw("deterministic_sigma", data.covariance, substream(0, TEACHER))
     y_gauss = make_labels(data, teacher, 0.7, seed=5)
     base = teacher.predict(data.X)
     assert abs((y_gauss - base).std() - 0.7) < 0.05
@@ -96,9 +95,9 @@ def test_labels_noise_options():
 
 def test_teacher_validation():
     with pytest.raises(InvalidArgumentError):
-        TeacherModel.general(0.0, 1.0, np.array([1.0, 1.0]), 0.0, np.zeros((2, 2)))
-    with pytest.raises(InvalidArgumentError):
-        TeacherModel.pure_quadratic(np.array([[0.0, 1.0], [0.5, 0.0]]))
+        TeacherModel(0.0, 1.0, np.array([1.0, 1.0]), 0.0, np.zeros((2, 2)))
+    with pytest.raises(InvalidArgumentError, match="G must be symmetric"):
+        TeacherModel(0.0, 0.0, np.array([1.0, 0.0]), 1.0, np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(InvalidArgumentError):
         TeacherModel.draw("mystery", CovarianceSpec.identity(3), substream(0, TEACHER))
 
@@ -207,21 +206,16 @@ def test_lambda_star_dual_routes_random_draws():
 
 
 def test_lambda_star_kernel_wrapper_with_override():
-    val = lambda_star(
-        KernelFunction.quartic(1, 1, 1),
-        CovarianceSpec.identity(40),
-        alpha=1.0,
-        lam=0.5,
-        a_star_override=0.0,
-        asymptotic_nu=True,
-    )
+    kernel = KernelFunction.quartic(1, 1, 1)
+    a_star, nu = limit_inputs(kernel, CovarianceSpec.identity(40), a_star_override=0.0, asymptotic_nu=True)
+    val = lambda_star_solve(1.0, nu, a_star, 0.5, kernel.derivs0[2])
     assert val.value == pytest.approx(PHI_PLUS, abs=1e-10)
 
 
 def test_risk_limit_closed_form_variance():
     pred = risk_limit(1.0, DiscreteLaw.delta(2.0), 0.0, 1.0, 0.5, 1.0, "pure_quadratic")
     j2 = 4.0 / (3.0 + math.sqrt(5.0)) ** 2
-    assert pred.lambda_star == pytest.approx(PHI_PLUS, abs=1e-10)
+    assert pred.solution.value == pytest.approx(PHI_PLUS, abs=1e-10)
     assert pred.V == pytest.approx(j2 / (1.0 - j2), abs=1e-10)
     assert pred.total == pytest.approx(pred.V + pred.B)
 

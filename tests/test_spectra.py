@@ -118,6 +118,20 @@ def test_companion_rejects_bad_points():
             companion_stieltjes(z, 1.0, law)
 
 
+@pytest.mark.parametrize("z, alpha, nu, initial", [
+    # m**2 overflows in the closed-form derivative.
+    (1e-308j, 0.4427, DiscreteLaw.delta(0.0), -2.7497 - 2.8300j),
+    # m**2 underflows to zero in the Newton step; needs a negative atom.
+    (-8.983555745460331e-120 + 0j, 1.718050048202382,
+     DiscreteLaw.from_values([-0.8656121489724296, 0.2583457905858513]), None),
+    # A warm start at m = 0 divides by zero in the first residual.
+    (1j, 1.0, DiscreteLaw.delta(1.0), 0j),
+], ids=["overflow", "underflow", "zero_start"])
+def test_companion_out_of_float_range_is_typed(z, alpha, nu, initial):
+    with pytest.raises(NumericalFailureError, match="left the float range"):
+        companion_stieltjes(z, alpha, nu, initial=initial)
+
+
 def test_companion_identity_against_population_solver():
     rng = np.random.default_rng(42)
     law = DiscreteLaw.from_values([0.5, 1.0, 2.0, 3.5])
