@@ -1,34 +1,47 @@
 """Experiment runner.
 
-Subcommands (also reachable as ``qrlab run <experiment>``):
+Subcommands, and the config keys each one reads:
 
   approx_norm   spectral-norm gap between K and its quadratic surrogate
+                d, alpha, kernel, cov, sampler, seeds, compare_naive, out
   esd           empirical spectrum of the recentered kernel vs the limit law
+                d, alpha, kernel, cov, sampler, seeds, out
   mp_law        limit-law density export (no data involved)
+                d, alpha, cov, out
   train_error   empirical vs asymptotic training error
+                d, alpha, kernel, cov, sampler, lambda, sigma_eps, teacher,
+                seeds, c2, out
   lambda_star   effective regularization and the (V, B) risk bundle
+                d, alpha, kernel, cov, lambda, sigma_eps, teacher,
+                a_star_override, asymptotic_nu, out
   risk          empirical vs asymptotic generalization error
+                d, alpha, kernel, cov, sampler, lambda, sigma_eps, teacher,
+                seeds, n_test, n_repl, out
   oracle_check  reference-oracle self-test table
+                seeds, mc_draws, out
 
 Configuration comes from an optional JSON file (--config) plus flag
 overrides; flags win. The file's keys are the flag names with "_" for "-"
-(--lambda is "lambda"), plus an optional "experiment". A value may be the
-flag's text or its JSON type; a spec (kernel, cov, sampler, teacher) may be
-the spec string or an object such as {"type": "quartic", "b0": 1, "b2": 1,
-"b4": 1}, and both give the flag's canonical config and hash. Objects also
-take the JSON-only keys "seed" (uniform and two_point covariances) and
-"c0", "c1" (teachers; train_error only, other experiments reject them).
-Unknown keys, at the top level or in a spec, are a configuration error.
-The sample count is derived as n = round(d^2/(2 alpha)). Only approx_norm
-takes a ladder of d values; the other experiments take one. Seeds fan out
-to a thread pool capped by QRLAB_THREADS (an integer >= 1; default the CPU
-count). esd builds its limit law as the pool's first task, next to the
-seeds' spectra. Every run writes results.json (deterministic given config,
-seeds and the BLAS thread count; its sha256 config hash is embedded),
-results.csv, and a results.meta.json sidecar holding the wall-clock data
-(per-seed runtime_ms; law_build_ms for esd and mp_law) and the environment
-(library versions, CPU count, BLAS thread variables, seed workers). esd
-runs also emit an SVG histogram/density overlay, law.csv, and eigs.csv.
+(--lambda is "lambda"), plus an optional "experiment". A subcommand takes
+only the keys it reads, as flags or file keys; any other key is a
+configuration error. A value may be the flag's text or its JSON type; a
+spec (kernel, cov, sampler, teacher) may be the spec string or an object
+such as {"type": "quartic", "b0": 1, "b2": 1, "b4": 1}, and both give the
+flag's canonical config and hash. Objects also take the JSON-only keys
+"seed" (uniform and two_point covariances) and "c0", "c1" (teachers;
+train_error only, other experiments reject them). Unknown keys in a spec
+are a configuration error. The sample count is derived as
+n = round(d^2/(2 alpha)). Only approx_norm takes a ladder of d values; the
+other experiments take one. Seeds fan out to a thread pool capped by
+QRLAB_THREADS (an integer >= 1; default the CPU count). esd builds its
+limit law as the pool's first task, next to the seeds' spectra. Every run
+writes results.json (deterministic given config, seeds and the BLAS thread
+count; its config and sha256 config hash cover only the keys the
+experiment reads, less out), results.csv, and a results.meta.json sidecar
+holding the wall-clock data (per-seed runtime_ms; law_build_ms for esd and
+mp_law) and the environment (library versions, CPU count, BLAS thread
+variables, seed workers). esd runs also emit an SVG histogram/density
+overlay, law.csv, and eigs.csv.
 
 results.csv columns by experiment:
   approx_norm   d,n,seed,gap[,gap_naive]   (plus one median row per d)
@@ -72,17 +85,6 @@ from .errors import (
     NumericalFailureError,
     QrlabError,
 )
-
-EXPERIMENTS = (
-    "approx_norm",
-    "esd",
-    "mp_law",
-    "train_error",
-    "lambda_star",
-    "risk",
-    "oracle_check",
-)
-
 
 class _ConfigError(Exception):
     pass
@@ -244,7 +246,9 @@ class ExperimentConfig:
         return n
 
     def canonical(self) -> dict:
-        out = {key: getattr(self, f.name) for key, f in _FIELDS.items() if f.compare}
+        """The experiment and the hashed config keys it reads."""
+        keys = _EXPERIMENT_TABLE[self.experiment][1]
+        out = {key: getattr(self, _FIELDS[key].name) for key in keys if _FIELDS[key].compare}
         return {"experiment": self.experiment, **out}
 
     def config_hash(self) -> str:
@@ -488,7 +492,7 @@ def _run_train_error(cfg: ExperimentConfig):
         y = krr.make_labels(data, teacher, cfg.sigma_eps, seed)
         k_mat = kernels.kernel_matrix(data, kernel)
         emp = krr.training_error(k_mat, y, cfg.lam)
-        return {"seed": seed, "empirical": emp, "predicted": predicted, "config_hash": cfg.config_hash()}
+        return {"seed": seed, "empirical": emp, "predicted": predicted}
 
     records, stats = _map_seeds(one, cfg.seeds)
     mean = float(np.mean([r["empirical"] for r in records]))
@@ -535,13 +539,7 @@ def _run_risk(cfg: ExperimentConfig):
         mean, stderr = krr.empirical_risk(
             data, kernel, teacher_kind, cfg.lam, cfg.sigma_eps, cfg.n_test, cfg.n_repl, seed
         )
-        return {
-            "seed": seed,
-            "empirical": mean,
-            "stderr": stderr,
-            "predicted": pred.total,
-            "config_hash": cfg.config_hash(),
-        }
+        return {"seed": seed, "empirical": mean, "stderr": stderr, "predicted": pred.total}
 
     records, stats = _map_seeds(one, cfg.seeds)
     per_seed = [r["empirical"] for r in records]
@@ -573,21 +571,27 @@ def _run_oracle_check(cfg: ExperimentConfig):
     return records, summary, "name,passed,detail", rows, {"runtime_ms": [0.0]}
 
 
-_RUNNERS = {
-    "approx_norm": _run_approx_norm,
-    "esd": _run_esd,
-    "mp_law": _run_mp_law,
-    "train_error": _run_train_error,
-    "lambda_star": _run_lambda_star,
-    "risk": _run_risk,
-    "oracle_check": _run_oracle_check,
+# Each experiment's runner and the config keys it reads. A subcommand takes
+# only these keys, as flags or config-file keys, and results.json records
+# and hashes only these.
+_EXPERIMENT_TABLE = {
+    "approx_norm": (_run_approx_norm, ("d", "alpha", "kernel", "cov", "sampler", "seeds", "compare_naive", "out")),
+    "esd": (_run_esd, ("d", "alpha", "kernel", "cov", "sampler", "seeds", "out")),
+    "mp_law": (_run_mp_law, ("d", "alpha", "cov", "out")),
+    "train_error": (_run_train_error, (
+        "d", "alpha", "kernel", "cov", "sampler", "lambda", "sigma_eps", "teacher", "seeds", "c2", "out")),
+    "lambda_star": (_run_lambda_star, (
+        "d", "alpha", "kernel", "cov", "lambda", "sigma_eps", "teacher", "a_star_override", "asymptotic_nu", "out")),
+    "risk": (_run_risk, (
+        "d", "alpha", "kernel", "cov", "sampler", "lambda", "sigma_eps", "teacher", "seeds", "n_test", "n_repl", "out")),
+    "oracle_check": (_run_oracle_check, ("seeds", "mc_draws", "out")),
 }
 
 
 def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit code."""
     try:
-        runner = _RUNNERS[cfg.experiment]
+        runner = _EXPERIMENT_TABLE[cfg.experiment][0]
     except KeyError:
         raise _ConfigError("unknown experiment %r" % cfg.experiment) from None
     if cfg.experiment != "approx_norm" and len(cfg.d) > 1:
@@ -610,26 +614,22 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qrlab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, (_, keys) in _EXPERIMENT_TABLE.items():
+        p = sub.add_parser(name.replace("_", "-"), aliases=[name] if "_" in name else [])
         p.add_argument("--config", help="JSON config file; flags override its fields")
-        for key, f in _FIELDS.items():
+        for key in keys:
+            f = _FIELDS[key]
             flag = "--" + key.replace("_", "-")
             if f.metadata["load"] is _bool:
                 p.add_argument(flag, dest=f.name, action="store_true", default=None)
             else:
                 p.add_argument(flag, dest=f.name, help=f.metadata["help"])
-
-    for name in EXPERIMENTS:
-        add_common(sub.add_parser(name.replace("_", "-"), aliases=[name] if "_" in name else []))
-    runp = sub.add_parser("run")
-    runp.add_argument("experiment", choices=EXPERIMENTS)
-    add_common(runp)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    experiment = getattr(args, "experiment", None) or args.command.replace("-", "_")
+    experiment = args.command.replace("-", "_")
+    keys = _EXPERIMENT_TABLE[experiment][1]
     base: dict = {}
     if args.config:
         try:
@@ -641,11 +641,12 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     named = base.pop("experiment", None)
     if named and named != experiment:
         raise _ConfigError("config file experiment %r conflicts with %r" % (named, experiment))
-    unknown = sorted(set(base) - set(_FIELDS))
+    unknown = sorted(set(base) - set(keys))
     if unknown:
-        raise _ConfigError("unknown config key(s): %s" % ", ".join(unknown))
+        raise _ConfigError("%s does not read config key(s): %s" % (experiment, ", ".join(unknown)))
     cfg = ExperimentConfig(experiment=experiment)
-    for key, f in _FIELDS.items():
+    for key in keys:
+        f = _FIELDS[key]
         given = [("config key %r" % key, base[key])] if key in base else []
         if getattr(args, f.name) is not None:
             given.append(("--" + key.replace("_", "-"), getattr(args, f.name)))

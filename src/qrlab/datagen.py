@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matio
 from .errors import CapacityError, InvalidArgumentError
 from .seeding import DATA, substream
 from .spectra import DiscreteLaw
@@ -28,7 +27,6 @@ __all__ = [
     "tensor_mean_vector",
     "sigma2_diagonal",
     "pair_index_columns",
-    "write_dataset_csv",
 ]
 
 
@@ -116,8 +114,7 @@ class MomentMatchedSampler:
     """Entry distribution: standard Gaussian or an m-point GH discrete law.
 
     The discrete law matches E[g^t] exactly for t <= 2m-1, so m=5 covers
-    the 8-moment training-data requirement and m=10 the 18-moment test-data
-    requirement.
+    the 8-moment training-data requirement. Test points are always Gaussian.
     """
 
     mode: str
@@ -132,13 +129,6 @@ class MomentMatchedSampler:
         if not 1 <= m <= 64:
             raise InvalidArgumentError("node count must be in [1, 64]")
         return MomentMatchedSampler("gh_discrete", int(m))
-
-    @property
-    def matched_moments(self) -> int:
-        """Highest Gaussian moment order reproduced exactly."""
-        if self.mode == "gaussian":
-            return 10**9
-        return 2 * self.m - 1
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
         if self.mode == "gaussian":
@@ -237,7 +227,3 @@ def sigma2_diagonal(cov: CovarianceSpec) -> DiscreteLaw:
     rows, cols = pair_index_columns(cov.d)
     values = 2.0 * cov.diag[rows] * cov.diag[cols]
     return DiscreteLaw.from_values(values)
-
-
-def write_dataset_csv(data, path) -> None:
-    matio.write_matrix_csv(_as_matrix(data), path)

@@ -410,10 +410,9 @@ def asymptotic_risk(
     lam: float,
     sigma_eps: float,
     teacher_kind: str,
-    asymptotic_nu: bool = False,
 ) -> RiskPrediction:
     _check_risk_kernel(kernel)
-    a_star, nu = limit_inputs(kernel, cov, asymptotic_nu=asymptotic_nu)
+    a_star, nu = limit_inputs(kernel, cov)
     if a_star <= 0:
         raise AssumptionViolationError("a_star = %g must be positive for the risk formulas" % a_star)
     return risk_limit(alpha, nu, a_star, kernel.derivs0[2], lam, sigma_eps, teacher_kind)
@@ -428,27 +427,19 @@ def empirical_risk(
     n_test: int,
     n_repl: int,
     seed: int,
-    test_sampler: MomentMatchedSampler | None = None,
-    test_points: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Monte Carlo generalization error, conditioned on the training inputs.
 
     Each of the ``n_repl`` replicates redraws the teacher randomness (for
     the random quadratic teacher), the label noise, and a fresh batch of
-    ``n_test`` test points; the replicate means are averaged and their
-    spread gives the standard error. ``test_points`` overrides sampling
-    (all replicates then share those points). Test points need 18 matched
-    moments: gaussian or gh_discrete(m >= 10).
+    ``n_test`` Gaussian test points; the replicate means are averaged and
+    their spread gives the standard error.
     """
     if teacher_kind not in RISK_TEACHERS:
         raise InvalidArgumentError("teacher_kind must be one of %r" % (RISK_TEACHERS,))
-    if n_repl < 1 or (test_points is None and n_test < 1):
+    if n_repl < 1 or n_test < 1:
         raise InvalidArgumentError("need n_repl >= 1 and n_test >= 1")
-    sampler = test_sampler or MomentMatchedSampler.gaussian()
-    if sampler.matched_moments < 18:
-        raise AssumptionViolationError(
-            "test sampler matches only %d moments; 18 are required" % sampler.matched_moments
-        )
+    sampler = MomentMatchedSampler.gaussian()
     cov = dataset.covariance
     k_mat = kernel_matrix(dataset, kernel)
     factor = RidgeFactor(k_mat, lam)
@@ -458,11 +449,7 @@ def empirical_risk(
         teacher = TeacherModel.draw(teacher_kind, cov, substream(seed, TEACHER, r))
         y = make_labels(dataset, teacher, sigma_eps, seed, replicate=r)
         w = factor.solve(y)
-        if test_points is None:
-            z = sampler.sample(substream(seed, TEST, r), (n_test, cov.d))
-            x_test = z * scale
-        else:
-            x_test = np.asarray(test_points, dtype=np.float64)
+        x_test = sampler.sample(substream(seed, TEST, r), (n_test, cov.d)) * scale
         predictions = cross_kernel(dataset, x_test, kernel) @ w
         truth = teacher.predict(x_test)
         means.append(float(np.mean((predictions - truth) ** 2)))

@@ -63,16 +63,15 @@ def _gauss_hermite_standard(m: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights / weights.sum()
 
 
-def hermite_gram(jmax: int, nodes: int | None = None) -> np.ndarray:
+def hermite_gram(jmax: int) -> np.ndarray:
     """Gram matrix <h_j, h_k> under the Gaussian weight, j,k <= jmax.
 
-    Quadrature with m >= jmax+1 nodes integrates the degree <= 2*jmax
-    products exactly, so the result should be the identity to round-off.
+    Quadrature with jmax+1 nodes integrates the degree <= 2*jmax products
+    exactly, so the result should be the identity to round-off.
     """
     if not 0 <= jmax <= 12:
         raise InvalidArgumentError("jmax must be in [0, 12]")
-    m = nodes if nodes is not None else jmax + 1
-    x, w = _gauss_hermite_standard(m)
+    x, w = _gauss_hermite_standard(jmax + 1)
     vals = np.stack([hermite(j, x) for j in range(jmax + 1)])
     return vals @ (vals * w).T
 
@@ -201,9 +200,9 @@ def quadform_moment_mc(
     s: int,
     draws: int,
     seed: int = 0,
-    chunk: int = 1_000_000,
 ) -> tuple[float, float]:
-    """Monte Carlo (mean, stderr) of E[(g' A g)^s]; the arbiter for the formulas."""
+    """Monte Carlo (mean, stderr) of E[(g' A g)^s], in chunks of a million
+    draws; the arbiter for the formulas."""
     a_mat = np.asarray(a_mat, dtype=np.float64)
     d = a_mat.shape[0]
     rng = np.random.default_rng(seed)
@@ -211,7 +210,7 @@ def quadform_moment_mc(
     total_sq = 0.0
     done = 0
     while done < draws:
-        m = min(chunk, draws - done)
+        m = min(1_000_000, draws - done)
         g = rng.standard_normal((m, d))
         q = np.einsum("ij,jk,ik->i", g, a_mat, g) ** s
         total += float(q.sum())
@@ -231,12 +230,12 @@ def random_projector(p: int, rank: int, seed: int = 0) -> np.ndarray:
     return q @ q.T
 
 
-def _operator_norm_upper(a_mat: np.ndarray, steps: int = 200, seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
+def _operator_norm_upper(a_mat: np.ndarray) -> float:
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(a_mat.shape[0])
     v /= np.linalg.norm(v)
     est = 0.0
-    for _ in range(steps):
+    for _ in range(200):
         w = a_mat @ v
         nw = np.linalg.norm(w)
         if nw == 0:
@@ -251,7 +250,6 @@ def quadform_concentration_stat(
     x2_centered: np.ndarray,
     sigma2: DiscreteLaw,
     a_mat: np.ndarray,
-    trials: int | None = None,
 ) -> np.ndarray:
     """Per-row |v' A v - Tr(A Sigma2)| / n for centered tensor rows v.
 
@@ -270,9 +268,8 @@ def quadform_concentration_stat(
     if sigma2.atoms.size != x2.shape[1]:
         raise InvalidArgumentError("sigma2 must carry one atom per tensor coordinate")
     n = x2.shape[0]
-    rows = x2 if trials is None else x2[: int(trials)]
     target = float(np.sum(np.diag(a_mat) * sigma2.atoms))
-    quad = np.einsum("ij,ij->i", rows @ a_mat, rows)
+    quad = np.einsum("ij,ij->i", x2 @ a_mat, x2)
     return np.abs(quad - target) / n
 
 
@@ -301,15 +298,13 @@ def population_stieltjes(
     z: complex,
     alpha: float,
     nu: DiscreteLaw,
-    max_steps: int = 2000,
-    tol: float = 1e-13,
 ) -> complex:
     """Stieltjes transform m(z) of the population-side deformed MP law.
 
     Solves m = int dnu(x) / (x (1 - alpha - alpha z m) - z) by damped
-    iteration with a Newton polish. Kept independent of
-    ``companion_stieltjes`` so the identity mt = alpha m + (1-alpha)(-1/z)
-    can be cross-checked between two solvers.
+    iteration with a Newton polish, to a residual of 1e-13 within 2000
+    steps. Kept independent of ``companion_stieltjes`` so the identity
+    mt = alpha m + (1-alpha)(-1/z) can be cross-checked between two solvers.
     """
     z = _check_point(z)
 
@@ -319,10 +314,10 @@ def population_stieltjes(
 
     m = -1.0 / z
     resid = math.inf
-    for _ in range(max_steps):
+    for _ in range(2000):
         gm = g(m)
         resid = abs(gm - m)
-        if resid <= tol:
+        if resid <= 1e-13:
             break
         # Newton on r(m) = g(m) - m once close, damped picard otherwise.
         if resid < 1e-2:

@@ -49,8 +49,14 @@ def test_meta_records_environment(tmp_path, monkeypatch, experiment, seeds, work
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     out = tmp_path / "o"
-    extra = ["--n-test", "50", "--n-repl", "2"] if experiment == "risk" else []
-    assert main([experiment, "--d", "6", "--kernel", "quartic:1,1,1", "--seeds", seeds, "--out", str(out)] + extra) == 0
+    args = [experiment, "--d", "6", "--out", str(out)]
+    if experiment != "mp-law":
+        args += ["--kernel", "quartic:1,1,1"]
+    if experiment not in ("mp-law", "lambda-star"):
+        args += ["--seeds", seeds]
+    if experiment == "risk":
+        args += ["--n-test", "50", "--n-repl", "2"]
+    assert main(args) == 0
     meta = json.loads((out / "results.meta.json").read_text())
     env = meta["environment"]
     assert set(env) == {"python", "numpy", "scipy", "cpu_count", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -217,16 +223,16 @@ def test_approx_norm_bytes_independent_of_worker_count(tmp_path, monkeypatch):
     assert (outs[0] / "results.json").read_bytes() == (outs[1] / "results.json").read_bytes()
 
 
-def test_run_alias_and_other_kernels(tmp_path):
-    out = tmp_path / "alias"
+def test_lambda_star_other_kernels(tmp_path):
+    out = tmp_path / "cosh"
     code = main([
-        "run", "lambda_star", "--alpha", "1", "--kernel", "cosh",
+        "lambda-star", "--alpha", "1", "--kernel", "cosh",
         "--cov", "identity", "--lambda", "0.5", "--d", "30", "--out", str(out),
     ])
     assert code == 0
     out2 = tmp_path / "poly"
     code = main([
-        "run", "lambda_star", "--alpha", "1", "--kernel", "custom_poly:1,0,0.5,0,0.02",
+        "lambda-star", "--alpha", "1", "--kernel", "custom_poly:1,0,0.5,0,0.02",
         "--cov", "identity", "--lambda", "0.5", "--d", "30", "--out", str(out2),
     ])
     assert code == 0
@@ -252,7 +258,7 @@ def test_exit_code_numerical_failure(monkeypatch, tmp_path):
     def boom(cfg):
         raise NumericalFailureError("forced failure")
 
-    monkeypatch.setitem(cli._RUNNERS, "mp_law", boom)
+    monkeypatch.setitem(cli._EXPERIMENT_TABLE, "mp_law", (boom, cli._EXPERIMENT_TABLE["mp_law"][1]))
     assert main(["mp-law", "--d", "10", "--out", str(tmp_path / "x")]) == 3
 
 
@@ -354,8 +360,26 @@ def test_malformed_config_is_configuration_error(tmp_path, capsys, command, args
     assert not (tmp_path / "x").exists()
 
 
+# One key per experiment that its runner does not read.
+_UNREAD = [("approx-norm", "lambda", "1"), ("esd", "n_test", "50"), ("mp-law", "kernel", "exp"),
+           ("train-error", "n_repl", "2"), ("lambda-star", "seeds", "1"), ("risk", "c2", "3"),
+           ("oracle-check", "d", "6")]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, key, value", _UNREAD, ids=[c for c, _, _ in _UNREAD])
+def test_unread_keys_are_rejected(tmp_path, capsys, command, key, value, source):
+    flag = "--" + key.replace("_", "-")
+    given = [flag, value] if source == "flag" else _write_config(tmp_path, {key: value})
+    assert main([command] + given + ["--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and (flag if source == "flag" else key) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_spec_dict_spec_string_and_flag_agree(tmp_path):
-    run = ["lambda-star", "--alpha", "1", "--lambda", "0.5"]
+    run = ["approx-norm", "--alpha", "1", "--seeds", "1"]
     flags = ["--d", "12", "--kernel", "quartic:1,1,1", "--cov", "uniform:1,2", "--sampler", "gh_discrete:5"]
     as_dict = {"d": 12, "kernel": {"type": "quartic", "b0": 1, "b2": 1, "b4": 1},
                "cov": {"kind": "uniform", "lo": 1, "hi": 2}, "sampler": {"mode": "gh_discrete", "m": 5}}

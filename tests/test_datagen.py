@@ -14,10 +14,8 @@ from qrlab.datagen import (
     sample_dataset,
     sigma2_diagonal,
     tensor_mean_vector,
-    write_dataset_csv,
 )
 from qrlab.errors import CapacityError, InvalidArgumentError
-from qrlab.matio import read_qrlb, write_qrlb
 from qrlab.oracles import wick_matching_count
 
 
@@ -201,29 +199,3 @@ def test_pair_index_order_is_row_major():
     assert list(zip(rows.tolist(), cols.tolist())) == [
         (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2),
     ]
-
-
-def test_qrlb_roundtrip(tmp_path):
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(7, 3))
-    path = tmp_path / "m.qrlb"
-    write_qrlb(x, path)
-    back = read_qrlb(path)
-    assert np.array_equal(x, back)
-    raw = path.read_bytes()
-    assert raw[:4] == b"QRLB"
-    with pytest.raises(InvalidArgumentError):
-        bad = tmp_path / "bad.qrlb"
-        bad.write_bytes(b"NOPE" + raw[4:])
-        read_qrlb(bad)
-
-
-def test_dataset_csv_header(tmp_path):
-    data = sample_dataset(3, 4, CovarianceSpec.identity(4), MomentMatchedSampler.gaussian(), 0)
-    path = tmp_path / "x.csv"
-    write_dataset_csv(data, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x1,x2,x3,x4"
-    assert len(lines) == 4
-    parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    assert np.array_equal(parsed, data.X)
