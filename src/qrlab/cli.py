@@ -1,24 +1,14 @@
 """Experiment runner.
 
-Subcommands, and the config keys each one reads:
+Subcommands (each one's --help lists the config keys it reads):
 
-  approx_norm   spectral-norm gap between K and its quadratic surrogate
-                d, alpha, kernel, cov, sampler, seeds, compare_naive, out
+  approx-norm   spectral-norm gap between K and its quadratic surrogate
   esd           empirical spectrum of the recentered kernel vs the limit law
-                d, alpha, kernel, cov, sampler, seeds, out
-  mp_law        limit-law density export (no data involved)
-                d, alpha, cov, out
-  train_error   empirical vs asymptotic training error
-                d, alpha, kernel, cov, sampler, lambda, sigma_eps, teacher,
-                seeds, c2, out
-  lambda_star   effective regularization and the (V, B) risk bundle
-                d, alpha, kernel, cov, lambda, sigma_eps, teacher,
-                a_star_override, asymptotic_nu, out
+  mp-law        limit-law density export (no data involved)
+  train-error   empirical vs asymptotic training error
+  lambda-star   effective regularization and the (V, B) risk bundle
   risk          empirical vs asymptotic generalization error
-                d, alpha, kernel, cov, sampler, lambda, sigma_eps, teacher,
-                seeds, n_test, n_repl, out
-  oracle_check  reference-oracle self-test table
-                seeds, mc_draws, out
+  oracle-check  reference-oracle self-test table
 
 Configuration comes from an optional JSON file (--config) plus flag
 overrides; flags win. The file's keys are the flag names with "_" for "-"
@@ -29,28 +19,23 @@ spec (kernel, cov, sampler, teacher) may be the spec string or an object
 such as {"type": "quartic", "b0": 1, "b2": 1, "b4": 1}, and both give the
 flag's canonical config and hash. Objects also take the JSON-only keys
 "seed" (uniform and two_point covariances) and "c0", "c1" (teachers;
-train_error only, other experiments reject them). Unknown keys in a spec
+train-error only, other experiments reject them). Unknown keys in a spec
 are a configuration error. The sample count is derived as
-n = round(d^2/(2 alpha)). Only approx_norm takes a ladder of d values; the
-other experiments take one. Seeds fan out to a thread pool capped by
-QRLAB_THREADS (an integer >= 1; default the CPU count). esd builds its
-limit law as the pool's first task, next to the seeds' spectra. Every run
-writes results.json (deterministic given config, seeds and the BLAS thread
-count; its config and sha256 config hash cover only the keys the
-experiment reads, less out), results.csv, and a results.meta.json sidecar
-holding the wall-clock data (per-seed runtime_ms; law_build_ms for esd and
-mp_law) and the environment (library versions, CPU count, BLAS thread
-variables, seed workers). esd runs also emit an SVG histogram/density
-overlay, law.csv, and eigs.csv.
-
-results.csv columns by experiment:
-  approx_norm   d,n,seed,gap[,gap_naive]   (plus one median row per d)
-  esd           d,n,seed,ks
-  mp_law        alpha,atom0_mass,total_mass
-  train_error   seed,empirical,predicted
-  lambda_star   lambda_star,lambda_star_stieltjes,V,B,total
-  risk          seed,empirical,stderr,predicted
-  oracle_check  name,passed,detail
+n = round(d^2/(2 alpha)). Only approx-norm takes a ladder of d values; the
+other experiments take one, and oracle-check one seed. Per-seed work fans
+out to a thread pool capped by QRLAB_THREADS (an integer >= 1; default the
+CPU count): approx-norm checks every rung before it pools the (d, seed)
+tasks, and esd builds its limit law as the pool's first task, next to the
+seeds' spectra. Every run writes results.json (deterministic given config,
+seeds and the BLAS thread count; its config and sha256 config hash cover
+only the keys the experiment reads, less out), results.csv (one row per
+record of results.json, headed by the first record's keys), and a
+results.meta.json sidecar holding the wall-clock data (runtime_ms per pool
+task, or of the whole run for experiments off the pool; law_build_ms for
+esd and mp-law) and the environment (library versions, CPU count, BLAS
+thread variables, seed workers). esd and mp-law also emit an SVG
+density overlay (with the first seed's eigenvalue histogram for esd) and
+law.csv, and esd eigs.csv.
 
 Seed discipline: each record's master seed is split into fixed consumer
 substreams (data=1, teacher=2, noise=3, test=4) so adding a consumer never
@@ -63,6 +48,7 @@ Exit codes: 0 success, 1 configuration error, 2 assumption violation,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -220,7 +206,7 @@ class ExperimentConfig:
     experiment: str
     d: list[int] = _field(
         [24], _list(_checked(_int, lambda n: n >= 1, "a positive dimension")),
-        "dimension, or comma list for approx_norm ladders",
+        "dimension, or comma list for approx-norm ladders",
     )
     alpha: float = _field(1.0, _checked(_float, lambda a: a > 0, "positive"))
     kernel: dict = _field("exp", _spec("kernel"), _spec_grammar("kernel"))
@@ -304,8 +290,9 @@ def _environment(seed_workers: int) -> dict:
 
 
 def _map_seeds(fn, seeds):
-    """fn over the seeds on the seed pool: the records, and a dict of the
-    per-seed ``runtime_ms`` and the ``seed_workers`` count."""
+    """fn over the seeds (or per-seed tasks) on the seed pool: the records, in
+    order, and a dict of the per-task ``runtime_ms`` and the ``seed_workers``
+    count."""
     records = [None] * len(seeds)
     timings = [0.0] * len(seeds)
 
@@ -315,19 +302,15 @@ def _map_seeds(fn, seeds):
         timings[i] = (time.perf_counter() - t0) * 1000.0
 
     workers = _worker_count(len(seeds))
-    if workers == 1:
-        for i in range(len(seeds)):
-            call(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(call, range(len(seeds))))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(call, range(len(seeds))))
     return records, {"runtime_ms": timings, "seed_workers": workers}
 
 
-def _write_outputs(cfg: ExperimentConfig, records, summary, csv_header, csv_rows, stats: dict) -> Path:
-    """results.json, results.csv and results.meta.json; ``stats`` holds the
-    runner's timings and, for experiments run on the seed pool, its
-    ``seed_workers`` (1 otherwise)."""
+def _write_outputs(cfg: ExperimentConfig, records, summary, stats: dict) -> Path:
+    """results.json, results.csv (one row per record) and results.meta.json;
+    ``stats`` holds the run's timings and, for experiments run on the seed
+    pool, its ``seed_workers`` (1 otherwise)."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -337,10 +320,10 @@ def _write_outputs(cfg: ExperimentConfig, records, summary, csv_header, csv_rows
         "summary": summary,
     }
     (out / "results.json").write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-    with open(out / "results.csv", "w") as fh:
-        fh.write(csv_header + "\n")
-        for row in csv_rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+    with open(out / "results.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(records[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(records)
     meta = {"written_at_unix": time.time(), **stats, "config_hash": cfg.config_hash()}
     meta["environment"] = _environment(meta.pop("seed_workers", 1))
     (out / "results.meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
@@ -380,45 +363,32 @@ def _scaled_kernel_eigs(cfg: ExperimentConfig, d: int, seed: int):
 def _run_approx_norm(cfg: ExperimentConfig):
     kernel = _build_kernel(cfg.kernel)
     sampler = _build_sampler(cfg.sampler)
-    records = []
-    csv_rows = []
-    stats = {"runtime_ms": []}
+    # Every rung is built and checked before the first n x n matrix exists.
+    rungs = {}
     for d in cfg.d:
         cov = _build_cov(cfg.cov, d)
-        coeffs = _finite_coeffs(kernel, cov)
-        naive = kernels.quad_coeffs(kernel, cov, corrected=False)
+        rungs[d] = (cov, _finite_coeffs(kernel, cov), kernels.quad_coeffs(kernel, cov, corrected=False))
 
-        def one(seed, d=d, cov=cov, coeffs=coeffs, naive=naive):
-            data = datagen.sample_dataset(cfg.n_for(d), d, cov, sampler, seed)
-            k_mat = kernels.kernel_matrix(data, kernel)
-            gap = kernels.spectral_norm_gap(k_mat, kernels.quad_kernel_matrix(data, coeffs))
-            rec = {"d": d, "n": data.n, "seed": seed, "gap": gap}
-            if cfg.compare_naive:
-                rec["gap_naive"] = kernels.spectral_norm_gap(
-                    k_mat, kernels.quad_kernel_matrix(data, naive)
-                )
-            return rec
-
-        recs, pool = _map_seeds(one, cfg.seeds)
-        records.extend(recs)
-        stats["runtime_ms"].extend(pool["runtime_ms"])
-        stats["seed_workers"] = pool["seed_workers"]
-        for rec in recs:
-            csv_rows.append([rec["d"], rec["n"], rec["seed"], rec["gap"]] + (
-                [rec["gap_naive"]] if cfg.compare_naive else []))
-    summary = {"median_gap_by_d": {}}
-    for d in cfg.d:
-        gaps = [r["gap"] for r in records if r["d"] == d]
-        med = float(np.median(gaps))
-        summary["median_gap_by_d"][str(d)] = med
-        med_row = [d, cfg.n_for(d), "median", med]
+    def one(task):
+        d, seed = task
+        cov, coeffs, naive = rungs[d]
+        data = datagen.sample_dataset(cfg.n_for(d), d, cov, sampler, seed)
+        k_mat = kernels.kernel_matrix(data, kernel)
+        rec = {"d": d, "n": data.n, "seed": seed,
+               "gap": kernels.spectral_norm_gap(k_mat, kernels.quad_kernel_matrix(data, coeffs))}
         if cfg.compare_naive:
-            med_naive = float(np.median([r["gap_naive"] for r in records if r["d"] == d]))
-            summary.setdefault("median_gap_naive_by_d", {})[str(d)] = med_naive
-            med_row.append(med_naive)
-        csv_rows.append(med_row)
-    header = "d,n,seed,gap" + (",gap_naive" if cfg.compare_naive else "")
-    return records, summary, header, csv_rows, stats
+            rec["gap_naive"] = kernels.spectral_norm_gap(k_mat, kernels.quad_kernel_matrix(data, naive))
+        return rec
+
+    records, stats = _map_seeds(one, [(d, seed) for d in cfg.d for seed in cfg.seeds])
+
+    def medians(key):
+        return {str(d): float(np.median([r[key] for r in records if r["d"] == d])) for d in cfg.d}
+
+    summary = {"median_gap_by_d": medians("gap")}
+    if cfg.compare_naive:
+        summary["median_gap_naive_by_d"] = medians("gap_naive")
+    return records, summary, stats
 
 
 def _run_esd(cfg: ExperimentConfig):
@@ -448,11 +418,10 @@ def _run_esd(cfg: ExperimentConfig):
         for v in eigs0:
             fh.write("%r\n" % float(v))
     summary = {"median_ks": float(np.median([r["ks"] for r in records]))}
-    rows = [[r["d"], r["n"], r["seed"], r["ks"]] for r in records]
     print("KS median over %d seeds: %.4f" % (len(records), summary["median_ks"]))
     law_build_ms, *runtime_ms = pool["runtime_ms"]
     stats = {"runtime_ms": runtime_ms, "law_build_ms": law_build_ms, "seed_workers": pool["seed_workers"]}
-    return records, summary, "d,n,seed,ks", rows, stats
+    return records, summary, stats
 
 
 def _run_mp_law(cfg: ExperimentConfig):
@@ -465,15 +434,14 @@ def _run_mp_law(cfg: ExperimentConfig):
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     spectra.law_to_csv(law, out / "law.csv")
-    plots.svg_histogram_overlay(np.array([0.0]), law, out / "overlay.svg", title="limit law, alpha=%g" % cfg.alpha)
+    plots.svg_histogram_overlay(None, law, out / "overlay.svg", title="limit law, alpha=%g" % cfg.alpha)
     records = [{
         "alpha": cfg.alpha,
         "atom0_mass": law.atom0_mass,
         "total_mass": law.total_mass(),
         "grid_points": int(law.grid.size),
     }]
-    rows = [[cfg.alpha, law.atom0_mass, law.total_mass()]]
-    return records, records[0], "alpha,atom0_mass,total_mass", rows, {"runtime_ms": [0.0], "law_build_ms": law_build_ms}
+    return records, records[0], {"law_build_ms": law_build_ms}
 
 
 def _run_train_error(cfg: ExperimentConfig):
@@ -501,9 +469,8 @@ def _run_train_error(cfg: ExperimentConfig):
         "predicted": predicted,
         "relative_gap": abs(mean - predicted) / abs(predicted) if predicted else None,
     }
-    rows = [[r["seed"], r["empirical"], r["predicted"]] for r in records]
     print("train error: mean empirical %.6g vs predicted %.6g" % (mean, predicted))
-    return records, summary, "seed,empirical,predicted", rows, stats
+    return records, summary, stats
 
 
 def _run_lambda_star(cfg: ExperimentConfig):
@@ -522,8 +489,7 @@ def _run_lambda_star(cfg: ExperimentConfig):
         "total": pred.total,
     }
     print("lambda_star = %.10f (stieltjes route %.10f)" % (ls.value, ls.alt_value))
-    rows = [[ls.value, ls.alt_value, pred.V, pred.B, pred.total]]
-    return [record], record, "lambda_star,lambda_star_stieltjes,V,B,total", rows, {"runtime_ms": [0.0]}
+    return [record], record, {}
 
 
 def _run_risk(cfg: ExperimentConfig):
@@ -553,9 +519,8 @@ def _run_risk(cfg: ExperimentConfig):
         "B": pred.B,
         "relative_gap": abs(mean - pred.total) / abs(pred.total) if pred.total else None,
     }
-    rows = [[r["seed"], r["empirical"], r["stderr"], r["predicted"]] for r in records]
     print("risk: mean empirical %.6g vs predicted %.6g" % (mean, pred.total))
-    return records, summary, "seed,empirical,stderr,predicted", rows, stats
+    return records, summary, stats
 
 
 def _run_oracle_check(cfg: ExperimentConfig):
@@ -565,10 +530,9 @@ def _run_oracle_check(cfg: ExperimentConfig):
     for r in results:
         print("%-*s  %s  %s" % (width, r.name, "PASS" if r.passed else "FAIL", r.detail))
     summary = {"passed": all(r.passed for r in results), "checks": len(results)}
-    rows = [[r.name, int(r.passed), '"%s"' % r.detail] for r in results]
     if not summary["passed"]:
         raise NumericalFailureError("oracle suite reported failures")
-    return records, summary, "name,passed,detail", rows, {"runtime_ms": [0.0]}
+    return records, summary, {}
 
 
 # Each experiment's runner and the config keys it reads. A subcommand takes
@@ -596,11 +560,16 @@ def run(cfg: ExperimentConfig) -> int:
         raise _ConfigError("unknown experiment %r" % cfg.experiment) from None
     if cfg.experiment != "approx_norm" and len(cfg.d) > 1:
         raise _ConfigError("%s takes one d, got the ladder %s" % (cfg.experiment, ",".join(map(str, cfg.d))))
+    if cfg.experiment == "oracle_check" and len(cfg.seeds) > 1:
+        raise _ConfigError("oracle_check takes one seed, got %s" % ",".join(map(str, cfg.seeds)))
     if cfg.experiment != "train_error" and {"c0", "c1"} & set(cfg.teacher):
         raise _ConfigError("teacher c0/c1 apply only to train_error, not to %s" % cfg.experiment)
     _thread_limit()  # a bad QRLAB_THREADS fails before any work starts
-    records, summary, header, rows, stats = runner(cfg)
-    out = _write_outputs(cfg, records, summary, header, rows, stats)
+    t0 = time.perf_counter()
+    records, summary, stats = runner(cfg)
+    # Runners off the seed pool are timed as a whole.
+    stats.setdefault("runtime_ms", [(time.perf_counter() - t0) * 1000.0])
+    out = _write_outputs(cfg, records, summary, stats)
     print("wrote %s" % (out / "results.json"))
     return 0
 
@@ -612,10 +581,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="qrlab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="qrlab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter,
+                     allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, keys) in _EXPERIMENT_TABLE.items():
-        p = sub.add_parser(name.replace("_", "-"), aliases=[name] if "_" in name else [])
+        p = sub.add_parser(name.replace("_", "-"), allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override its fields")
         for key in keys:
             f = _FIELDS[key]

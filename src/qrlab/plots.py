@@ -24,32 +24,28 @@ def _fmt(v: float) -> str:
 
 
 def svg_histogram_overlay(
-    eigs: np.ndarray,
-    law: SpectralLaw | None,
+    eigs: np.ndarray | None,
+    law: SpectralLaw,
     path,
     title: str = "",
 ) -> None:
-    """Histogram bars for the eigenvalues plus the law density polyline.
+    """Histogram bars for the eigenvalues (none when ``eigs`` is None) plus the law density polyline.
 
     A point mass at zero is drawn as a vertical marker whose height is the
-    atom mass (in density units of one histogram bin).
+    atom mass (in density units of one histogram bin); without bars it has
+    no bin to be read against, so it is cut at the density's peak.
     """
-    eigs = np.sort(np.asarray(eigs, dtype=np.float64).ravel())
-    lo = min(float(eigs[0]), 0.0)
-    hi = float(eigs[-1])
-    if law is not None:
-        hi = max(hi, float(law.grid[-1]))
+    lo, hi = 0.0, float(law.grid[-1])
+    if eigs is not None:
+        eigs = np.asarray(eigs, dtype=np.float64).ravel()
+        lo, hi = min(float(eigs.min()), lo), max(float(eigs.max()), hi)
     hi = hi if hi > lo else lo + 1.0
-    counts, edges = np.histogram(eigs, bins=_BINS, range=(lo, hi), density=True)
-    top = float(counts.max()) if counts.size else 1.0
-    if law is not None and law.density.size:
-        top = max(top, float(law.density.max()))
-    bin_width = edges[1] - edges[0]
-    atom_height = 0.0
-    if law is not None and law.atom0_mass > 0:
-        atom_height = law.atom0_mass / bin_width
-        top = max(top, atom_height)
-    top *= 1.08
+    edges = np.linspace(lo, hi, _BINS + 1)
+    counts = np.zeros(_BINS) if eigs is None else np.histogram(eigs, bins=edges, density=True)[0]
+    atom_height = law.atom0_mass / (edges[1] - edges[0])
+    peak = max(float(counts.max()), float(law.density.max()), 0.0 if eigs is None else atom_height)
+    top = 1.08 * peak
+    atom_y = _ymap(min(atom_height, peak), top)
 
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">' % (_W, _H, _W, _H),
@@ -66,22 +62,21 @@ def svg_histogram_overlay(
             '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="#9ecae1" stroke="#6baed6" stroke-width="0.5"/>'
             % (x0, y, x1 - x0, _H - _MB - y)
         )
-    if law is not None:
-        pts = " ".join(
-            "%.2f,%.2f" % (_xmap(x, lo, hi), _ymap(min(dv, top), top))
-            for x, dv in zip(law.grid, law.density)
+    pts = " ".join(
+        "%.2f,%.2f" % (_xmap(x, lo, hi), _ymap(min(dv, top), top))
+        for x, dv in zip(law.grid, law.density)
+    )
+    parts.append('<polyline points="%s" fill="none" stroke="#d62728" stroke-width="1.8"/>' % pts)
+    if law.atom0_mass > 0:
+        x0 = _xmap(0.0, lo, hi)
+        parts.append(
+            '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#2ca02c" stroke-width="3"/>'
+            % (x0, _ymap(0.0, top), x0, atom_y)
         )
-        parts.append('<polyline points="%s" fill="none" stroke="#d62728" stroke-width="1.8"/>' % pts)
-        if law.atom0_mass > 0:
-            x0 = _xmap(0.0, lo, hi)
-            parts.append(
-                '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#2ca02c" stroke-width="3"/>'
-                % (x0, _ymap(0.0, top), x0, _ymap(atom_height, top))
-            )
-            parts.append(
-                '<text x="%.2f" y="%.2f" font-size="11" font-family="sans-serif" fill="#2ca02c">atom %.3g</text>'
-                % (x0 + 4, _ymap(atom_height, top) - 4, law.atom0_mass)
-            )
+        parts.append(
+            '<text x="%.2f" y="%.2f" font-size="11" font-family="sans-serif" fill="#2ca02c">atom %.3g</text>'
+            % (x0 + 4, atom_y - 4, law.atom0_mass)
+        )
     # Axes with a few ticks.
     parts.append(
         '<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>' % (_ML, _H - _MB, _W - _MR, _H - _MB)

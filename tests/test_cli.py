@@ -1,5 +1,7 @@
+import csv
 import json
 import math
+import re
 
 import pytest
 
@@ -67,6 +69,8 @@ def test_meta_records_environment(tmp_path, monkeypatch, experiment, seeds, work
     assert "environment" not in _read(out)
     pooled = ("approx-norm", "esd", "train-error", "risk")
     assert len(meta["runtime_ms"]) == (int(seeds) if experiment in pooled else 1)
+    # Experiments off the pool record the measured run.
+    assert all(ms > 0 for ms in meta["runtime_ms"])
     if experiment in ("esd", "mp-law"):
         assert meta["law_build_ms"] > 0
     else:
@@ -94,9 +98,9 @@ def test_approx_norm_experiment(tmp_path):
     assert set(payload["summary"]["median_gap_by_d"]) == {"8", "12"}
     lines = (out / "results.csv").read_text().splitlines()
     assert lines[0] == "d,n,seed,gap,gap_naive"
-    # 4 per-seed rows plus one median summary row per dimension.
-    assert len(lines) == 7
-    assert sum("median" in line for line in lines) == 2
+    # One row per record; the medians are in results.json's summary only.
+    assert len(lines) == 5
+    assert not any("median" in line for line in lines)
 
 
 def test_esd_experiment_writes_overlay(tmp_path):
@@ -118,12 +122,18 @@ def test_esd_experiment_writes_overlay(tmp_path):
 def test_mp_law_experiment(tmp_path):
     out = tmp_path / "law"
     code = main([
-        "mp_law", "--d", "10", "--alpha", "0.5", "--cov", "identity", "--out", str(out),
+        "mp-law", "--d", "10", "--alpha", "0.5", "--cov", "identity", "--out", str(out),
     ])
     assert code == 0
     payload = _read(out)
     assert payload["records"][0]["atom0_mass"] == pytest.approx(0.5, abs=1e-10)
     assert payload["records"][0]["total_mass"] == pytest.approx(1.0, abs=2e-3)
+    # No eigenvalues: no histogram bars, and the density, not the atom marker,
+    # sets the height (its peak is near the top of the 480 px plot).
+    svg = (out / "overlay.svg").read_text()
+    assert 'fill="#9ecae1"' not in svg
+    points = re.search(r'<polyline points="([^"]*)"', svg).group(1).split()
+    assert min(float(p.split(",")[1]) for p in points) < 100
 
 
 def test_train_error_experiment(tmp_path):
@@ -171,6 +181,50 @@ def test_oracle_check_subcommand(tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "PASS" in text and "FAIL" not in text
+
+
+def test_oracle_check_takes_one_seed(tmp_path, capsys):
+    assert main(["oracle-check", "--seeds", "3,4", "--mc-draws", "1000", "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "one seed" in err
+    assert not (tmp_path / "x").exists()
+
+
+# Small runs of every experiment.
+_SMALL = {
+    "approx-norm": ["--d", "6,8", "--kernel", "exp", "--seeds", "2", "--compare-naive"],
+    "esd": ["--d", "8", "--kernel", "quartic:1,1,1", "--seeds", "2"],
+    "mp-law": ["--d", "8"],
+    "train-error": ["--d", "8", "--kernel", "quartic:1,1,1", "--seeds", "2"],
+    "lambda-star": ["--d", "8", "--kernel", "quartic:1,1,1"],
+    "risk": ["--d", "8", "--kernel", "quartic:1,1,1", "--seeds", "2", "--n-test", "50", "--n-repl", "2"],
+    "oracle-check": ["--mc-draws", "20000"],
+}
+
+
+@pytest.mark.parametrize("experiment", list(_SMALL))
+def test_results_csv_matches_records(tmp_path, monkeypatch, experiment):
+    import qrlab.cli as cli
+
+    # The records as the runner returns them: results.json sorts their keys.
+    written = []
+    write_outputs = cli._write_outputs
+
+    def capture(cfg, records, *rest):
+        written.append(records)
+        return write_outputs(cfg, records, *rest)
+
+    monkeypatch.setattr(cli, "_write_outputs", capture)
+    out = tmp_path / "o"
+    assert main([experiment] + _SMALL[experiment] + ["--out", str(out)]) == 0
+    records = written[0]
+    assert _read(out)["records"] == records
+    raw = (out / "results.csv").read_bytes()
+    assert b"\r" not in raw
+    reader = csv.DictReader(raw.decode().splitlines())
+    rows = list(reader)
+    assert reader.fieldnames == list(records[0])
+    assert rows == [{key: str(value) for key, value in rec.items()} for rec in records]
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -343,12 +397,16 @@ def _write_config(tmp_path, config, name="cfg.json"):
     # Single-d experiments reject a ladder instead of using its first rung.
     ("esd", ["--d", "10,20"], None),
     ("mp-law", ["--d", "10,20"], None),
+    # One spelling per subcommand and flag: no underscore alias, no flag prefix.
+    ("mp_law", [], None),
+    ("mp-law", ["--al", "0.5"], None),
     # The risk formulas have no teacher offset or linear term.
     ("risk", [], {"teacher": {"kind": "deterministic_sigma", "c0": 5}}),
     ("lambda-star", [], {"teacher": {"kind": "pure_quadratic", "c1": 0.5}}),
 ], ids=["kernel-value", "custom-poly-empty", "cov-arity", "sampler-empty", "seeds-text", "d-text",
         "json-kernel-params", "json-cov-params", "json-unknown-key", "json-unknown-spec-key",
-        "esd-d-ladder", "mp-law-d-ladder", "risk-teacher-c0", "lambda-star-teacher-c1"])
+        "esd-d-ladder", "mp-law-d-ladder", "underscore-subcommand", "flag-prefix", "risk-teacher-c0",
+        "lambda-star-teacher-c1"])
 def test_malformed_config_is_configuration_error(tmp_path, capsys, command, args, config):
     if config is not None:
         args = args + _write_config(tmp_path, config)
@@ -434,13 +492,15 @@ def test_esd_outputs_independent_of_worker_count(tmp_path, monkeypatch):
     assert blobs[0] == blobs[1]
 
 
-@pytest.mark.parametrize("experiment, kernel, cov, code, message", [
-    ("esd", "exp", "uniform:0,2000", 3, "non-finite"),
-    ("approx-norm", "exp", "uniform:0,2000", 3, "non-finite"),
-    ("esd", "custom_poly:1,1", "identity", 2, "f''(0) must be nonzero"),
-], ids=["esd-overflow", "approx-norm-overflow", "esd-flat-kernel"])
+@pytest.mark.parametrize("experiment, d, kernel, cov, code, message", [
+    ("esd", "10", "exp", "uniform:0,2000", 3, "non-finite"),
+    ("approx-norm", "10", "exp", "uniform:0,2000", 3, "non-finite"),
+    ("esd", "10", "custom_poly:1,1", "identity", 2, "f''(0) must be nonzero"),
+    # tau = 600 at d=3 is finite; tau = 900 at d=4 overflows exp, before any rung's K.
+    ("approx-norm", "3,4", "exp", "two_point:0,1800,0.5", 3, "non-finite"),
+], ids=["esd-overflow", "approx-norm-overflow", "esd-flat-kernel", "approx-norm-later-rung-overflow"])
 def test_esd_and_gap_fail_before_the_n_by_n_work(tmp_path, monkeypatch, capsys, recwarn,
-                                                 experiment, kernel, cov, code, message):
+                                                 experiment, d, kernel, cov, code, message):
     import qrlab.kernels as kernels
     import qrlab.spectra as spectra
 
@@ -449,7 +509,7 @@ def test_esd_and_gap_fail_before_the_n_by_n_work(tmp_path, monkeypatch, capsys, 
 
     monkeypatch.setattr(spectra, "deformed_mp_law", forbidden)
     monkeypatch.setattr(kernels, "kernel_matrix", forbidden)
-    assert main([experiment, "--d", "10", "--kernel", kernel, "--cov", cov, "--seeds", "1",
+    assert main([experiment, "--d", d, "--kernel", kernel, "--cov", cov, "--seeds", "1",
                  "--out", str(tmp_path / "x")]) == code
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
