@@ -12,12 +12,14 @@ Subcommands (each one's --help lists the config keys it reads):
 
 Configuration comes from an optional JSON file (--config) plus flag
 overrides; flags win. The file's keys are the flag names with "_" for "-"
-(--lambda is "lambda"), plus an optional "experiment". A subcommand takes
-only the keys it reads, as flags or file keys; any other key is a
+(--lambda is "lambda"), plus an optional "experiment" that must be the
+subcommand's name, as results.json records it ("mp-law"). A subcommand
+takes only the keys it reads, as flags or file keys; any other key is a
 configuration error. A value may be the flag's text or its JSON type; a
-spec (kernel, cov, sampler, teacher) may be the spec string or an object
-such as {"type": "quartic", "b0": 1, "b2": 1, "b4": 1}, and both give the
-flag's canonical config and hash. Objects also take the JSON-only keys
+non-finite number (nan, inf) is a configuration error. A spec (kernel, cov,
+sampler, teacher) may be the spec string or an object such as
+{"type": "quartic", "b0": 1, "b2": 1, "b4": 1}, and both give the flag's
+canonical config and hash. Objects also take the JSON-only keys
 "seed" (uniform and two_point covariances) and "c0", "c1" (teachers;
 train-error only, other experiments reject them). Unknown keys in a spec
 are a configuration error. The sample count is derived as
@@ -28,12 +30,12 @@ CPU count): approx-norm checks every rung before it pools the (d, seed)
 tasks, and esd builds its limit law as the pool's first task, next to the
 seeds' spectra. Every run writes results.json (deterministic given config,
 seeds and the BLAS thread count; its config and sha256 config hash cover
-only the keys the experiment reads, less out), results.csv (one row per
-record of results.json, headed by the first record's keys), and a
+the experiment's name and the keys it reads, less out), results.csv (one
+row per record of results.json, headed by the first record's keys), and a
 results.meta.json sidecar holding the wall-clock data (runtime_ms per pool
 task, or of the whole run for experiments off the pool; law_build_ms for
 esd and mp-law) and the environment (library versions, CPU count, BLAS
-thread variables, seed workers). esd and mp-law also emit an SVG
+thread variables, seed workers). esd and mp-law also write an SVG
 density overlay (with the first seed's eigenvalue histogram for esd) and
 law.csv, and esd eigs.csv.
 
@@ -81,7 +83,10 @@ class _ConfigError(Exception):
 def _float(v) -> float:
     if isinstance(v, bool):
         raise ValueError("expected a number, got %r" % v)
-    return float(v)
+    out = float(v)
+    if not math.isfinite(out):
+        raise ValueError("expected a finite number, got %r" % out)
+    return out
 
 
 def _int(v) -> int:
@@ -307,14 +312,16 @@ def _map_seeds(fn, seeds):
     return records, {"runtime_ms": timings, "seed_workers": workers}
 
 
-def _write_outputs(cfg: ExperimentConfig, records, summary, stats: dict) -> Path:
-    """results.json, results.csv (one row per record) and results.meta.json;
-    ``stats`` holds the run's timings and, for experiments run on the seed
-    pool, its ``seed_workers`` (1 otherwise)."""
+def _write_outputs(cfg: ExperimentConfig, records, summary, stats: dict, files: dict) -> Path:
+    """results.json, results.csv (one row per record), results.meta.json and
+    the runner's ``files`` (name -> text); ``stats`` holds the run's timings
+    and, for experiments run on the seed pool, its ``seed_workers`` (1
+    otherwise)."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
+    config_hash = cfg.config_hash()
     payload = {
-        "config_hash": cfg.config_hash(),
+        "config_hash": config_hash,
         "config": cfg.canonical(),
         "records": records,
         "summary": summary,
@@ -324,9 +331,11 @@ def _write_outputs(cfg: ExperimentConfig, records, summary, stats: dict) -> Path
         writer = csv.DictWriter(fh, fieldnames=list(records[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(records)
-    meta = {"written_at_unix": time.time(), **stats, "config_hash": cfg.config_hash()}
+    meta = {"written_at_unix": time.time(), **stats, "config_hash": config_hash}
     meta["environment"] = _environment(meta.pop("seed_workers", 1))
     (out / "results.meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
+    for name, text in files.items():
+        (out / name).write_text(text)
     return out
 
 
@@ -348,11 +357,9 @@ def _esd_recentring(kernel: kernels.KernelFunction, cov: datagen.CovarianceSpec,
     return _finite_coeffs(kernel, cov).a_star, 4.0 * alpha / second
 
 
-def _scaled_kernel_eigs(cfg: ExperimentConfig, d: int, seed: int):
-    cov = _build_cov(cfg.cov, d)
-    kernel = _build_kernel(cfg.kernel)
-    a_star, factor = _esd_recentring(kernel, cov, cfg.alpha)
-    data = datagen.sample_dataset(cfg.n_for(d), d, cov, _build_sampler(cfg.sampler), seed)
+def _scaled_kernel_eigs(cfg: ExperimentConfig, kernel: kernels.KernelFunction, cov: datagen.CovarianceSpec,
+                       a_star: float, factor: float, seed: int):
+    data = datagen.sample_dataset(cfg.n_for(cov.d), cov.d, cov, _build_sampler(cfg.sampler), seed)
     # Recentred and scaled in place: (4 alpha / f''(0)) (K - a_star I).
     k_mat = kernels.kernel_matrix(data, kernel)
     k_mat[np.diag_indices(data.n)] -= a_star
@@ -388,13 +395,14 @@ def _run_approx_norm(cfg: ExperimentConfig):
     summary = {"median_gap_by_d": medians("gap")}
     if cfg.compare_naive:
         summary["median_gap_naive_by_d"] = medians("gap_naive")
-    return records, summary, stats
+    return records, summary, stats, {}
 
 
 def _run_esd(cfg: ExperimentConfig):
     d = cfg.d[0]
     cov = _build_cov(cfg.cov, d)
-    _esd_recentring(_build_kernel(cfg.kernel), cov, cfg.alpha)  # fails here, before the law and K
+    kernel = _build_kernel(cfg.kernel)
+    a_star, factor = _esd_recentring(kernel, cov, cfg.alpha)  # fails here, before the law and K
     nu = datagen.sigma2_diagonal(cov)
 
     # The law does not depend on the seeds: it is the pool's first (and
@@ -402,26 +410,22 @@ def _run_esd(cfg: ExperimentConfig):
     def one(seed):
         if seed is None:
             return spectra.deformed_mp_law(cfg.alpha, nu)
-        return _scaled_kernel_eigs(cfg, d, seed)
+        return _scaled_kernel_eigs(cfg, kernel, cov, a_star, factor, seed)
 
     (law, *spectrum), pool = _map_seeds(one, [None] + cfg.seeds)
     records = [{"d": d, "n": cfg.n_for(d), "seed": seed, "ks": spectra.ks_distance(eigs, law)}
                for seed, eigs in zip(cfg.seeds, spectrum)]
     # The first seed's spectrum goes into the overlay and eigs.csv.
-    eigs0 = spectrum[0]
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    plots.svg_histogram_overlay(eigs0, law, out / "overlay.svg", title="recentered kernel spectrum, d=%d" % d)
-    spectra.law_to_csv(law, out / "law.csv")
-    with open(out / "eigs.csv", "w") as fh:
-        fh.write("eigenvalue\n")
-        for v in eigs0:
-            fh.write("%r\n" % float(v))
+    files = {
+        "overlay.svg": plots.svg_histogram_overlay(spectrum[0], law, title="recentered kernel spectrum, d=%d" % d),
+        "law.csv": spectra.law_to_csv(law),
+        "eigs.csv": "eigenvalue\n" + "".join("%r\n" % float(v) for v in spectrum[0]),
+    }
     summary = {"median_ks": float(np.median([r["ks"] for r in records]))}
     print("KS median over %d seeds: %.4f" % (len(records), summary["median_ks"]))
     law_build_ms, *runtime_ms = pool["runtime_ms"]
     stats = {"runtime_ms": runtime_ms, "law_build_ms": law_build_ms, "seed_workers": pool["seed_workers"]}
-    return records, summary, stats
+    return records, summary, stats, files
 
 
 def _run_mp_law(cfg: ExperimentConfig):
@@ -431,17 +435,17 @@ def _run_mp_law(cfg: ExperimentConfig):
     t0 = time.perf_counter()
     law = spectra.deformed_mp_law(cfg.alpha, nu)
     law_build_ms = (time.perf_counter() - t0) * 1000.0
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    spectra.law_to_csv(law, out / "law.csv")
-    plots.svg_histogram_overlay(None, law, out / "overlay.svg", title="limit law, alpha=%g" % cfg.alpha)
+    files = {
+        "law.csv": spectra.law_to_csv(law),
+        "overlay.svg": plots.svg_histogram_overlay(None, law, title="limit law, alpha=%g" % cfg.alpha),
+    }
     records = [{
         "alpha": cfg.alpha,
         "atom0_mass": law.atom0_mass,
         "total_mass": law.total_mass(),
         "grid_points": int(law.grid.size),
     }]
-    return records, records[0], {"law_build_ms": law_build_ms}
+    return records, records[0], {"law_build_ms": law_build_ms}, files
 
 
 def _run_train_error(cfg: ExperimentConfig):
@@ -470,7 +474,7 @@ def _run_train_error(cfg: ExperimentConfig):
         "relative_gap": abs(mean - predicted) / abs(predicted) if predicted else None,
     }
     print("train error: mean empirical %.6g vs predicted %.6g" % (mean, predicted))
-    return records, summary, stats
+    return records, summary, stats, {}
 
 
 def _run_lambda_star(cfg: ExperimentConfig):
@@ -489,7 +493,7 @@ def _run_lambda_star(cfg: ExperimentConfig):
         "total": pred.total,
     }
     print("lambda_star = %.10f (stieltjes route %.10f)" % (ls.value, ls.alt_value))
-    return [record], record, {}
+    return [record], record, {}, {}
 
 
 def _run_risk(cfg: ExperimentConfig):
@@ -520,7 +524,7 @@ def _run_risk(cfg: ExperimentConfig):
         "relative_gap": abs(mean - pred.total) / abs(pred.total) if pred.total else None,
     }
     print("risk: mean empirical %.6g vs predicted %.6g" % (mean, pred.total))
-    return records, summary, stats
+    return records, summary, stats, {}
 
 
 def _run_oracle_check(cfg: ExperimentConfig):
@@ -532,23 +536,23 @@ def _run_oracle_check(cfg: ExperimentConfig):
     summary = {"passed": all(r.passed for r in results), "checks": len(results)}
     if not summary["passed"]:
         raise NumericalFailureError("oracle suite reported failures")
-    return records, summary, {}
+    return records, summary, {}, {}
 
 
 # Each experiment's runner and the config keys it reads. A subcommand takes
 # only these keys, as flags or config-file keys, and results.json records
 # and hashes only these.
 _EXPERIMENT_TABLE = {
-    "approx_norm": (_run_approx_norm, ("d", "alpha", "kernel", "cov", "sampler", "seeds", "compare_naive", "out")),
+    "approx-norm": (_run_approx_norm, ("d", "alpha", "kernel", "cov", "sampler", "seeds", "compare_naive", "out")),
     "esd": (_run_esd, ("d", "alpha", "kernel", "cov", "sampler", "seeds", "out")),
-    "mp_law": (_run_mp_law, ("d", "alpha", "cov", "out")),
-    "train_error": (_run_train_error, (
+    "mp-law": (_run_mp_law, ("d", "alpha", "cov", "out")),
+    "train-error": (_run_train_error, (
         "d", "alpha", "kernel", "cov", "sampler", "lambda", "sigma_eps", "teacher", "seeds", "c2", "out")),
-    "lambda_star": (_run_lambda_star, (
+    "lambda-star": (_run_lambda_star, (
         "d", "alpha", "kernel", "cov", "lambda", "sigma_eps", "teacher", "a_star_override", "asymptotic_nu", "out")),
     "risk": (_run_risk, (
         "d", "alpha", "kernel", "cov", "sampler", "lambda", "sigma_eps", "teacher", "seeds", "n_test", "n_repl", "out")),
-    "oracle_check": (_run_oracle_check, ("seeds", "mc_draws", "out")),
+    "oracle-check": (_run_oracle_check, ("seeds", "mc_draws", "out")),
 }
 
 
@@ -558,18 +562,18 @@ def run(cfg: ExperimentConfig) -> int:
         runner = _EXPERIMENT_TABLE[cfg.experiment][0]
     except KeyError:
         raise _ConfigError("unknown experiment %r" % cfg.experiment) from None
-    if cfg.experiment != "approx_norm" and len(cfg.d) > 1:
+    if cfg.experiment != "approx-norm" and len(cfg.d) > 1:
         raise _ConfigError("%s takes one d, got the ladder %s" % (cfg.experiment, ",".join(map(str, cfg.d))))
-    if cfg.experiment == "oracle_check" and len(cfg.seeds) > 1:
-        raise _ConfigError("oracle_check takes one seed, got %s" % ",".join(map(str, cfg.seeds)))
-    if cfg.experiment != "train_error" and {"c0", "c1"} & set(cfg.teacher):
-        raise _ConfigError("teacher c0/c1 apply only to train_error, not to %s" % cfg.experiment)
+    if cfg.experiment == "oracle-check" and len(cfg.seeds) > 1:
+        raise _ConfigError("oracle-check takes one seed, got %s" % ",".join(map(str, cfg.seeds)))
+    if cfg.experiment != "train-error" and {"c0", "c1"} & set(cfg.teacher):
+        raise _ConfigError("teacher c0/c1 apply only to train-error, not to %s" % cfg.experiment)
     _thread_limit()  # a bad QRLAB_THREADS fails before any work starts
     t0 = time.perf_counter()
-    records, summary, stats = runner(cfg)
+    records, summary, stats, files = runner(cfg)
     # Runners off the seed pool are timed as a whole.
     stats.setdefault("runtime_ms", [(time.perf_counter() - t0) * 1000.0])
-    out = _write_outputs(cfg, records, summary, stats)
+    out = _write_outputs(cfg, records, summary, stats, files)
     print("wrote %s" % (out / "results.json"))
     return 0
 
@@ -585,7 +589,7 @@ def _build_parser() -> _Parser:
                      allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, keys) in _EXPERIMENT_TABLE.items():
-        p = sub.add_parser(name.replace("_", "-"), allow_abbrev=False)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override its fields")
         for key in keys:
             f = _FIELDS[key]
@@ -598,7 +602,7 @@ def _build_parser() -> _Parser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    experiment = args.command.replace("-", "_")
+    experiment = args.command
     keys = _EXPERIMENT_TABLE[experiment][1]
     base: dict = {}
     if args.config:
@@ -608,8 +612,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise _ConfigError("cannot read config file: %s" % exc) from exc
         if not isinstance(base, dict):
             raise _ConfigError("config file must hold a JSON object")
-    named = base.pop("experiment", None)
-    if named and named != experiment:
+    named = base.pop("experiment", experiment)
+    if named != experiment:
         raise _ConfigError("config file experiment %r conflicts with %r" % (named, experiment))
     unknown = sorted(set(base) - set(keys))
     if unknown:

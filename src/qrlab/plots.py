@@ -26,10 +26,9 @@ def _fmt(v: float) -> str:
 def svg_histogram_overlay(
     eigs: np.ndarray | None,
     law: SpectralLaw,
-    path,
     title: str = "",
-) -> None:
-    """Histogram bars for the eigenvalues (none when ``eigs`` is None) plus the law density polyline.
+) -> str:
+    """SVG text: histogram bars for the eigenvalues (none when ``eigs`` is None) plus the law density polyline.
 
     A point mass at zero is drawn as a vertical marker whose height is the
     atom mass (in density units of one histogram bin); without bars it has
@@ -98,5 +97,4 @@ def svg_histogram_overlay(
             % (_ML - 8, yp + 4, _fmt(yv))
         )
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

@@ -414,10 +414,7 @@ def ks_distance(eigs: np.ndarray, law: SpectralLaw) -> float:
     return float(max(np.abs(upper - f).max(), np.abs(lower - f).max()))
 
 
-def law_to_csv(law: SpectralLaw, path) -> None:
-    """CSV export: comment line with the atom mass, then x,density rows."""
-    with open(path, "w") as fh:
-        fh.write("# atom0_mass=%r\n" % float(law.atom0_mass))
-        fh.write("x,density\n")
-        for x, d in zip(law.grid, law.density):
-            fh.write("%r,%r\n" % (float(x), float(d)))
+def law_to_csv(law: SpectralLaw) -> str:
+    """CSV text: comment line with the atom mass, then x,density rows."""
+    rows = "".join("%r,%r\n" % (float(x), float(d)) for x, d in zip(law.grid, law.density))
+    return "# atom0_mass=%r\nx,density\n" % float(law.atom0_mass) + rows

@@ -312,7 +312,7 @@ def test_exit_code_numerical_failure(monkeypatch, tmp_path):
     def boom(cfg):
         raise NumericalFailureError("forced failure")
 
-    monkeypatch.setitem(cli._EXPERIMENT_TABLE, "mp_law", (boom, cli._EXPERIMENT_TABLE["mp_law"][1]))
+    monkeypatch.setitem(cli._EXPERIMENT_TABLE, "mp-law", (boom, cli._EXPERIMENT_TABLE["mp-law"][1]))
     assert main(["mp-law", "--d", "10", "--out", str(tmp_path / "x")]) == 3
 
 
@@ -372,7 +372,9 @@ def test_esd_solves_each_seed_once(tmp_path, monkeypatch):
     # eigs.csv holds the first listed seed's spectrum, as a fresh solve gives it.
     cfg = cli.ExperimentConfig(experiment="esd", d=[12], kernel={"type": "quartic", "b0": 1, "b2": 1, "b4": 1},
                                seeds=seeds)
-    eigs = cli._scaled_kernel_eigs(cfg, 12, seeds[0])
+    kernel, cov = cli._build_kernel(cfg.kernel), cli._build_cov(cfg.cov, 12)
+    a_star, factor = cli._esd_recentring(kernel, cov, cfg.alpha)
+    eigs = cli._scaled_kernel_eigs(cfg, kernel, cov, a_star, factor, seeds[0])
     expected = "eigenvalue\n" + "".join("%r\n" % float(v) for v in eigs)
     assert (out / "eigs.csv").read_text() == expected
 
@@ -403,10 +405,14 @@ def _write_config(tmp_path, config, name="cfg.json"):
     # The risk formulas have no teacher offset or linear term.
     ("risk", [], {"teacher": {"kind": "deterministic_sigma", "c0": 5}}),
     ("lambda-star", [], {"teacher": {"kind": "pure_quadratic", "c1": 0.5}}),
+    # Non-finite numbers, from a flag or from a config file's NaN token.
+    ("mp-law", ["--alpha", "inf"], None),
+    ("lambda-star", ["--sigma-eps", "nan"], None),
+    ("lambda-star", [], {"lambda": float("nan")}),
 ], ids=["kernel-value", "custom-poly-empty", "cov-arity", "sampler-empty", "seeds-text", "d-text",
         "json-kernel-params", "json-cov-params", "json-unknown-key", "json-unknown-spec-key",
         "esd-d-ladder", "mp-law-d-ladder", "underscore-subcommand", "flag-prefix", "risk-teacher-c0",
-        "lambda-star-teacher-c1"])
+        "lambda-star-teacher-c1", "alpha-inf", "sigma-eps-nan", "json-lambda-nan"])
 def test_malformed_config_is_configuration_error(tmp_path, capsys, command, args, config):
     if config is not None:
         args = args + _write_config(tmp_path, config)
@@ -416,6 +422,19 @@ def test_malformed_config_is_configuration_error(tmp_path, capsys, command, args
     assert "configuration error" in err
     assert "Traceback" not in err
     assert not (tmp_path / "x").exists()
+
+
+def test_config_experiment_is_the_subcommand_name(tmp_path, capsys):
+    out = tmp_path / "ok"
+    assert main(["mp-law", "--d", "8"] + _write_config(tmp_path, {"experiment": "mp-law"}) + ["--out", str(out)]) == 0
+    assert _read(out)["config"]["experiment"] == "mp-law"
+    capsys.readouterr()
+    for named in ["mp_law", "", None, False, 0, []]:
+        args = _write_config(tmp_path, {"experiment": named}, "bad.json")
+        assert main(["mp-law", "--d", "8"] + args + ["--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
 
 # One key per experiment that its runner does not read.

@@ -239,14 +239,15 @@ def test_ks_distance_disjoint_mass():
     assert ks_distance(eigs, law) >= 1.0 - 5e-3
 
 
-def test_law_csv_export(tmp_path):
+def test_law_csv_export():
     law = deformed_mp_law(0.5, DiscreteLaw.delta(1.0))
-    path = tmp_path / "law.csv"
-    law_to_csv(law, path)
-    lines = path.read_text().splitlines()
+    text = law_to_csv(law)
+    assert text.endswith("\n")
+    lines = text.splitlines()
     assert lines[0].startswith("# atom0_mass=0.5")
     assert lines[1] == "x,density"
     assert len(lines) == 2 + law.grid.size
+    assert lines[2] == "%r,%r" % (float(law.grid[0]), float(law.density[0]))
 
 
 def test_deformed_law_disconnected_support():
