@@ -23,8 +23,11 @@ canonical config and hash. Objects also take the JSON-only keys
 "seed" (uniform and two_point covariances) and "c0", "c1" (teachers;
 train-error only, other experiments reject them). Unknown keys in a spec
 are a configuration error. The sample count is derived as
-n = round(d^2/(2 alpha)). Only approx-norm takes a ladder of d values; the
-other experiments take one, and oracle-check one seed. Per-seed work fans
+n = round(d^2/(2 alpha)); an n whose n x n float64 array this platform
+cannot address is a configuration error. Only approx-norm takes a ladder of
+d values; the other experiments take one, and oracle-check one seed. A
+trailing comma makes a one-seed list (--seeds 3, is seed 3; --seeds 3 is
+the count of seeds 0, 1, 2). Per-seed work fans
 out to a thread pool capped by QRLAB_THREADS (an integer >= 1; default the
 CPU count): approx-norm checks every rung before it pools the (d, seed)
 tasks, and esd builds its limit law as the pool's first task, next to the
@@ -44,7 +47,9 @@ substreams (data=1, teacher=2, noise=3, test=4) so adding a consumer never
 shifts another consumer's stream.
 
 Exit codes: 0 success, 1 configuration error, 2 assumption violation,
-3 numerical failure.
+3 numerical failure. Every experiment that reads a kernel exits 3 before any
+n x n work when a surrogate coefficient (a0, a1, a2, a_star) overflows;
+lambda-star with --a-star-override does not compute a_star.
 """
 
 from __future__ import annotations
@@ -114,10 +119,11 @@ def _checked(load, test, what):
 
 
 def _list(load):
-    """A non-empty list of ``load`` values from a JSON list, a scalar or comma text."""
+    """A non-empty list of ``load`` values from a JSON list, a scalar or comma
+    text; one trailing comma is dropped, so "3," is the list [3]."""
 
     def parse(v):
-        items = v.split(",") if isinstance(v, str) else v if isinstance(v, list) else [v]
+        items = v.removesuffix(",").split(",") if isinstance(v, str) else v if isinstance(v, list) else [v]
         if not items:
             raise ValueError("expected at least one value")
         return [load(x) for x in items]
@@ -231,7 +237,13 @@ class ExperimentConfig:
     mc_draws: int = _field(1_000_000, _int)
 
     def n_for(self, d: int) -> int:
-        n = int(round(d * d / (2.0 * self.alpha)))
+        """n = round(d^2/(2 alpha)), refused unless this platform can address
+        an n x n float64 array."""
+        exact = d * d / (2.0 * self.alpha)
+        n = round(exact) if math.isfinite(exact) else None
+        if n is None or 8 * n * n > sys.maxsize:
+            raise _ConfigError("derived n = round(d^2/(2 alpha)) = %.4g is too large for an n x n float64 array "
+                               "on this platform" % exact)
         if n < 1:
             raise _ConfigError("derived n = round(d^2/(2 alpha)) must be >= 1, got %d" % n)
         return n
@@ -339,34 +351,6 @@ def _write_outputs(cfg: ExperimentConfig, records, summary, stats: dict, files: 
     return out
 
 
-def _finite_coeffs(kernel: kernels.KernelFunction, cov: datagen.CovarianceSpec) -> kernels.QuadCoeffs:
-    """Surrogate coefficients, refused before any n x n work when a_star overflows."""
-    # The typed error below reports the overflow; numpy's warning would repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = kernels.quad_coeffs(kernel, cov)
-    if not math.isfinite(coeffs.a_star):
-        raise NumericalFailureError("kernel diagonal offset a_star = %r is non-finite" % coeffs.a_star)
-    return coeffs
-
-
-def _esd_recentring(kernel: kernels.KernelFunction, cov: datagen.CovarianceSpec, alpha: float) -> tuple[float, float]:
-    """a_star and the factor 4 alpha / f''(0) of the recentred kernel matrix."""
-    second = kernel.derivs0[2]
-    if second == 0:
-        raise AssumptionViolationError("f''(0) must be nonzero for the spectral limit")
-    return _finite_coeffs(kernel, cov).a_star, 4.0 * alpha / second
-
-
-def _scaled_kernel_eigs(cfg: ExperimentConfig, kernel: kernels.KernelFunction, cov: datagen.CovarianceSpec,
-                       a_star: float, factor: float, seed: int):
-    data = datagen.sample_dataset(cfg.n_for(cov.d), cov.d, cov, _build_sampler(cfg.sampler), seed)
-    # Recentred and scaled in place: (4 alpha / f''(0)) (K - a_star I).
-    k_mat = kernels.kernel_matrix(data, kernel)
-    k_mat[np.diag_indices(data.n)] -= a_star
-    k_mat *= factor
-    return spectra.esd(k_mat)
-
-
 def _run_approx_norm(cfg: ExperimentConfig):
     kernel = _build_kernel(cfg.kernel)
     sampler = _build_sampler(cfg.sampler)
@@ -374,12 +358,13 @@ def _run_approx_norm(cfg: ExperimentConfig):
     rungs = {}
     for d in cfg.d:
         cov = _build_cov(cfg.cov, d)
-        rungs[d] = (cov, _finite_coeffs(kernel, cov), kernels.quad_coeffs(kernel, cov, corrected=False))
+        coeffs = kernels.quad_coeffs(kernel, cov)
+        rungs[d] = (cfg.n_for(d), cov, coeffs, kernels.quad_coeffs(kernel, cov, corrected=False))
 
     def one(task):
         d, seed = task
-        cov, coeffs, naive = rungs[d]
-        data = datagen.sample_dataset(cfg.n_for(d), d, cov, sampler, seed)
+        n, cov, coeffs, naive = rungs[d]
+        data = datagen.sample_dataset(n, d, cov, sampler, seed)
         k_mat = kernels.kernel_matrix(data, kernel)
         rec = {"d": d, "n": data.n, "seed": seed,
                "gap": kernels.spectral_norm_gap(k_mat, kernels.quad_kernel_matrix(data, coeffs))}
@@ -400,9 +385,15 @@ def _run_approx_norm(cfg: ExperimentConfig):
 
 def _run_esd(cfg: ExperimentConfig):
     d = cfg.d[0]
+    n = cfg.n_for(d)
     cov = _build_cov(cfg.cov, d)
     kernel = _build_kernel(cfg.kernel)
-    a_star, factor = _esd_recentring(kernel, cov, cfg.alpha)  # fails here, before the law and K
+    sampler = _build_sampler(cfg.sampler)
+    # Both checks fail the run here, before the law and K.
+    second = kernel.derivs0[2]
+    if second == 0:
+        raise AssumptionViolationError("f''(0) must be nonzero for the spectral limit")
+    a_star, factor = kernels.quad_coeffs(kernel, cov).a_star, 4.0 * cfg.alpha / second
     nu = datagen.sigma2_diagonal(cov)
 
     # The law does not depend on the seeds: it is the pool's first (and
@@ -410,10 +401,15 @@ def _run_esd(cfg: ExperimentConfig):
     def one(seed):
         if seed is None:
             return spectra.deformed_mp_law(cfg.alpha, nu)
-        return _scaled_kernel_eigs(cfg, kernel, cov, a_star, factor, seed)
+        data = datagen.sample_dataset(n, d, cov, sampler, seed)
+        # Recentred and scaled in place: (4 alpha / f''(0)) (K - a_star I).
+        k_mat = kernels.kernel_matrix(data, kernel)
+        k_mat[np.diag_indices(n)] -= a_star
+        k_mat *= factor
+        return spectra.esd(k_mat)
 
     (law, *spectrum), pool = _map_seeds(one, [None] + cfg.seeds)
-    records = [{"d": d, "n": cfg.n_for(d), "seed": seed, "ks": spectra.ks_distance(eigs, law)}
+    records = [{"d": d, "n": n, "seed": seed, "ks": spectra.ks_distance(eigs, law)}
                for seed, eigs in zip(cfg.seeds, spectrum)]
     # The first seed's spectrum goes into the overlay and eigs.csv.
     files = {
@@ -450,6 +446,7 @@ def _run_mp_law(cfg: ExperimentConfig):
 
 def _run_train_error(cfg: ExperimentConfig):
     d = cfg.d[0]
+    n = cfg.n_for(d)
     cov = _build_cov(cfg.cov, d)
     kernel = _build_kernel(cfg.kernel)
     sampler = _build_sampler(cfg.sampler)
@@ -459,7 +456,7 @@ def _run_train_error(cfg: ExperimentConfig):
     predicted = krr.asymptotic_training_error(kernel, cov, cfg.alpha, cfg.lam, cfg.c2, cfg.sigma_eps)
 
     def one(seed):
-        data = datagen.sample_dataset(cfg.n_for(d), d, cov, sampler, seed)
+        data = datagen.sample_dataset(n, d, cov, sampler, seed)
         teacher = krr.TeacherModel.draw(teacher_kind, cov, substream(seed, TEACHER, 0), c0, c1, cfg.c2)
         y = krr.make_labels(data, teacher, cfg.sigma_eps, seed)
         k_mat = kernels.kernel_matrix(data, kernel)
@@ -498,6 +495,7 @@ def _run_lambda_star(cfg: ExperimentConfig):
 
 def _run_risk(cfg: ExperimentConfig):
     d = cfg.d[0]
+    n = cfg.n_for(d)
     cov = _build_cov(cfg.cov, d)
     kernel = _build_kernel(cfg.kernel)
     sampler = _build_sampler(cfg.sampler)
@@ -505,7 +503,7 @@ def _run_risk(cfg: ExperimentConfig):
     pred = krr.asymptotic_risk(kernel, cov, cfg.alpha, cfg.lam, cfg.sigma_eps, teacher_kind)
 
     def one(seed):
-        data = datagen.sample_dataset(cfg.n_for(d), d, cov, sampler, seed)
+        data = datagen.sample_dataset(n, d, cov, sampler, seed)
         mean, stderr = krr.empirical_risk(
             data, kernel, teacher_kind, cfg.lam, cfg.sigma_eps, cfg.n_test, cfg.n_repl, seed
         )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable
 
 import numpy as np
@@ -75,9 +75,6 @@ class KernelFunction:
     def eval(self, t):
         out = self.fn(np.asarray(t, dtype=np.float64))
         return float(out) if np.isscalar(t) else out
-
-    def value_at(self, t: float) -> float:
-        return float(self.fn(np.float64(t)))
 
     @staticmethod
     def exp() -> "KernelFunction":
@@ -170,21 +167,24 @@ def quad_coeffs(kernel: KernelFunction, cov: CovarianceSpec, corrected: bool = T
     With ``corrected=False`` the trace correction terms are dropped and the
     plain Taylor coefficients f(0), f'(0)/d, f''(0)/(2 d^2) are returned
     (the diagonal offset ``a_star`` is unchanged); useful for measuring how much
-    the corrections buy.
+    the corrections buy. A non-finite coefficient raises NumericalFailureError.
     """
     d = cov.d
-    tr2 = cov.trace_square()
     f0, f1, f2, f3, f4 = kernel.derivs0
-    if corrected:
-        a0 = f0 - f4 * tr2**2 / (8.0 * d**4)
-        a1 = f1 / d + f3 * tr2 / (2.0 * d**3)
-        a2 = f2 / (2.0 * d**2) + f4 * tr2 / (4.0 * d**4)
-    else:
-        a0 = f0
-        a1 = f1 / d
-        a2 = f2 / (2.0 * d**2)
-    tau = cov.tau()
-    a = kernel.value_at(tau) - f0 - f1 * tau - 0.5 * f2 * tau**2
+    # On float64 an overflow gives inf, not OverflowError; the error below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr2 = np.float64(cov.trace_square())
+        if corrected:
+            a0 = f0 - f4 * tr2**2 / (8.0 * d**4)
+            a1 = f1 / d + f3 * tr2 / (2.0 * d**3)
+            a2 = f2 / (2.0 * d**2) + f4 * tr2 / (4.0 * d**4)
+        else:
+            a0, a1, a2 = f0, f1 / d, f2 / (2.0 * d**2)
+        tau = np.float64(cov.tau())
+        a = kernel.eval(tau) - f0 - f1 * tau - 0.5 * f2 * tau**2
+    coeffs = QuadCoeffs(a0=float(a0), a1=float(a1), a2=float(a2), a_star=float(a))
+    if not all(map(math.isfinite, astuple(coeffs))):
+        raise NumericalFailureError("surrogate coefficients are non-finite: %r" % (coeffs,))
     if a <= 0.0:
         warnings.warn(
             "diagonal offset a_star = %g is not positive; ridge-less fits and the "
@@ -192,7 +192,7 @@ def quad_coeffs(kernel: KernelFunction, cov: CovarianceSpec, corrected: bool = T
             AssumptionWarning,
             stacklevel=2,
         )
-    return QuadCoeffs(a0=float(a0), a1=float(a1), a2=float(a2), a_star=float(a))
+    return coeffs
 
 
 def kernel_matrix(data, kernel: KernelFunction) -> np.ndarray:

@@ -350,8 +350,10 @@ def test_nan_labels_exit_numerical_failure(monkeypatch, tmp_path, capsys):
 
 
 def test_esd_solves_each_seed_once(tmp_path, monkeypatch):
-    import qrlab.cli as cli
+    import numpy as np
     import qrlab.spectra as spectra
+    from qrlab.datagen import CovarianceSpec, MomentMatchedSampler, sample_dataset
+    from qrlab.kernels import KernelFunction, kernel_matrix, quad_coeffs
 
     esd = spectra.esd
     calls = []
@@ -369,12 +371,13 @@ def test_esd_solves_each_seed_once(tmp_path, monkeypatch):
     ])
     assert code == 0
     assert len(calls) == len(seeds)
-    # eigs.csv holds the first listed seed's spectrum, as a fresh solve gives it.
-    cfg = cli.ExperimentConfig(experiment="esd", d=[12], kernel={"type": "quartic", "b0": 1, "b2": 1, "b4": 1},
-                               seeds=seeds)
-    kernel, cov = cli._build_kernel(cfg.kernel), cli._build_cov(cfg.cov, 12)
-    a_star, factor = cli._esd_recentring(kernel, cov, cfg.alpha)
-    eigs = cli._scaled_kernel_eigs(cfg, kernel, cov, a_star, factor, seeds[0])
+    # eigs.csv holds the first listed seed's spectrum, as a fresh solve gives
+    # it: (4 alpha / f''(0)) (K - a_star I) at n = 12^2 / 2.
+    kernel, cov = KernelFunction.quartic(1, 1, 1), CovarianceSpec.identity(12)
+    k_mat = kernel_matrix(sample_dataset(72, 12, cov, MomentMatchedSampler.gaussian(), seeds[0]), kernel)
+    k_mat[np.diag_indices(72)] -= quad_coeffs(kernel, cov).a_star
+    k_mat *= 4.0 / kernel.derivs0[2]
+    eigs = spectra.esd(k_mat)
     expected = "eigenvalue\n" + "".join("%r\n" % float(v) for v in eigs)
     assert (out / "eigs.csv").read_text() == expected
 
@@ -409,10 +412,15 @@ def _write_config(tmp_path, config, name="cfg.json"):
     ("mp-law", ["--alpha", "inf"], None),
     ("lambda-star", ["--sigma-eps", "nan"], None),
     ("lambda-star", [], {"lambda": float("nan")}),
+    # A derived n = round(d^2/(2 alpha)) that is infinite, or whose n x n
+    # float64 array this platform cannot address.
+    ("approx-norm", ["--alpha", "1e-310"], None),
+    ("esd", ["--alpha", "1e-300"], None),
 ], ids=["kernel-value", "custom-poly-empty", "cov-arity", "sampler-empty", "seeds-text", "d-text",
         "json-kernel-params", "json-cov-params", "json-unknown-key", "json-unknown-spec-key",
         "esd-d-ladder", "mp-law-d-ladder", "underscore-subcommand", "flag-prefix", "risk-teacher-c0",
-        "lambda-star-teacher-c1", "alpha-inf", "sigma-eps-nan", "json-lambda-nan"])
+        "lambda-star-teacher-c1", "alpha-inf", "sigma-eps-nan", "json-lambda-nan",
+        "n-infinite", "n-unaddressable"])
 def test_malformed_config_is_configuration_error(tmp_path, capsys, command, args, config):
     if config is not None:
         args = args + _write_config(tmp_path, config)
@@ -478,6 +486,13 @@ def test_json_seed_count_matches_flag(tmp_path):
     assert flag["config"]["seeds"] == [0, 1, 2]
 
 
+def test_trailing_comma_names_one_seed(tmp_path):
+    assert main(["esd", "--d", "3", "--seeds", "3,", "--out", str(tmp_path / "o")]) == 0
+    result = _read(tmp_path / "o")
+    assert result["config"]["seeds"] == [3]
+    assert [r["seed"] for r in result["records"]] == [3]
+
+
 def test_json_only_spec_keys(tmp_path):
     config = {"cov": {"kind": "uniform", "lo": 0.5, "hi": 1.5, "seed": 3},
               "teacher": {"kind": "pure_quadratic", "c0": 1, "c1": 0.5}}
@@ -511,16 +526,28 @@ def test_esd_outputs_independent_of_worker_count(tmp_path, monkeypatch):
     assert blobs[0] == blobs[1]
 
 
-@pytest.mark.parametrize("experiment, d, kernel, cov, code, message", [
-    ("esd", "10", "exp", "uniform:0,2000", 3, "non-finite"),
-    ("approx-norm", "10", "exp", "uniform:0,2000", 3, "non-finite"),
-    ("esd", "10", "custom_poly:1,1", "identity", 2, "f''(0) must be nonzero"),
+@pytest.mark.parametrize("experiment, flags, code, message", [
+    ("esd", "--d 10 --kernel exp --cov uniform:0,2000 --seeds 1", 3, "non-finite"),
+    ("approx-norm", "--d 10 --kernel exp --cov uniform:0,2000 --seeds 1", 3, "non-finite"),
+    ("esd", "--d 10 --kernel custom_poly:1,1 --cov identity --seeds 1", 2, "f''(0) must be nonzero"),
     # tau = 600 at d=3 is finite; tau = 900 at d=4 overflows exp, before any rung's K.
-    ("approx-norm", "3,4", "exp", "two_point:0,1800,0.5", 3, "non-finite"),
-], ids=["esd-overflow", "approx-norm-overflow", "esd-flat-kernel", "approx-norm-later-rung-overflow"])
+    ("approx-norm", "--d 3,4 --kernel exp --cov two_point:0,1800,0.5 --seeds 1", 3, "non-finite"),
+    # Tr(Sigma^2) overflows, and with it the corrected coefficients.
+    ("esd", "--d 4 --kernel quartic:1,1,1 --cov two_point:0,1e200,0.5 --seeds 1", 3, "non-finite"),
+    ("approx-norm", "--d 4 --kernel quartic:1,1,1 --cov two_point:0,1e200,0.5 --seeds 1", 3, "non-finite"),
+    ("train-error", "--d 4 --kernel quartic:1,1,1 --cov uniform:0,1e160 --seeds 1", 3, "non-finite"),
+    ("risk", "--d 4 --kernel quartic:1,6,1 --cov two_point:0,1e200,0.5 --n-test 10 --n-repl 2 --seeds 1",
+     3, "non-finite"),
+    # The limit formulas' a_star overflows with exp(tau) at tau = 900.
+    ("train-error", "--d 4 --kernel exp --cov two_point:0,1800,0.5 --seeds 1", 3, "non-finite"),
+    ("lambda-star", "--d 4 --kernel exp --cov two_point:0,1800,0.5", 3, "non-finite"),
+], ids=["esd-overflow", "approx-norm-overflow", "esd-flat-kernel", "approx-norm-later-rung-overflow",
+        "esd-trace-overflow", "approx-norm-trace-overflow", "train-error-trace-overflow", "risk-trace-overflow",
+        "train-error-a-star-overflow", "lambda-star-a-star-overflow"])
 def test_esd_and_gap_fail_before_the_n_by_n_work(tmp_path, monkeypatch, capsys, recwarn,
-                                                 experiment, d, kernel, cov, code, message):
+                                                 experiment, flags, code, message):
     import qrlab.kernels as kernels
+    import qrlab.krr as krr
     import qrlab.spectra as spectra
 
     def forbidden(*args, **kwargs):
@@ -528,8 +555,14 @@ def test_esd_and_gap_fail_before_the_n_by_n_work(tmp_path, monkeypatch, capsys, 
 
     monkeypatch.setattr(spectra, "deformed_mp_law", forbidden)
     monkeypatch.setattr(kernels, "kernel_matrix", forbidden)
-    assert main([experiment, "--d", d, "--kernel", kernel, "--cov", cov, "--seeds", "1",
-                 "--out", str(tmp_path / "x")]) == code
+    monkeypatch.setattr(krr, "kernel_matrix", forbidden)
+    assert main([experiment] + flags.split() + ["--out", str(tmp_path / "x")]) == code
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_star_override_skips_the_computed_offset(tmp_path):
+    # The computed a_star overflows on this covariance (see above).
+    assert main(["lambda-star", "--d", "4", "--kernel", "exp", "--cov", "two_point:0,1800,0.5",
+                 "--a-star-override", "1", "--out", str(tmp_path / "x")]) == 0

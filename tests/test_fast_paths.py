@@ -1,7 +1,9 @@
-"""The in-place kernel and teacher evaluations, the Lanczos spectral-norm
-gap and the one-sum companion solver against their plain forms."""
+"""The in-place kernel and teacher evaluations, the surrogate coefficients
+on float64 scalars, the Lanczos spectral-norm gap and the one-sum companion
+solver against their plain forms."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from qrlab.datagen import CovarianceSpec
 from qrlab.kernels import (
     KernelFunction,
     QuadCoeffs,
     cross_kernel,
     kernel_matrix,
+    quad_coeffs,
     quad_kernel_matrix,
     spectral_norm_gap,
 )
@@ -85,8 +89,7 @@ def test_scalar_in_float_out(kernel):
     for t in (0.3, np.float64(-0.7), 0):
         out = kernel.eval(t)
         assert type(out) is float
-        assert out == kernel.value_at(t)
-    assert type(kernel.value_at(0.25)) is float
+        assert out == kernel.eval(np.array([t]))[0]
 
 
 # Memory layouts of the data matrix: C order, Fortran order, and views that
@@ -106,8 +109,8 @@ def test_kernel_blocks_match_entrywise_definition(seed, n, m, d, kernel, layout)
     rng = np.random.default_rng(seed)
     x = LAYOUTS[layout](rng.normal(size=(n, d)))
     y = rng.normal(size=(m, d))
-    cross_ref = np.array([[kernel.value_at(float(y[i] @ x[j]) / d) for j in range(n)] for i in range(m)])
-    gram_ref = np.array([[kernel.value_at(float(x[i] @ x[j]) / d) for j in range(n)] for i in range(n)])
+    cross_ref = np.array([[kernel.eval(float(y[i] @ x[j]) / d) for j in range(n)] for i in range(m)])
+    gram_ref = np.array([[kernel.eval(float(x[i] @ x[j]) / d) for j in range(n)] for i in range(n)])
     np.testing.assert_allclose(cross_kernel(x, y, kernel), cross_ref, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(cross_kernel(x, y[0], kernel), cross_ref[0], rtol=1e-12, atol=1e-12)
     k = kernel_matrix(x, kernel)
@@ -139,6 +142,54 @@ def test_surrogate_matches_written_formula(layout):
         want = coeffs.a0 + coeffs.a1 * gram + coeffs.a2 * (gram * gram)
         want[np.diag_indices(n)] += coeffs.a_star
         assert np.array_equal(quad_kernel_matrix(x, coeffs), want)
+
+
+def _coeffs_on_python_floats(kernel, cov, corrected):
+    """The surrogate coefficients written out on Python floats; None where a
+    power overflows (Python raises where float64 gives inf)."""
+    d, tr2, tau = cov.d, cov.trace_square(), cov.tau()
+    f0, f1, f2, f3, f4 = kernel.derivs0
+    try:
+        if corrected:
+            a0 = f0 - f4 * tr2**2 / (8.0 * d**4)
+            a1 = f1 / d + f3 * tr2 / (2.0 * d**3)
+            a2 = f2 / (2.0 * d**2) + f4 * tr2 / (4.0 * d**4)
+        else:
+            a0, a1, a2 = f0, f1 / d, f2 / (2.0 * d**2)
+        return QuadCoeffs(a0, a1, a2, kernel.eval(tau) - f0 - f1 * tau - 0.5 * f2 * tau**2)
+    except OverflowError:
+        return None
+
+
+# Diagonal values from moderate (every coefficient finite) to past the
+# overflow of exp(tau) (tau > 709) and of Tr(Sigma^2)^2 (values > 1e76).
+DIAG_VALUE = st.one_of(st.floats(1e-3, 10.0), st.floats(1e-3, 2000.0), st.floats(1e-3, 1e200))
+
+
+@pytest.mark.filterwarnings("ignore::qrlab.errors.AssumptionWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from([KernelFunction.exp(), KernelFunction.cosh()]),
+        st.builds(KernelFunction.quartic, COEF, COEF, COEF),
+        st.builds(KernelFunction.custom_poly, st.lists(COEF, min_size=1, max_size=6)),
+    ),
+    st.integers(1, 199), DIAG_VALUE, DIAG_VALUE, st.floats(0.0, 1.0),
+    st.one_of(st.none(), st.integers(0, 2**32 - 1)), st.booleans(), st.booleans(),
+)
+def test_quad_coeffs_match_python_float_formula(kernel, d, v1, v2, p, seed, two_point, corrected):
+    if two_point:
+        cov = CovarianceSpec.two_point(d, v1, v2, p, seed)
+    else:
+        cov = CovarianceSpec.uniform(d, min(v1, v2), max(v1, v2), seed)
+    with np.errstate(all="ignore"):
+        want = _coeffs_on_python_floats(kernel, cov, corrected)
+    if want is not None and all(map(math.isfinite, astuple(want))):
+        # Bit for bit: float64 scalars take the same operations as Python floats.
+        assert quad_coeffs(kernel, cov, corrected) == want
+    else:
+        with pytest.raises(NumericalFailureError, match="non-finite"):
+            quad_coeffs(kernel, cov, corrected)
 
 
 @settings(max_examples=25, deadline=None)

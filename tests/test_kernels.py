@@ -74,6 +74,19 @@ def test_quad_coeffs_warns_for_nonpositive_offset():
         quad_coeffs(KernelFunction.quartic(1.0, 1.0, -1.0), cov)
 
 
+@pytest.mark.parametrize("kernel, cov", [
+    # exp(tau) overflows at tau = 900; a0, a1, a2 stay finite.
+    (KernelFunction.exp(), CovarianceSpec.two_point(4, 0.0, 1800.0, 0.5)),
+    # Tr(Sigma^2) overflows, and with it every corrected coefficient.
+    (KernelFunction.quartic(1.0, 1.0, 1.0), CovarianceSpec.two_point(4, 0.0, 1e200, 0.5)),
+], ids=["exp-a-star", "quartic-trace"])
+def test_quad_coeffs_refuses_non_finite_coefficients(kernel, cov):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalFailureError, match="non-finite"):
+            quad_coeffs(kernel, cov)
+
+
 def test_kernel_matrix_orthogonal_rows():
     x = np.eye(4) * 2.0  # orthogonal rows
     k = kernel_matrix(x, KernelFunction.exp())
