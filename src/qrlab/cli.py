@@ -354,22 +354,23 @@ def _write_outputs(cfg: ExperimentConfig, records, summary, stats: dict, files: 
 def _run_approx_norm(cfg: ExperimentConfig):
     kernel = _build_kernel(cfg.kernel)
     sampler = _build_sampler(cfg.sampler)
-    # Every rung is built and checked before the first n x n matrix exists.
+    # The naive surrogate is built only under --compare-naive. Every rung is
+    # built and checked before the first n x n matrix exists.
+    keys = ("gap", "gap_naive") if cfg.compare_naive else ("gap",)
     rungs = {}
     for d in cfg.d:
         cov = _build_cov(cfg.cov, d)
-        coeffs = kernels.quad_coeffs(kernel, cov)
-        rungs[d] = (cfg.n_for(d), cov, coeffs, kernels.quad_coeffs(kernel, cov, corrected=False))
+        surrogates = {key: kernels.quad_coeffs(kernel, cov, corrected=key == "gap") for key in keys}
+        rungs[d] = (cfg.n_for(d), cov, surrogates)
 
     def one(task):
         d, seed = task
-        n, cov, coeffs, naive = rungs[d]
+        n, cov, surrogates = rungs[d]
         data = datagen.sample_dataset(n, d, cov, sampler, seed)
         k_mat = kernels.kernel_matrix(data, kernel)
-        rec = {"d": d, "n": data.n, "seed": seed,
-               "gap": kernels.spectral_norm_gap(k_mat, kernels.quad_kernel_matrix(data, coeffs))}
-        if cfg.compare_naive:
-            rec["gap_naive"] = kernels.spectral_norm_gap(k_mat, kernels.quad_kernel_matrix(data, naive))
+        rec = {"d": d, "n": data.n, "seed": seed}
+        for key, coeffs in surrogates.items():
+            rec[key] = kernels.spectral_norm_gap(k_mat - kernels.quad_kernel_matrix(data, coeffs))
         return rec
 
     records, stats = _map_seeds(one, [(d, seed) for d in cfg.d for seed in cfg.seeds])
@@ -377,10 +378,7 @@ def _run_approx_norm(cfg: ExperimentConfig):
     def medians(key):
         return {str(d): float(np.median([r[key] for r in records if r["d"] == d])) for d in cfg.d}
 
-    summary = {"median_gap_by_d": medians("gap")}
-    if cfg.compare_naive:
-        summary["median_gap_naive_by_d"] = medians("gap_naive")
-    return records, summary, stats, {}
+    return records, {"median_%s_by_d" % key: medians(key) for key in keys}, stats, {}
 
 
 def _run_esd(cfg: ExperimentConfig):

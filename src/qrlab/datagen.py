@@ -225,5 +225,6 @@ def sigma2_diagonal(cov: CovarianceSpec) -> DiscreteLaw:
     as the finite-d stand-in for the limiting population law.
     """
     rows, cols = pair_index_columns(cov.d)
-    values = 2.0 * cov.diag[rows] * cov.diag[cols]
+    with np.errstate(over="ignore"):  # an inf atom fails from_values' finite check
+        values = 2.0 * cov.diag[rows] * cov.diag[cols]
     return DiscreteLaw.from_values(values)

@@ -239,30 +239,26 @@ def cross_kernel(data, x_test, kernel: KernelFunction) -> np.ndarray:
     return kernel.eval(inner)
 
 
-def spectral_norm_gap(k_mat: np.ndarray, k2_mat: np.ndarray) -> float:
-    """Spectral norm of K - K2 (largest absolute eigenvalue).
+def spectral_norm_gap(diff: np.ndarray) -> float:
+    """Spectral norm of the square difference D = K - K2 (largest |eigenvalue|).
 
     One route for every n: Lanczos (ARPACK ``eigsh``, the one eigenpair of
-    largest magnitude) on the difference D, from a fixed seeded start vector,
-    so the result is deterministic. D is used as it is when exactly
-    symmetric, averaged with its transpose when symmetric within 1e-10
-    relative to its largest entry, and rejected (InvalidArgumentError)
-    otherwise. The Ritz pair (theta, v) is certified by its eigen-residual
-    |D v - theta v| <= 1e-8 max(1, |theta|). An all-zero D gives exactly 0.0.
-    Non-finite entries in D, an ARPACK failure or a residual above the bound
-    raise NumericalFailureError.
+    largest magnitude) on D, from a fixed seeded start vector, so the result
+    is deterministic. D is used as it is when exactly symmetric, averaged
+    with its transpose when symmetric within 1e-10 relative to its largest
+    entry, and rejected (InvalidArgumentError) otherwise. The Ritz pair
+    (theta, v) is certified by its eigen-residual |D v - theta v| <= 1e-8
+    max(1, |theta|). An all-zero D gives exactly 0.0. Non-finite entries in
+    D, an ARPACK failure or a residual above the bound raise
+    NumericalFailureError.
     """
     # Imported here: scipy.sparse.linalg costs ~20 ms of import time that
     # experiments which never compute a gap should not pay.
     from scipy.sparse.linalg import ArpackError, eigsh
 
-    k_mat = np.asarray(k_mat, dtype=np.float64)
-    k2_mat = np.asarray(k2_mat, dtype=np.float64)
-    if k_mat.shape != k2_mat.shape or k_mat.ndim != 2 or k_mat.shape[0] != k_mat.shape[1]:
-        raise InvalidArgumentError("K and K2 must be square matrices of the same shape")
     # ARPACK fails on inf/NaN entries and on an all-zero D, and cannot take
     # n = 1 (where the norm is |D_11|); max |D_ij| settles all three.
-    diff, scale = _checked_symmetric(k_mat - k2_mat, "spectral norm gap: K - K2")
+    diff, scale = _checked_symmetric(diff, "spectral norm gap: K - K2")
     if scale == 0.0 or len(diff) == 1:
         return scale
     v0 = np.random.default_rng(0x51B).standard_normal(len(diff))

@@ -289,35 +289,38 @@ def lambda_star_solve(
     def derivative(t: float) -> float:
         return s / (alpha * t * t) + float(np.sum(w * x / (x + t) ** 2))
 
-    lo, hi = 1e-12 * (1.0 + s), max(1.0, s, nu.support_max)
-    while equation(hi) < 0:
-        hi *= 2.0
-        if hi > 1e18:
-            raise AssumptionViolationError(
-                "no sign change found for the effective regularization",
-                detail={"bracket": (lo, hi)},
-            )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if equation(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-8 * hi:
-            break
-    t = 0.5 * (lo + hi)
-    # The residual is resolvable only relative to the equation's own terms
-    # (they blow up like 1/alpha for small aspect ratios).
-    tol_eff = LAMBDA_STAR_TOL * max(1.0, 1.0 / alpha, s / (alpha * t))
-    for _ in range(100):
-        r = equation(t)
-        if abs(r) <= tol_eff:
-            break
-        t_new = t - r / derivative(t)
-        if not (lo / 2 <= t_new <= 2 * hi) or t_new <= 0:
-            t_new = 0.5 * (lo + hi)
-        t = t_new
-    residual = abs(equation(t))
+    try:
+        lo, hi = 1e-12 * (1.0 + s), max(1.0, s, nu.support_max)
+        while equation(hi) < 0:
+            hi *= 2.0
+            if hi > 1e18:
+                raise AssumptionViolationError(
+                    "no sign change found for the effective regularization",
+                    detail={"bracket": (lo, hi)},
+                )
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if equation(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-8 * hi:
+                break
+        t = 0.5 * (lo + hi)
+        # The residual is resolvable only relative to the equation's largest
+        # term, 1/alpha or s/(alpha t): both are below 1 when alpha > 1.
+        tol_eff = LAMBDA_STAR_TOL * max(1.0 / alpha, s / (alpha * t))
+        for _ in range(100):
+            r = equation(t)
+            if abs(r) <= tol_eff:
+                break
+            t_new = t - r / derivative(t)
+            if not (lo / 2 <= t_new <= 2 * hi) or t_new <= 0:
+                t_new = 0.5 * (lo + hi)
+            t = t_new
+        residual = abs(equation(t))
+    except (OverflowError, ZeroDivisionError) as exc:  # e.g. alpha * t * t underflows to 0
+        raise NumericalFailureError("effective regularization root left the float range (%s)" % exc) from exc
     if residual > tol_eff:
         raise NumericalFailureError("effective regularization root residual %g" % residual, residual=residual)
     alt = 1.0 / float(companion_stieltjes(-s, alpha, nu).m_tilde.real)

@@ -116,11 +116,15 @@ class StieltjesEval:
     residual: float
 
 
-def _checked_symmetric(m: np.ndarray, what: str) -> tuple[np.ndarray, float]:
-    """(symmetric matrix, its largest |entry|) for a finite input that is
-    symmetric within 1e-10 relative to its largest entry. Exactly symmetric
-    input comes back as it is; a smaller asymmetry is averaged out."""
-    peak = float(np.abs(m).max())
+def _checked_symmetric(m, what: str) -> tuple[np.ndarray, float]:
+    """(symmetric float64 matrix, its largest |entry|) for a finite square input
+    that is symmetric within 1e-10 relative to its largest entry. Exactly
+    symmetric input comes back as it is; a smaller asymmetry is averaged out."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidArgumentError("%s must be a square matrix" % what)
+    # From the extremes: the value of np.abs(m).max(), NaN included, with no n x n copy.
+    peak = max(abs(float(m.max())), abs(float(m.min())))
     if not math.isfinite(peak):
         raise NumericalFailureError("%s has non-finite entries" % what)
     if np.array_equal(m, m.T):
@@ -129,7 +133,7 @@ def _checked_symmetric(m: np.ndarray, what: str) -> tuple[np.ndarray, float]:
     if asym > 1e-10 * max(1.0, peak):
         raise InvalidArgumentError("%s is not symmetric: max|M - M^T| = %g" % (what, asym))
     sym = (m + m.T) / 2.0
-    return sym, float(np.abs(sym).max())
+    return sym, max(abs(float(sym.max())), abs(float(sym.min())))
 
 
 def esd(matrix: np.ndarray) -> np.ndarray:
@@ -139,10 +143,7 @@ def esd(matrix: np.ndarray) -> np.ndarray:
     largest entry; it is symmetrized before the dense solve unless it is
     exactly symmetric.
     """
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidArgumentError("esd expects a square matrix")
-    sym, _ = _checked_symmetric(m, "esd: matrix")
+    sym, _ = _checked_symmetric(matrix, "esd: matrix")
     try:
         return np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare

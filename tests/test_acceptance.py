@@ -102,8 +102,8 @@ def test_criterion_03_gap_decay_and_corrections():
         for seed in range(5):
             data = sample_dataset(d * d // 2, d, cov, sampler, seed)
             k = kernel_matrix(data, kern)
-            gaps.append(spectral_norm_gap(k, quad_kernel_matrix(data, corrected)))
-            gaps_naive.append(spectral_norm_gap(k, quad_kernel_matrix(data, naive)))
+            gaps.append(spectral_norm_gap(k - quad_kernel_matrix(data, corrected)))
+            gaps_naive.append(spectral_norm_gap(k - quad_kernel_matrix(data, naive)))
         medians[d] = float(np.median(gaps))
         medians_naive[d] = float(np.median(gaps_naive))
     ladder = [medians[d] for d in (16, 24, 32, 48)]

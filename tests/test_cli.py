@@ -541,9 +541,11 @@ def test_esd_outputs_independent_of_worker_count(tmp_path, monkeypatch):
     # The limit formulas' a_star overflows with exp(tau) at tau = 900.
     ("train-error", "--d 4 --kernel exp --cov two_point:0,1800,0.5 --seeds 1", 3, "non-finite"),
     ("lambda-star", "--d 4 --kernel exp --cov two_point:0,1800,0.5", 3, "non-finite"),
+    # alpha * t * t underflows to 0 in the Newton step.
+    ("lambda-star", "--d 8 --alpha 1e-300", 3, "numerical failure"),
 ], ids=["esd-overflow", "approx-norm-overflow", "esd-flat-kernel", "approx-norm-later-rung-overflow",
         "esd-trace-overflow", "approx-norm-trace-overflow", "train-error-trace-overflow", "risk-trace-overflow",
-        "train-error-a-star-overflow", "lambda-star-a-star-overflow"])
+        "train-error-a-star-overflow", "lambda-star-a-star-overflow", "lambda-star-tiny-alpha"])
 def test_esd_and_gap_fail_before_the_n_by_n_work(tmp_path, monkeypatch, capsys, recwarn,
                                                  experiment, flags, code, message):
     import qrlab.kernels as kernels
@@ -560,6 +562,23 @@ def test_esd_and_gap_fail_before_the_n_by_n_work(tmp_path, monkeypatch, capsys, 
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_overflowing_atoms_fail_without_a_runtime_warning(tmp_path, capsys, recwarn):
+    code = main(["mp-law", "--cov", "two_point:0,1e300,0.5", "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "atoms must be finite" in err and "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_approx_norm_builds_the_naive_surrogate_only_when_compared(tmp_path, recwarn):
+    # a_star = 0 for this kernel: each surrogate built warns once.
+    from qrlab.errors import AssumptionWarning
+
+    assert main(["approx-norm", "--d", "8", "--kernel", "custom_poly:1,1,1", "--seeds", "1",
+                 "--out", str(tmp_path / "x")]) == 0
+    assert len([w for w in recwarn if issubclass(w.category, AssumptionWarning)]) == 1
 
 
 def test_a_star_override_skips_the_computed_offset(tmp_path):

@@ -237,7 +237,7 @@ def test_spectral_norm_gap_matches_dense_eigvalsh(n, seed, top):
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         a = b + _symmetric((q * eigs) @ q.T)
     want = float(np.abs(np.linalg.eigvalsh(_symmetric(a - b))).max())
-    assert spectral_norm_gap(a, b) == pytest.approx(want, rel=1e-10)
+    assert spectral_norm_gap(a - b) == pytest.approx(want, rel=1e-10)
 
 
 def _two_sum_companion(z, alpha, nu, initial=None):

@@ -162,15 +162,15 @@ def test_quad_kernel_eigenvalue_floor():
 
 def test_spectral_norm_gap_trivial_cases():
     k = np.array([[1.0, 0.2], [0.2, 1.0]])
-    assert spectral_norm_gap(k, k) == 0.0
+    assert spectral_norm_gap(k - k) == 0.0
     k2 = k - np.diag([3.0, -5.0])
-    assert spectral_norm_gap(k, k2) == pytest.approx(5.0)
+    assert spectral_norm_gap(k - k2) == pytest.approx(5.0)
 
 
 def test_spectral_norm_gap_single_entry_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert spectral_norm_gap(np.array([[2.0]]), np.array([[5.5]])) == 3.5
+        assert spectral_norm_gap(np.array([[2.0]]) - np.array([[5.5]])) == 3.5
 
 
 def test_spectral_norm_gap_rejects_asymmetric_difference():
@@ -178,12 +178,12 @@ def test_spectral_norm_gap_rejects_asymmetric_difference():
     k2 = k.copy()
     k2[0, 1] += 0.5
     with pytest.raises(InvalidArgumentError, match="not symmetric"):
-        spectral_norm_gap(k, k2)
+        spectral_norm_gap(k - k2)
     # Round-off asymmetry is averaged out: D = [[0, -e], [0, 0]] acts as
     # [[0, -e/2], [-e/2, 0]].
     k2[0, 1] = 0.2 + 1e-13
     e = k2[0, 1] - k[0, 1]
-    assert spectral_norm_gap(k, k2) == pytest.approx(e / 2.0, rel=1e-10)
+    assert spectral_norm_gap(k - k2) == pytest.approx(e / 2.0, rel=1e-10)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -193,9 +193,14 @@ def test_spectral_norm_gap_rejects_non_finite(bad, n, capfd):
     k = np.eye(n)
     k[0, 1] = k[1, 0] = bad
     with pytest.raises(NumericalFailureError, match="non-finite"):
-        spectral_norm_gap(k, np.zeros((n, n)))
+        spectral_norm_gap(k - np.zeros((n, n)))
     out, err = capfd.readouterr()
     assert out == "" and err == ""
+
+
+def test_spectral_norm_gap_rejects_non_square():
+    with pytest.raises(InvalidArgumentError, match="square"):
+        spectral_norm_gap(np.zeros((3, 4)))
 
 
 def test_spectral_norm_gap_matches_dense_at_d70():
@@ -207,7 +212,7 @@ def test_spectral_norm_gap_matches_dense_at_d70():
     k = kernel_matrix(data, kern)
     k2 = quad_kernel_matrix(data, quad_coeffs(kern, cov))
     dense = float(np.abs(np.linalg.eigvalsh(k - k2)).max())
-    assert spectral_norm_gap(k, k2) == pytest.approx(dense, rel=1e-10)
+    assert spectral_norm_gap(k - k2) == pytest.approx(dense, rel=1e-10)
 
 
 def test_cross_kernel_values():
@@ -238,6 +243,6 @@ def test_gap_decay_two_point_check():
         gaps = []
         for seed in range(3):
             data = sample_dataset(d * d // 2, d, cov, sampler, seed)
-            gaps.append(spectral_norm_gap(kernel_matrix(data, kern), quad_kernel_matrix(data, coeffs)))
+            gaps.append(spectral_norm_gap(kernel_matrix(data, kern) - quad_kernel_matrix(data, coeffs)))
         medians.append(np.median(gaps))
     assert medians[1] < medians[0]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qrlab.datagen import CovarianceSpec, MomentMatchedSampler, sample_dataset
 from qrlab.errors import (
@@ -203,6 +205,25 @@ def test_lambda_star_dual_routes_random_draws():
         fpp = rng.uniform(0.2, 3.0)
         res = lambda_star_solve(alpha, nu, a_star, lam, fpp)
         assert abs(res.value - res.alt_value) <= 1e-10 * max(1.0, res.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.floats(0.0, 3.0).map(lambda e: 10.0**e),
+    nu=st.lists(st.floats(0.2, 4.0), min_size=1, max_size=5).map(lambda a: DiscreteLaw.from_values(np.array(a))),
+    a_star=st.floats(0.01, 1.0),
+    lam=st.floats(0.0, 2.0),
+    f2=st.floats(0.2, 3.0),
+)
+# lambda-star --d 60 --alpha 800 --kernel quartic:1,1,1 --cov identity --lambda 1
+@example(alpha=800.0, nu=DiscreteLaw.delta(2.0), a_star=1 / 24, lam=1.0, f2=1.0)
+def test_lambda_star_root_at_large_alpha(alpha, nu, a_star, lam, f2):
+    # For alpha > 1 every term of alpha times the equation is at most 1, so the
+    # root is resolved to 1e-12 absolute there, and both routes must agree.
+    res = lambda_star_solve(alpha, nu, a_star, lam, f2)
+    t, s = res.value, 4.0 * alpha * (a_star + lam) / f2
+    integral = float(np.sum(nu.weights * nu.atoms / (nu.atoms + t)))
+    assert abs(1.0 - s / t - alpha * integral) <= 1e-12
 
 
 def test_lambda_star_kernel_wrapper_with_override():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,8 @@ def test_esd_basics():
     assert abs(eigs.sum() - np.trace(m)) < 1e-10
     with pytest.raises(InvalidArgumentError):
         esd(rng.normal(size=(5, 5)))
+    with pytest.raises(InvalidArgumentError, match="square"):
+        esd(np.zeros((3, 4)))
 
 
 def test_symmetric_input_check_keeps_exact_input():
@@ -63,6 +66,19 @@ def test_symmetric_input_check_keeps_exact_input():
     near[0, 1] += 1e-3
     with pytest.raises(InvalidArgumentError, match="m is not symmetric"):
         _checked_symmetric(near, "m")
+
+
+def test_symmetric_input_check_copies_no_matrix():
+    m = np.random.default_rng(4).normal(size=(1000, 1000))
+    m = m + m.T
+    tracemalloc.start()
+    try:
+        sym, _ = _checked_symmetric(m, "m")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One 1000 x 1000 float64 array is 8 MB.
+    assert sym is m and peak < 4e6
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
