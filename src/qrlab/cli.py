@@ -138,16 +138,19 @@ def _seeds(v) -> list[int]:
     return list(range(_checked(_int, lambda n: n >= 1, "a positive seed count")(v)))
 
 
-# Spec kinds per spec field: the key naming the kind and, per kind, its
-# parameters in the order of the flag form ``name:v1,v2,...``. A kind with
-# one parameter takes the whole text after the colon. Each kind is named
-# after its library constructor. Parameters ending in "?" are optional and
+# Spec kinds per spec field: the library class, the key naming the kind and,
+# per kind, its parameters in the order of the flag form ``name:v1,v2,...``.
+# A kind with one parameter takes the whole text after the colon. Each kind
+# is a constructor of the class, except that teachers are drawn per seed by
+# ``TeacherModel.draw(kind, ...)``. Parameters ending in "?" are optional and
 # come only from a JSON object.
 _SPECS = {
-    "kernel": ("type", {"exp": (), "cosh": (), "quartic": ("b0", "b2", "b4"), "custom_poly": ("coeffs",)}),
-    "cov": ("kind", {"identity": (), "uniform": ("lo", "hi", "seed?"), "two_point": ("v1", "v2", "p", "seed?")}),
-    "sampler": ("mode", {"gaussian": (), "gh_discrete": ("m",)}),
-    "teacher": ("kind", {"pure_quadratic": ("c0?", "c1?"), "deterministic_sigma": ("c0?", "c1?")}),
+    "kernel": (kernels.KernelFunction, "type", {
+        "exp": (), "cosh": (), "quartic": ("b0", "b2", "b4"), "custom_poly": ("coeffs",)}),
+    "cov": (datagen.CovarianceSpec, "kind", {
+        "identity": (), "uniform": ("lo", "hi", "seed?"), "two_point": ("v1", "v2", "p", "seed?")}),
+    "sampler": (datagen.MomentMatchedSampler, "mode", {"gaussian": (), "gh_discrete": ("m",)}),
+    "teacher": (krr.TeacherModel, "kind", dict.fromkeys(krr.RISK_TEACHERS, ("c0?", "c1?"))),
 }
 _PARAM_LOADERS = {"coeffs": _list(_float), "m": _int, "seed": _int}
 
@@ -158,7 +161,7 @@ def _required(params) -> list[str]:
 
 def _spec_grammar(spec_field: str, only: str | None = None) -> str:
     """The flag forms of a spec field's kinds (of kind ``only``, if given)."""
-    kinds = _SPECS[spec_field][1]
+    kinds = _SPECS[spec_field][2]
     return " | ".join(
         ":".join([name, ",".join(_required(params))]) if _required(params) else name
         for name, params in kinds.items() if only in (None, name)
@@ -167,7 +170,7 @@ def _spec_grammar(spec_field: str, only: str | None = None) -> str:
 
 def _spec(spec_field: str):
     """Loader of a spec field: a spec string or a JSON object, to the canonical dict."""
-    key, kinds = _SPECS[spec_field]
+    _, key, kinds = _SPECS[spec_field]
 
     def load(v) -> dict:
         if isinstance(v, str):
@@ -197,12 +200,6 @@ def _spec(spec_field: str):
     return load
 
 
-def _spec_args(spec_field: str, spec: dict) -> list:
-    """Constructor arguments of a canonical spec dict; absent optionals are None."""
-    key, kinds = _SPECS[spec_field]
-    return [spec.get(p.rstrip("?")) for p in kinds[spec[key]]]
-
-
 def _field(default, load, help=None, key=None, hashed=True):
     """A config field: ``default`` (a JSON value or flag text, passed through
     ``load``), flag help and, where it differs from the attribute name, the
@@ -225,7 +222,7 @@ class ExperimentConfig:
     sampler: dict = _field("gaussian", _spec("sampler"), _spec_grammar("sampler"))
     lam: float = _field(1.0, _float, key="lambda")
     sigma_eps: float = _field(0.5, _float)
-    teacher: dict = _field("pure_quadratic", _spec("teacher"), _spec_grammar("teacher"))
+    teacher: dict = _field(krr.RISK_TEACHERS[0], _spec("teacher"), _spec_grammar("teacher"))
     seeds: list[int] = _field([0], _seeds, "count, or comma list of seeds")
     out: str = _field("qrlab-out", str, hashed=False)
     n_test: int = _field(2000, _int)
@@ -263,16 +260,12 @@ class ExperimentConfig:
 _FIELDS = {f.metadata.get("key", f.name): f for f in fields(ExperimentConfig) if f.metadata}
 
 
-def _build_kernel(spec: dict) -> kernels.KernelFunction:
-    return getattr(kernels.KernelFunction, spec["type"])(*_spec_args("kernel", spec))
-
-
-def _build_cov(spec: dict, d: int) -> datagen.CovarianceSpec:
-    return getattr(datagen.CovarianceSpec, spec["kind"])(d, *_spec_args("cov", spec))
-
-
-def _build_sampler(spec: dict) -> datagen.MomentMatchedSampler:
-    return getattr(datagen.MomentMatchedSampler, spec["mode"])(*_spec_args("sampler", spec))
+def _build(spec_field: str, spec: dict, *lead):
+    """The library object of a canonical spec dict: its kind's constructor
+    called with ``lead`` (a covariance's d), then the kind's parameters, with
+    None for an absent optional one."""
+    cls, key, kinds = _SPECS[spec_field]
+    return getattr(cls, spec[key])(*lead, *(spec.get(p.rstrip("?")) for p in kinds[spec[key]]))
 
 
 def _thread_limit() -> int:
@@ -352,14 +345,14 @@ def _write_outputs(cfg: ExperimentConfig, records, summary, stats: dict, files: 
 
 
 def _run_approx_norm(cfg: ExperimentConfig):
-    kernel = _build_kernel(cfg.kernel)
-    sampler = _build_sampler(cfg.sampler)
+    kernel = _build("kernel", cfg.kernel)
+    sampler = _build("sampler", cfg.sampler)
     # The naive surrogate is built only under --compare-naive. Every rung is
     # built and checked before the first n x n matrix exists.
     keys = ("gap", "gap_naive") if cfg.compare_naive else ("gap",)
     rungs = {}
     for d in cfg.d:
-        cov = _build_cov(cfg.cov, d)
+        cov = _build("cov", cfg.cov, d)
         surrogates = {key: kernels.quad_coeffs(kernel, cov, corrected=key == "gap") for key in keys}
         rungs[d] = (cfg.n_for(d), cov, surrogates)
 
@@ -384,15 +377,16 @@ def _run_approx_norm(cfg: ExperimentConfig):
 def _run_esd(cfg: ExperimentConfig):
     d = cfg.d[0]
     n = cfg.n_for(d)
-    cov = _build_cov(cfg.cov, d)
-    kernel = _build_kernel(cfg.kernel)
-    sampler = _build_sampler(cfg.sampler)
-    # Both checks fail the run here, before the law and K.
+    cov = _build("cov", cfg.cov, d)
+    kernel = _build("kernel", cfg.kernel)
+    sampler = _build("sampler", cfg.sampler)
+    # Both checks (f''(0) and the surrogate coefficients) fail the run here,
+    # before the law and K. The spectral law holds for either sign of f''(0).
     second = kernel.derivs0[2]
     if second == 0:
         raise AssumptionViolationError("f''(0) must be nonzero for the spectral limit")
-    a_star, factor = kernels.quad_coeffs(kernel, cov).a_star, 4.0 * cfg.alpha / second
-    nu = datagen.sigma2_diagonal(cov)
+    a_star, nu = krr.limit_inputs(kernel, cov)
+    factor = 4.0 * cfg.alpha / second
 
     # The law does not depend on the seeds: it is the pool's first (and
     # longest) task, None, while the other tasks compute the spectra.
@@ -424,7 +418,7 @@ def _run_esd(cfg: ExperimentConfig):
 
 def _run_mp_law(cfg: ExperimentConfig):
     d = cfg.d[0]
-    cov = _build_cov(cfg.cov, d)
+    cov = _build("cov", cfg.cov, d)
     nu = datagen.sigma2_diagonal(cov)
     t0 = time.perf_counter()
     law = spectra.deformed_mp_law(cfg.alpha, nu)
@@ -445,9 +439,9 @@ def _run_mp_law(cfg: ExperimentConfig):
 def _run_train_error(cfg: ExperimentConfig):
     d = cfg.d[0]
     n = cfg.n_for(d)
-    cov = _build_cov(cfg.cov, d)
-    kernel = _build_kernel(cfg.kernel)
-    sampler = _build_sampler(cfg.sampler)
+    cov = _build("cov", cfg.cov, d)
+    kernel = _build("kernel", cfg.kernel)
+    sampler = _build("sampler", cfg.sampler)
     teacher_kind = cfg.teacher["kind"]
     c0 = cfg.teacher.get("c0", 0.0)
     c1 = cfg.teacher.get("c1", 0.0)
@@ -474,8 +468,8 @@ def _run_train_error(cfg: ExperimentConfig):
 
 def _run_lambda_star(cfg: ExperimentConfig):
     d = cfg.d[0]
-    cov = _build_cov(cfg.cov, d)
-    kernel = _build_kernel(cfg.kernel)
+    cov = _build("cov", cfg.cov, d)
+    kernel = _build("kernel", cfg.kernel)
     a_star, nu = krr.limit_inputs(kernel, cov, cfg.a_star_override, cfg.asymptotic_nu)
     pred = krr.risk_limit(cfg.alpha, nu, a_star, kernel.derivs0[2], cfg.lam, cfg.sigma_eps, cfg.teacher["kind"])
     ls = pred.solution
@@ -494,9 +488,9 @@ def _run_lambda_star(cfg: ExperimentConfig):
 def _run_risk(cfg: ExperimentConfig):
     d = cfg.d[0]
     n = cfg.n_for(d)
-    cov = _build_cov(cfg.cov, d)
-    kernel = _build_kernel(cfg.kernel)
-    sampler = _build_sampler(cfg.sampler)
+    cov = _build("cov", cfg.cov, d)
+    kernel = _build("kernel", cfg.kernel)
+    sampler = _build("sampler", cfg.sampler)
     teacher_kind = cfg.teacher["kind"]
     pred = krr.asymptotic_risk(kernel, cov, cfg.alpha, cfg.lam, cfg.sigma_eps, teacher_kind)
 

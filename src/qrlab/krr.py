@@ -212,6 +212,16 @@ def _check_risk_kernel(kernel: KernelFunction) -> None:
         )
 
 
+def _limit_shift(alpha: float, a_star: float, lam: float, second_deriv: float) -> float:
+    """The shift s = 4 alpha (a_star + lambda) / f''(0) of the limit formulas, which
+    hold for f''(0) > 0 and a_star + lambda > 0 only (AssumptionViolationError)."""
+    if second_deriv <= 0:
+        raise AssumptionViolationError("f''(0) must be positive")
+    if a_star + lam <= 0:
+        raise AssumptionViolationError("a_star + lambda must be positive")
+    return 4.0 * alpha * (a_star + lam) / second_deriv
+
+
 def train_error_limit(
     alpha: float,
     nu: DiscreteLaw,
@@ -226,16 +236,12 @@ def train_error_limit(
     lambda^2 * integral (c2^2 x / alpha + sigma^2) /
     (f''(0) x / (4 alpha) + a_star + lambda)^2 dmu(x), evaluated through the
     companion transform at shift s = 4 alpha (a_star + lambda) / f''(0).
+    The limit holds for f''(0) > 0 and a_star + lambda > 0; anything else
+    raises AssumptionViolationError, even at lambda = 0, where it is 0.
     """
-    if second_deriv == 0:
-        raise AssumptionViolationError("f''(0) must be nonzero")
-    if a_star + lam <= 0:
-        raise AssumptionViolationError("a_star + lambda must be positive")
+    s = _limit_shift(alpha, a_star, lam, second_deriv)
     if lam == 0:
         return 0.0
-    s = 4.0 * alpha * (a_star + lam) / second_deriv
-    if s <= 0:
-        raise AssumptionViolationError("effective shift must be positive; got s=%g" % s)
     _, i1, i2 = law_integrals(alpha, nu, s)
     scale = (4.0 * alpha / second_deriv) ** 2
     return float(lam**2 * scale * ((c2**2 / alpha) * i1 + sigma_eps**2 * i2))
@@ -274,13 +280,11 @@ def lambda_star_solve(
     The left side minus right side is strictly increasing in t, so a
     bracketing search plus Newton converges to ``LAMBDA_STAR_TOL``. The
     independent route t = 1 / mt(-s) at s = 4 alpha (a_star + lambda)/f''(0)
-    must agree to ``LAMBDA_STAR_AGREEMENT``.
+    must agree to ``LAMBDA_STAR_AGREEMENT``. The equation holds for
+    f''(0) > 0 and a_star + lambda > 0; anything else raises
+    AssumptionViolationError.
     """
-    if second_deriv <= 0:
-        raise AssumptionViolationError("f''(0) must be positive")
-    if a_star + lam <= 0:
-        raise AssumptionViolationError("a_star + lambda must be positive")
-    s = 4.0 * alpha * (a_star + lam) / second_deriv
+    s = _limit_shift(alpha, a_star, lam, second_deriv)
     x, w = nu.atoms, nu.weights
 
     def equation(t: float) -> float:
@@ -398,12 +402,8 @@ def risk_limit(
     v = alpha * j2 / denom
     b = (t / (a_star + lam)) ** 2 * j1 / denom
     if teacher_kind == "deterministic_sigma":
-        total = sigma_eps**2 * v
-        b_out = 0.0
-    else:
-        total = sigma_eps**2 * v + b
-        b_out = b
-    return RiskPrediction(solution=ls, V=v, B=b_out, total=total)
+        b = 0.0
+    return RiskPrediction(solution=ls, V=v, B=b, total=sigma_eps**2 * v + b)
 
 
 def asymptotic_risk(
@@ -499,7 +499,7 @@ def deterministic_equivalents(
     pred = risk_limit(alpha, nu_c, a_star, second_deriv, lam, 0.0, "pure_quadratic")
     t = pred.solution.value
     j2 = float(np.sum(nu_c.weights * nu_c.atoms**2 / (nu_c.atoms + t) ** 2))
-    head = second_deriv * t / (4.0 * alpha * (a_star + lam))
+    head = t / _limit_shift(alpha, a_star, lam, second_deriv)
     first_pred = head - 1.0
     second_pred = head - 1.0 / (1.0 - alpha * j2)
     bias_pred = pred.B

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import InvalidArgumentError, NumericalFailureError
 
@@ -39,7 +40,8 @@ __all__ = [
 
 # Companion fixed point: the step budget of a cold start (all ladder stages),
 # the smaller one of a warm start (a caller that misses it falls back to a cold
-# start), and the residual tolerance at z relative to max(1, |z|).
+# start), and the residual tolerance at z relative to max(1, |z|) (and to 1/mt
+# on the negative axis).
 STIELTJES_MAX_STEPS = 500
 STIELTJES_WARM_STEPS = 100
 STIELTJES_TOL = 1e-12
@@ -127,7 +129,7 @@ def _checked_symmetric(m, what: str) -> tuple[np.ndarray, float]:
     peak = max(abs(float(m.max())), abs(float(m.min())))
     if not math.isfinite(peak):
         raise NumericalFailureError("%s has non-finite entries" % what)
-    if np.array_equal(m, m.T):
+    if scipy.linalg.issymmetric(m):
         return m, peak
     asym = float(np.abs(m - m.T).max())
     if asym > 1e-10 * max(1.0, peak):
@@ -202,7 +204,9 @@ def companion_stieltjes(z: complex, alpha: float, nu: DiscreteLaw, initial: comp
     alone. Each stage takes damped fixed-point steps (theta = 0.5), or a
     Newton step when it shrinks the residual, until the residual is within
     ``min(1e-9, 1e-6 |stage|) * max(1, |stage|)`` on the ladder and
-    ``STIELTJES_TOL * max(1, |z|)`` at z (the residual lives in z units).
+    ``STIELTJES_TOL * max(1, |z|)`` at z (the residual lives in z units); on
+    the negative axis the tolerance at z is ``STIELTJES_TOL * max(1, |z|, 1/mt)``,
+    since there 1/mt = alpha * int x/(1+x*mt) dnu + |z| is the largest term.
     Every residual evaluation counts against one budget: ``STIELTJES_MAX_STEPS``
     cold, ``STIELTJES_WARM_STEPS`` warm. The derivative comes in closed form:
     mt' = 1 / (1/mt^2 - alpha * int x^2/(1+x*mt)^2 dnu).
@@ -235,6 +239,7 @@ def companion_stieltjes(z: complex, alpha: float, nu: DiscreteLaw, initial: comp
         den, f1 = _first_integral(nu, m)
         for stage in stages:
             tol = (STIELTJES_TOL if stage == z else min(1e-9, 1e-6 * abs(stage))) * max(1.0, abs(stage))
+            relative = on_axis and stage == z
             while True:
                 if used == budget:
                     raise NumericalFailureError(
@@ -243,7 +248,7 @@ def companion_stieltjes(z: complex, alpha: float, nu: DiscreteLaw, initial: comp
                 used += 1
                 r = stage + 1.0 / m - alpha * f1
                 resid = abs(r)
-                if resid <= tol:
+                if resid <= (max(tol, STIELTJES_TOL * abs(1.0 / m)) if relative else tol):
                     break
                 # Newton step, accepted only when it actually shrinks the residual
                 # (it can diverge far from the root, e.g. near the support edge);

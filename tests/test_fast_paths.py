@@ -253,16 +253,15 @@ def _two_sum_companion(z, alpha, nu, initial=None):
         f2 = np.sum(nu.weights * nu.atoms**2 / den**2)
         return complex(f1), complex(f2)
 
-    def solve(z, m, budget, tol):
+    def solve(z, m, budget, tol_abs):
         on_axis = z.imag == 0.0
         resid = math.inf
-        tol_abs = tol * max(1.0, abs(z))
         for it in range(1, budget + 1):
             f1, f2 = frac_integrals(m)
             r = z + 1.0 / m - alpha * f1
             resid = abs(r)
-            if resid <= tol_abs:
-                return m, it, resid
+            if resid <= tol_abs(m):
+                return m, it, resid, True
             stepped = False
             dr = -1.0 / m**2 + alpha * f2
             if dr != 0:
@@ -282,7 +281,7 @@ def _two_sum_companion(z, alpha, nu, initial=None):
                 m = 0.5 * (m + 1.0 / denom)
                 if on_axis:
                     m = complex(max(m.real, 1e-300), 0.0)
-        return m, budget, resid
+        return m, budget, resid, False
 
     on_axis = z.imag == 0.0
     stages = []
@@ -299,16 +298,18 @@ def _two_sum_companion(z, alpha, nu, initial=None):
     if on_axis and m.real <= 0:
         m = -1.0 / z.real
     used = 0
-    resid = math.inf
-    final_tol = STIELTJES_TOL * max(1.0, abs(z))
+
+    def final_tol(m):
+        # On the negative axis, also relative to the largest term 1/m.
+        tol = STIELTJES_TOL * max(1.0, abs(z))
+        return max(tol, STIELTJES_TOL * abs(1.0 / m)) if on_axis else tol
+
     for stage in stages:
-        stage_tol = STIELTJES_TOL if stage == z else min(1e-9, 1e-6 * abs(stage))
-        m, its, resid = solve(stage, m, budget - used, stage_tol)
+        stage_tol = min(1e-9, 1e-6 * abs(stage)) * max(1.0, abs(stage))
+        m, its, resid, converged = solve(stage, m, budget - used, final_tol if stage == z else lambda m: stage_tol)
         used += its
-        if used >= budget and (stage != z or resid > final_tol):
+        if not converged or (used >= budget and stage != z):
             raise NumericalFailureError("did not converge")
-    if resid > final_tol:
-        raise NumericalFailureError("did not converge")
     if not on_axis and m.imag < -1e-10:
         raise NumericalFailureError("Nevanlinna violation")
     _, f2 = frac_integrals(m)

@@ -226,6 +226,34 @@ def test_lambda_star_root_at_large_alpha(alpha, nu, a_star, lam, f2):
     assert abs(1.0 - s / t - alpha * integral) <= 1e-12
 
 
+def test_lambda_star_at_large_alpha_and_wide_population():
+    # The Stieltjes route solves at z = -s with s = 4 alpha lambda, at an
+    # alpha where the residual is resolvable only relative to 1/mt.
+    alpha, s = 711.7537509149355, 0.0013016696154710618
+    nu = DiscreteLaw.from_values([0.004787792912800229, 0.2877205887386512, 64.07417129618355])
+    res = lambda_star_solve(alpha, nu, 0.0, s / (4.0 * alpha), 1.0)
+    assert abs(res.value - res.alt_value) <= 1e-10 * max(1.0, res.value)
+
+
+@pytest.mark.parametrize("second_deriv, a_star, lam, message", [
+    (0.0, 0.1, 0.5, "f''(0) must be positive"),
+    (-1.0, 0.1, 0.5, "f''(0) must be positive"),
+    (-1.0, 0.1, 0.0, "f''(0) must be positive"),
+    (1.0, -0.5, 0.5, "a_star + lambda must be positive"),
+    (1.0, -0.6, 0.5, "a_star + lambda must be positive"),
+])
+def test_limit_formulas_share_one_regime_rule(second_deriv, a_star, lam, message):
+    nu = DiscreteLaw.delta(2.0)
+    solves = [
+        lambda: train_error_limit(1.0, nu, a_star, second_deriv, lam, 1.0, 0.5),
+        lambda: lambda_star_solve(1.0, nu, a_star, lam, second_deriv),
+    ]
+    for solve in solves:
+        with pytest.raises(AssumptionViolationError) as info:
+            solve()
+        assert str(info.value) == message
+
+
 def test_lambda_star_kernel_wrapper_with_override():
     kernel = KernelFunction.quartic(1, 1, 1)
     a_star, nu = limit_inputs(kernel, CovarianceSpec.identity(40), a_star_override=0.0, asymptotic_nu=True)

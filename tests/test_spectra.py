@@ -291,6 +291,33 @@ def test_companion_wide_scale_population():
     assert deformed_mp_law(1.0, nu).total_mass() == pytest.approx(1.0, abs=2e-3)
 
 
+# A population spread over decades at large alpha: at z = -s the largest term
+# of the fixed-point equation is 1/mt = alpha * int x/(1+x mt) dnu + s, far
+# above max(1, s), and the residual is resolvable only relative to it.
+def test_companion_negative_axis_large_alpha():
+    nu = DiscreteLaw.from_values([0.004787792912800229, 0.2877205887386512, 64.07417129618355])
+    ev = companion_stieltjes(-0.0013016696154710618, 711.7537509149355, nu)
+    assert ev.m_tilde.real > 0
+    assert ev.residual <= 1e-12 / ev.m_tilde.real
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alpha=_log_uniform(0.0, 3.0),
+    atoms=st.lists(_log_uniform(-3.0, 3.0), min_size=1, max_size=5),
+    s=_log_uniform(-3.0, 3.0),
+)
+def test_companion_negative_axis_converges(alpha, atoms, s):
+    ev = companion_stieltjes(complex(-s, 0.0), alpha, DiscreteLaw.from_values(atoms))
+    m = ev.m_tilde.real
+    assert m > 0
+    assert ev.residual <= 1e-12 * max(1.0, s, 1.0 / m)
+
+
 @pytest.mark.parametrize("cov, alpha", [
     (CovarianceSpec.uniform(60, 0.5, 1.5), 1.0),  # the esd-law benchmark law
     (CovarianceSpec.uniform(60, 0.5, 1.5), 0.5),  # the README mp-law example
