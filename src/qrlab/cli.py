@@ -63,6 +63,7 @@ import os
 import platform
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -74,6 +75,7 @@ from . import datagen, kernels, krr, oracles, plots, spectra
 from .seeding import TEACHER, substream
 from .errors import (
     AssumptionViolationError,
+    CapacityError,
     InvalidArgumentError,
     NumericalFailureError,
     QrlabError,
@@ -344,29 +346,61 @@ def _write_outputs(cfg: ExperimentConfig, records, summary, stats: dict, files: 
     return out
 
 
+def _mem_available() -> int | None:
+    """MemAvailable from /proc/meminfo in bytes, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _check_capacity(task_bytes: list[int]) -> None:
+    """Refuse a pool whose largest tasks, one per worker, would together hold
+    more than the available memory (CapacityError); pass when it is unknown."""
+    required = sum(sorted(task_bytes, reverse=True)[:_worker_count(len(task_bytes))])
+    available = _mem_available()
+    if available is not None and required > available:
+        raise CapacityError(
+            "the largest concurrent tasks need about %d MB, and %d MB of memory is available"
+            % (required // 2**20, available // 2**20),
+            required_bytes=required,
+        )
+
+
 def _run_approx_norm(cfg: ExperimentConfig):
     kernel = _build("kernel", cfg.kernel)
     sampler = _build("sampler", cfg.sampler)
     # The naive surrogate is built only under --compare-naive. Every rung is
-    # built and checked before the first n x n matrix exists.
-    keys = ("gap", "gap_naive") if cfg.compare_naive else ("gap",)
+    # built and checked, and the pool's memory estimated, before the first
+    # n x n matrix exists.
     rungs = {}
     for d in cfg.d:
         cov = _build("cov", cfg.cov, d)
-        surrogates = {key: kernels.quad_coeffs(kernel, cov, corrected=key == "gap") for key in keys}
-        rungs[d] = (cfg.n_for(d), cov, surrogates)
+        coeffs = kernels.quad_coeffs(kernel, cov)
+        naive = kernels.quad_coeffs(kernel, cov, corrected=False) if cfg.compare_naive else None
+        rungs[d] = (cfg.n_for(d), cov, coeffs, naive)
+    tasks = [(d, seed) for d in cfg.d for seed in cfg.seeds]
+    _check_capacity([kernels.gap_matrix_bytes(rungs[d][0], d) for d, _ in tasks])
 
     def one(task):
         d, seed = task
-        n, cov, surrogates = rungs[d]
+        n, cov, coeffs, naive = rungs[d]
         data = datagen.sample_dataset(n, d, cov, sampler, seed)
-        k_mat = kernels.kernel_matrix(data, kernel)
-        rec = {"d": d, "n": data.n, "seed": seed}
-        for key, coeffs in surrogates.items():
-            rec[key] = kernels.spectral_norm_gap(k_mat - kernels.quad_kernel_matrix(data, coeffs))
+        # One n x n array per task: D = K - K2, then shifted in place to the
+        # naive surrogate's difference.
+        diff = kernels.gap_matrix(data, kernel, coeffs)
+        rec = {"d": d, "n": data.n, "seed": seed, "gap": kernels.spectral_norm_gap(diff)}
+        if naive is not None:
+            kernels.shift_gap_matrix(diff, data, coeffs, naive)
+            rec["gap_naive"] = kernels.spectral_norm_gap(diff)
         return rec
 
-    records, stats = _map_seeds(one, [(d, seed) for d in cfg.d for seed in cfg.seeds])
+    records, stats = _map_seeds(one, tasks)
+    keys = ("gap", "gap_naive") if cfg.compare_naive else ("gap",)
 
     def medians(key):
         return {str(d): float(np.median([r[key] for r in records if r["d"] == d])) for d in cfg.d}
@@ -622,7 +656,14 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return "warning: %s\n" % message
+
+
 def main(argv: list[str] | None = None) -> int:
+    # Warnings print as one line, like the error lines below; library callers
+    # keep Python's format, with the source file and line.
+    format_warning, warnings.formatwarning = warnings.formatwarning, _format_warning
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -637,6 +678,8 @@ def main(argv: list[str] | None = None) -> int:
     except QrlabError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

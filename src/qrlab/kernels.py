@@ -7,6 +7,13 @@ The kernel matrix is K_ij = f(<x_i, x_j>/d). Its quadratic surrogate is
 with coefficients that carry trace corrections beyond the plain Taylor
 expansion of f at zero; the corrections are what make the spectral-norm
 approximation work in the n ~ d^2 regime.
+
+``kernel_matrix`` and ``quad_kernel_matrix`` form K and K2 whole.
+``gap_matrix`` forms their difference D = K - K2, the matrix
+``spectral_norm_gap`` solves, without either: row strips of the upper
+triangle, mirrored below it, into one n x n array. ``shift_gap_matrix``
+turns that D into the difference for other coefficients in place, so a
+comparison of surrogates holds one n x n array.
 """
 
 from __future__ import annotations
@@ -28,6 +35,9 @@ __all__ = [
     "quad_coeffs",
     "kernel_matrix",
     "quad_kernel_matrix",
+    "gap_matrix",
+    "shift_gap_matrix",
+    "gap_matrix_bytes",
     "cross_kernel",
     "spectral_norm_gap",
 ]
@@ -220,6 +230,99 @@ def quad_kernel_matrix(data, coeffs: QuadCoeffs) -> np.ndarray:
     out += gram
     out[np.diag_indices(n)] += coeffs.a_star
     return out
+
+
+# Rows per strip of gap_matrix and shift_gap_matrix. One BLAS thread, 2-CPU
+# Xeon, exp kernel, best of 5, building D (then shifting it): at n=2048,
+# 46 + 27 ms with 64-row strips, 42 + 26 with 128, 59 + 44 with 256 and
+# 106 + 90 with 1024, against 192 ms for kernel_matrix - quad_kernel_matrix;
+# at n=4608, 238 + 178, 244 + 176 and 262 + 189 ms for 64, 128 and 256 rows.
+GAP_STRIP_ROWS = 128
+# Strip-sized float64 temporaries alive at once in the strip loop: the Gram
+# strip plus at most two more (the surrogate's square, or the two arrays of a
+# polynomial kernel's Horner evaluation); one more is margin.
+GAP_STRIP_TEMPS = 4
+
+
+def gap_matrix(data, kernel: KernelFunction, coeffs: QuadCoeffs) -> np.ndarray:
+    """D = K - K2, the difference ``spectral_norm_gap`` solves, as one n x n array.
+
+    Equal to ``kernel_matrix(data, kernel) - quad_kernel_matrix(data, coeffs)``
+    up to rounding (each strip forms its Gram block by gemm, where those use
+    syrk), but never holds K or K2: row strips of the upper triangle are
+    written as f(G/d) - ((a0 + a1 G) + a2 G o G) and mirrored below the
+    diagonal, so D is exactly symmetric and f is evaluated on half the
+    entries. A strip with a non-finite entry raises NumericalFailureError as
+    soon as it is formed.
+    """
+    x = _as_matrix(data)
+    n, d = x.shape
+    diff = np.empty((n, n))
+
+    def fill(gram, block):
+        _surrogate(gram, coeffs, out=block)
+        gram /= d
+        np.subtract(kernel.eval(gram), block, out=block)
+
+    _by_strips(x, diff, fill)
+    diff.flat[:: n + 1] -= coeffs.a_star
+    return diff
+
+
+def shift_gap_matrix(diff: np.ndarray, data, old: QuadCoeffs, new: QuadCoeffs) -> None:
+    """Turn ``diff`` = K - K2(old) from ``gap_matrix`` into K - K2(new) in place.
+
+    Adds K2(old) - K2(new) strip by strip, over the same strips and mirror
+    as ``gap_matrix``, so K is never formed again.
+    """
+    x = _as_matrix(data)
+    if diff.shape != (len(x), len(x)):
+        raise InvalidArgumentError("diff of shape %r is not the n x n gap matrix of %d points" % (diff.shape, len(x)))
+    delta = QuadCoeffs(*(a - b for a, b in zip(astuple(old), astuple(new))))
+
+    def fill(gram, block):
+        block += _surrogate(gram, delta, out=gram)
+
+    _by_strips(x, diff, fill)
+    diff.flat[:: len(x) + 1] += delta.a_star
+
+
+def gap_matrix_bytes(n: int, d: int) -> int:
+    """Bytes that ``gap_matrix`` and then ``shift_gap_matrix`` hold at their
+    peak for n points in d dimensions: D, the data and the strip temporaries."""
+    return 8 * (n * n + n * d + GAP_STRIP_TEMPS * min(n, GAP_STRIP_ROWS) * n)
+
+
+def _surrogate(gram: np.ndarray, coeffs: QuadCoeffs, out: np.ndarray) -> np.ndarray:
+    """(a0 + a1 G) + a2 G o G into ``out``, which may be ``gram`` itself."""
+    square = gram * gram
+    square *= coeffs.a2
+    np.multiply(gram, coeffs.a1, out=out)
+    out += coeffs.a0
+    out += square
+    return out
+
+
+def _by_strips(x: np.ndarray, diff: np.ndarray, fill) -> None:
+    """Walk the upper triangle of the n x n ``diff`` in row strips of
+    GAP_STRIP_ROWS: ``fill(G, strip)`` writes diff[i:j, i:] given the Gram
+    strip G = x[i:j] @ x[i:].T, which it may overwrite. Each strip is then
+    checked for finite entries and mirrored into diff[i:, i:j]."""
+    n = len(x)
+    # gemm need not round the diagonal block's two triangles alike, so its
+    # strict lower triangle is mirrored too.
+    below = np.tri(GAP_STRIP_ROWS, k=-1, dtype=bool)
+    for i in range(0, n, GAP_STRIP_ROWS):
+        j = min(i + GAP_STRIP_ROWS, n)
+        strip = diff[i:j, i:]
+        # An overflow gives inf, not a RuntimeWarning; the check reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            fill(x[i:j] @ x[i:].T, strip)
+        if not np.isfinite(strip).all():
+            raise NumericalFailureError("spectral norm gap: K - K2 has non-finite entries in rows %d to %d" % (i, j - 1))
+        diff[j:, i:j] = strip[:, j - i:].T
+        square = strip[:, : j - i]
+        np.copyto(square, square.T, where=below[: j - i, : j - i])
 
 
 def cross_kernel(data, x_test, kernel: KernelFunction) -> np.ndarray:

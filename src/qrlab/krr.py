@@ -384,7 +384,9 @@ def risk_limit(
         B = (lambda_*/(a_star + lambda))^2 J1 / (1 - alpha J2),
 
     with J1 = int x/(x+lambda_*)^2 dnu and J2 = int x^2/(x+lambda_*)^2 dnu.
-    The bias enters the total only for the random quadratic teacher.
+    The bias enters only for the random quadratic teacher; the deterministic
+    teacher's B is 0.0 and is not formed. A non-finite B raises
+    NumericalFailureError.
     """
     if teacher_kind not in RISK_TEACHERS:
         raise InvalidArgumentError("teacher_kind must be one of %r" % (RISK_TEACHERS,))
@@ -400,9 +402,14 @@ def risk_limit(
             detail={"alpha_j2": alpha * j2},
         )
     v = alpha * j2 / denom
-    b = (t / (a_star + lam)) ** 2 * j1 / denom
-    if teacher_kind == "deterministic_sigma":
-        b = 0.0
+    b = 0.0
+    if teacher_kind != "deterministic_sigma":
+        try:
+            b = (t / (a_star + lam)) ** 2 * j1 / denom
+        except OverflowError:
+            b = math.inf
+        if not math.isfinite(b):
+            raise NumericalFailureError("bias B is non-finite: lambda_*/(a_star + lambda) = %g" % (t / (a_star + lam)))
     return RiskPrediction(solution=ls, V=v, B=b, total=sigma_eps**2 * v + b)
 
 

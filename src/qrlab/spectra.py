@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidArgumentError, NumericalFailureError
 
@@ -118,6 +117,23 @@ class StieltjesEval:
     residual: float
 
 
+# Square tiles of the exact-symmetry check. Comparing a tile with its mirror
+# keeps both reads in cache; a whole-matrix comparison walks the transpose
+# down columns, and at a row stride of 16 KiB (n = 2048) those reads alias in
+# cache. One BLAS thread, 2-CPU Xeon, best of 7, exp kernel matrix:
+# scipy.linalg.issymmetric 6.1 ms at n=1800 and 35 ms at n=2048; 128-row
+# tiles 6.4 and 13 ms; 64-row tiles 10 and 12 ms.
+SYMMETRY_TILE = 128
+
+
+def _exactly_symmetric(m: np.ndarray) -> bool:
+    """m == m.T entrywise, compared tile by tile on and above the diagonal."""
+    n, t = len(m), SYMMETRY_TILE
+    return all(
+        np.array_equal(m[i:i + t, j:j + t], m[j:j + t, i:i + t].T) for i in range(0, n, t) for j in range(i, n, t)
+    )
+
+
 def _checked_symmetric(m, what: str) -> tuple[np.ndarray, float]:
     """(symmetric float64 matrix, its largest |entry|) for a finite square input
     that is symmetric within 1e-10 relative to its largest entry. Exactly
@@ -129,7 +145,7 @@ def _checked_symmetric(m, what: str) -> tuple[np.ndarray, float]:
     peak = max(abs(float(m.max())), abs(float(m.min())))
     if not math.isfinite(peak):
         raise NumericalFailureError("%s has non-finite entries" % what)
-    if scipy.linalg.issymmetric(m):
+    if _exactly_symmetric(m):
         return m, peak
     asym = float(np.abs(m - m.T).max())
     if asym > 1e-10 * max(1.0, peak):

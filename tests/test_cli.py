@@ -557,11 +557,81 @@ def test_esd_and_gap_fail_before_the_n_by_n_work(tmp_path, monkeypatch, capsys, 
 
     monkeypatch.setattr(spectra, "deformed_mp_law", forbidden)
     monkeypatch.setattr(kernels, "kernel_matrix", forbidden)
+    monkeypatch.setattr(kernels, "gap_matrix", forbidden)
     monkeypatch.setattr(krr, "kernel_matrix", forbidden)
     assert main([experiment] + flags.split() + ["--out", str(tmp_path / "x")]) == code
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_capacity_check_sums_the_largest_task_per_worker(monkeypatch):
+    import qrlab.cli as cli
+    from qrlab.errors import CapacityError
+
+    monkeypatch.setenv("QRLAB_THREADS", "2")
+    monkeypatch.setattr(cli, "_mem_available", lambda: 8)
+    cli._check_capacity([1, 5, 3])  # two workers: 5 + 3 bytes
+    cli._check_capacity([8])  # one task, one worker
+    monkeypatch.setattr(cli, "_mem_available", lambda: 7)
+    with pytest.raises(CapacityError) as info:
+        cli._check_capacity([1, 5, 3])
+    assert info.value.required_bytes == 8
+    monkeypatch.setattr(cli, "_mem_available", lambda: None)  # unknown: no check
+    cli._check_capacity([2**60])
+
+
+def test_approx_norm_refuses_a_pool_beyond_available_memory(tmp_path, monkeypatch, capsys):
+    import qrlab.cli as cli
+    import qrlab.kernels as kernels
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("n x n work started after the capacity check failed")
+
+    monkeypatch.setenv("QRLAB_THREADS", "2")
+    monkeypatch.setattr(kernels, "gap_matrix", forbidden)
+    monkeypatch.setattr(cli, "_mem_available", lambda: 2**20)
+    # d=128: n = 8192, one 512 MiB array per task and two tasks at once.
+    assert main(["approx-norm", "--d", "24,128", "--seeds", "2", "--out", str(tmp_path / "x")]) == 3
+    need = 2 * kernels.gap_matrix_bytes(8192, 128) // 2**20
+    err = capsys.readouterr().err
+    assert "need about %d MB, and 1 MB of memory is available" % need in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("teacher, code", [("deterministic_sigma", 0), ("pure_quadratic", 3)])
+def test_bias_overflow_fails_only_the_teacher_that_reads_it(tmp_path, capsys, teacher, code):
+    # lambda_*/(a_star + lambda) = 2e170, whose square overflows.
+    out = tmp_path / "x"
+    assert main(["lambda-star", "--d", "8", "--alpha", "2", "--kernel", "quartic:1,1,1", "--lambda", "1e-170",
+                 "--a-star-override", "0", "--teacher", teacher, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 0:
+        assert _read(out)["summary"]["B"] == 0.0
+    else:
+        assert "numerical failure: bias B is non-finite" in err
+
+
+def test_cli_prints_warnings_on_one_line(tmp_path, capfd):
+    import os
+    import subprocess
+    import sys
+    import warnings
+
+    # In a subprocess, where Python's own warning display is in force.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    args = ["train-error", "--d", "10", "--kernel", "custom_poly:1,1,-1", "--lambda", "0.5", "--seeds", "1"]
+    code = subprocess.call([sys.executable, "-m", "qrlab.cli"] + args + ["--out", str(tmp_path / "x")], env=env)
+    assert code == 2
+    err = capfd.readouterr().err.splitlines()
+    assert err == ["warning: diagonal offset a_star = 0 is not positive; ridge-less fits and the risk "
+                   "formulas assume a_star > 0", "assumption violation: f''(0) must be positive"]
+    # Library callers keep Python's format.
+    before = warnings.formatwarning
+    with pytest.warns(UserWarning):
+        main(args + ["--out", str(tmp_path / "y")])
+    assert warnings.formatwarning is before
 
 
 def test_overflowing_atoms_fail_without_a_runtime_warning(tmp_path, capsys, recwarn):

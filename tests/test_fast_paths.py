@@ -1,8 +1,9 @@
-"""The in-place kernel and teacher evaluations, the surrogate coefficients
-on float64 scalars, the Lanczos spectral-norm gap and the one-sum companion
-solver against their plain forms."""
+"""The in-place kernel and teacher evaluations, the strip-built gap matrix,
+the surrogate coefficients on float64 scalars, the Lanczos spectral-norm gap
+and the one-sum companion solver against their plain forms."""
 
 import math
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -13,12 +14,16 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from qrlab.datagen import CovarianceSpec
 from qrlab.kernels import (
+    GAP_STRIP_ROWS,
     KernelFunction,
     QuadCoeffs,
     cross_kernel,
+    gap_matrix,
+    gap_matrix_bytes,
     kernel_matrix,
     quad_coeffs,
     quad_kernel_matrix,
+    shift_gap_matrix,
     spectral_norm_gap,
 )
 from qrlab.errors import NumericalFailureError
@@ -142,6 +147,64 @@ def test_surrogate_matches_written_formula(layout):
         want = coeffs.a0 + coeffs.a1 * gram + coeffs.a2 * (gram * gram)
         want[np.diag_indices(n)] += coeffs.a_star
         assert np.array_equal(quad_kernel_matrix(x, coeffs), want)
+
+
+def _assert_difference_of(diff, k, k2):
+    # Rounding differs from K - K2 (gemm strips against one syrk Gram), so
+    # compare against the scale of the two terms that were subtracted.
+    scale = max(np.abs(k).max(), np.abs(k2).max())
+    assert np.abs(diff - (k - k2)).max() <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, GAP_STRIP_ROWS, GAP_STRIP_ROWS + 1, 3 * GAP_STRIP_ROWS - 5]),
+       st.integers(1, 6), st.sampled_from(KERNELS), st.sampled_from(sorted(LAYOUTS)))
+def test_gap_matrix_matches_explicit_difference(seed, n, d, kernel, layout):
+    # n = 1, exactly one strip, one strip and a row, and several strips.
+    rng = np.random.default_rng(seed)
+    x = LAYOUTS[layout](rng.normal(size=(n, d)))
+    coeffs, naive = QuadCoeffs(*rng.normal(size=4)), QuadCoeffs(*rng.normal(size=4))
+    k = kernel_matrix(x, kernel)
+    diff = gap_matrix(x, kernel, coeffs)
+    _assert_difference_of(diff, k, quad_kernel_matrix(x, coeffs))
+    assert np.array_equal(diff, diff.T)
+    shift_gap_matrix(diff, x, coeffs, naive)
+    _assert_difference_of(diff, k, quad_kernel_matrix(x, naive))
+    assert np.array_equal(diff, diff.T)
+
+
+def test_gap_matrix_fails_at_the_overflowing_strip(monkeypatch):
+    import scipy.sparse.linalg
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Lanczos called on a non-finite K - K2")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", forbidden)
+    # Only K's entry (300, 300) overflows: t = |x_300|^2/d = 1e80 and t^4 > 1e308,
+    # while the off-diagonal t of row 300 stays near 1e40.
+    x = np.random.default_rng(5).normal(size=(3 * GAP_STRIP_ROWS, 4))
+    x[300] *= 2e40 / np.linalg.norm(x[300])
+    first = 300 - 300 % GAP_STRIP_ROWS
+    with pytest.raises(NumericalFailureError, match="non-finite entries in rows %d to %d"
+                       % (first, first + GAP_STRIP_ROWS - 1)):
+        spectral_norm_gap(gap_matrix(x, KernelFunction.quartic(1.0, 1.0, 1.0), QuadCoeffs(1.0, 0.5, 0.25, 0.1)))
+
+
+@pytest.mark.parametrize("kernel", [KernelFunction.exp(), KernelFunction.quartic(1.0, 6.0, 1.0)], ids=lambda k: k.name)
+def test_gap_matrix_holds_one_n_by_n_array(kernel):
+    n, d = 8 * GAP_STRIP_ROWS, 8
+    x = np.random.default_rng(6).normal(size=(n, d))
+    coeffs, naive = QuadCoeffs(1.0, 0.5, 0.25, 0.1), QuadCoeffs(1.0, 0.4, 0.2, 0.1)
+    tracemalloc.start()
+    try:
+        diff = gap_matrix(x, kernel, coeffs)
+        shift_gap_matrix(diff, x, coeffs, naive)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Within the estimate approx-norm's capacity check uses, which is itself
+    # below the two n x n arrays of K - K2.
+    assert peak <= gap_matrix_bytes(n, d) < 2 * 8 * n * n
 
 
 def _coeffs_on_python_floats(kernel, cov, corrected):

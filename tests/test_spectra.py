@@ -68,6 +68,20 @@ def test_symmetric_input_check_keeps_exact_input():
         _checked_symmetric(near, "m")
 
 
+@pytest.mark.parametrize("row, col", [(-1, -3), (-1, 2), (2, -1)], ids=["diagonal", "below", "above"])
+def test_symmetric_input_check_reaches_the_last_partial_tile(row, col):
+    # One asymmetric entry in the last tile row or column, which is cut short.
+    n = 2 * spectra.SYMMETRY_TILE + 5
+    m = np.random.default_rng(5).normal(size=(n, n))
+    m = m + m.T
+    m[row, col] += 1e-3
+    with pytest.raises(InvalidArgumentError, match="m is not symmetric"):
+        _checked_symmetric(m, "m")
+    m[row, col] -= 1e-3 - 1e-12
+    sym, _ = _checked_symmetric(m, "m")
+    assert sym is not m and np.array_equal(sym, sym.T)
+
+
 def test_symmetric_input_check_copies_no_matrix():
     m = np.random.default_rng(4).normal(size=(1000, 1000))
     m = m + m.T
