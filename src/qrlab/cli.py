@@ -49,7 +49,10 @@ shifts another consumer's stream.
 Exit codes: 0 success, 1 configuration error, 2 assumption violation,
 3 numerical failure. Every experiment that reads a kernel exits 3 before any
 n x n work when a surrogate coefficient (a0, a1, a2, a_star) overflows;
-lambda-star with --a-star-override does not compute a_star.
+lambda-star with --a-star-override does not compute a_star. approx-norm
+holds one n x n array per task, and exits 3 before any n x n work when its
+largest tasks, one per seed worker, would need more than the MemAvailable
+of /proc/meminfo. Warnings print as one "warning: ..." line on stderr.
 """
 
 from __future__ import annotations
