@@ -23,11 +23,9 @@ from .kernels import (
     KernelFunction,
     QuadCoeffs,
     cross_kernel,
-    gap_matrix,
     kernel_matrix,
     quad_coeffs,
     quad_kernel_matrix,
-    shift_gap_matrix,
     spectral_norm_gap,
 )
 from .krr import (
