@@ -47,12 +47,13 @@ substreams (data=1, teacher=2, noise=3, test=4) so adding a consumer never
 shifts another consumer's stream.
 
 Exit codes: 0 success, 1 configuration error, 2 assumption violation,
-3 numerical failure. Every experiment that reads a kernel exits 3 before any
-n x n work when a surrogate coefficient (a0, a1, a2, a_star) overflows;
-lambda-star with --a-star-override does not compute a_star. approx-norm
-holds one n x n array per task, and exits 3 before any n x n work when its
-largest tasks, one per seed worker, would need more than the MemAvailable
-of /proc/meminfo. Warnings print as one "warning: ..." line on stderr.
+3 numerical failure or capacity error. Every experiment that reads a kernel
+exits 3 before any n x n work when a surrogate coefficient (a0, a1, a2,
+a_star) overflows; lambda-star with --a-star-override does not compute
+a_star. approx-norm holds one n x n array per task and risk about three;
+both exit 3 with a capacity error before any n x n work when their largest
+tasks, one per seed worker, would need more than the MemAvailable of
+/proc/meminfo. Warnings print as one "warning: ..." line on stderr.
 """
 
 from __future__ import annotations
@@ -529,6 +530,7 @@ def _run_risk(cfg: ExperimentConfig):
     kernel = _build("kernel", cfg.kernel)
     sampler = _build("sampler", cfg.sampler)
     teacher_kind = cfg.teacher["kind"]
+    _check_capacity([krr.empirical_risk_bytes(n, d, cfg.n_test)] * len(cfg.seeds))
     pred = krr.asymptotic_risk(kernel, cov, cfg.alpha, cfg.lam, cfg.sigma_eps, teacher_kind)
 
     def one(seed):
@@ -678,6 +680,9 @@ def main(argv: list[str] | None = None) -> int:
     except AssumptionViolationError as exc:
         print("assumption violation: %s" % exc, file=sys.stderr)
         return 2
+    except CapacityError as exc:
+        print("capacity error: %s" % exc, file=sys.stderr)
+        return 3
     except QrlabError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3

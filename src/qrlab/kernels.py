@@ -218,15 +218,10 @@ def quad_kernel_matrix(data, coeffs: QuadCoeffs) -> np.ndarray:
     of (a0 + a1 G) + a2 (G o G).
     """
     x = _as_matrix(data)
-    n, _ = x.shape
     gram = x @ x.T
-    out = gram * gram
-    out *= coeffs.a2
-    gram *= coeffs.a1
-    gram += coeffs.a0
-    out += gram
-    out[np.diag_indices(n)] += coeffs.a_star
-    return out
+    _surrogate(gram, coeffs, out=gram)
+    gram.flat[:: len(x) + 1] += coeffs.a_star
+    return gram
 
 
 # Rows per strip of gap_matrix and shift_gap_matrix. One BLAS thread, 2-CPU

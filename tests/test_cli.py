@@ -595,7 +595,30 @@ def test_approx_norm_refuses_a_pool_beyond_available_memory(tmp_path, monkeypatc
     assert main(["approx-norm", "--d", "24,128", "--seeds", "2", "--out", str(tmp_path / "x")]) == 3
     need = 2 * kernels.gap_matrix_bytes(8192, 128) // 2**20
     err = capsys.readouterr().err
-    assert "need about %d MB, and 1 MB of memory is available" % need in err and "Traceback" not in err
+    assert "capacity error: the largest concurrent tasks need about %d MB, and 1 MB of memory is available" % need in err
+    assert "Traceback" not in err
+
+
+def test_risk_refuses_tasks_beyond_available_memory(tmp_path, monkeypatch, capsys):
+    import qrlab.cli as cli
+    import qrlab.kernels as kernels
+    import qrlab.krr as krr
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("risk work started after the capacity check failed")
+
+    monkeypatch.setenv("QRLAB_THREADS", "2")
+    monkeypatch.setattr(krr, "asymptotic_risk", forbidden)
+    monkeypatch.setattr(kernels, "kernel_matrix", forbidden)
+    monkeypatch.setattr(krr, "kernel_matrix", forbidden)
+    monkeypatch.setattr(cli, "_mem_available", lambda: 2**20)
+    # The desk shape, d=60: n = 1800 and two tasks at once.
+    assert main(["risk", "--d", "60", "--kernel", "quartic:1,6,1", "--seeds", "2", "--n-test", "4000",
+                 "--out", str(tmp_path / "x")]) == 3
+    need = 2 * krr.empirical_risk_bytes(1800, 60, 4000) // 2**20
+    err = capsys.readouterr().err
+    assert "capacity error: the largest concurrent tasks need about %d MB, and 1 MB of memory is available" % need in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("teacher, code", [("deterministic_sigma", 0), ("pure_quadratic", 3)])

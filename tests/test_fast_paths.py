@@ -1,18 +1,22 @@
 """The in-place kernel and teacher evaluations, the strip-built gap matrix,
-the surrogate coefficients on float64 scalars, the Lanczos spectral-norm gap
-and the one-sum companion solver against their plain forms."""
+the blocked risk prediction, the surrogate coefficients on float64 scalars,
+the Lanczos spectral-norm gap and the one-sum companion solver against their
+plain forms."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from qrlab.datagen import CovarianceSpec
+from qrlab.datagen import CovarianceSpec, MomentMatchedSampler, sample_dataset
 from qrlab.kernels import (
     GAP_STRIP_ROWS,
     KernelFunction,
@@ -27,7 +31,7 @@ from qrlab.kernels import (
     spectral_norm_gap,
 )
 from qrlab.errors import NumericalFailureError
-from qrlab.krr import TeacherModel
+from qrlab.krr import RISK_BLOCK_ROWS, TeacherModel, _predict, empirical_risk, empirical_risk_bytes
 from qrlab.spectra import (
     STIELTJES_MAX_STEPS,
     STIELTJES_TOL,
@@ -205,6 +209,61 @@ def test_gap_matrix_holds_one_n_by_n_array(kernel):
     # Within the estimate approx-norm's capacity check uses, which is itself
     # below the two n x n arrays of K - K2.
     assert peak <= gap_matrix_bytes(n, d) < 2 * 8 * n * n
+
+
+def test_risk_block_rows_predict_bit_identically_on_one_blas_thread():
+    # Pins RISK_BLOCK_ROWS at the desk shape: under one BLAS thread the blocked
+    # predictions equal the whole cross-kernel block's bit for bit. OpenBLAS
+    # fixes its thread count when it loads, hence a fresh interpreter.
+    script = """if True:
+        import numpy as np
+        from qrlab.datagen import CovarianceSpec, MomentMatchedSampler, sample_dataset
+        from qrlab.kernels import KernelFunction, cross_kernel
+        from qrlab.krr import _predict
+        data = sample_dataset(1800, 60, CovarianceSpec.identity(60), MomentMatchedSampler.gaussian(), 0)
+        rng = np.random.default_rng(3)
+        x_test, w = rng.standard_normal((4000, 60)), rng.standard_normal(1800)
+        kernel = KernelFunction.quartic(1.0, 6.0, 1.0)
+        assert np.array_equal(_predict(data, x_test, kernel, w), cross_kernel(data, x_test, kernel) @ w)
+    """
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    env = dict(os.environ, PYTHONPATH=src, **threads)
+    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3 * RISK_BLOCK_ROWS + 7), st.integers(0, 2**32 - 1))
+@example(1, 0)
+@example(RISK_BLOCK_ROWS - 1, 0)
+@example(RISK_BLOCK_ROWS, 0)
+@example(RISK_BLOCK_ROWS + 1, 0)
+@example(3 * RISK_BLOCK_ROWS + 7, 0)
+def test_blocked_prediction_matches_the_whole_block(n_test, seed):
+    rng = np.random.default_rng(seed)
+    x, x_test, w = rng.normal(size=(40, 6)), rng.normal(size=(n_test, 6)), rng.normal(size=40)
+    kernel = KernelFunction.quartic(1.0, 6.0, 1.0)
+    cross = cross_kernel(x, x_test, kernel)
+    # Relative to the sum of the terms' magnitudes, which bounds the rounding
+    # of any order of the sum.
+    scale = np.abs(cross) @ np.abs(w)
+    assert np.all(np.abs(_predict(x, x_test, kernel, w) - cross @ w) <= 1e-13 * scale)
+
+
+def test_empirical_risk_peak_is_the_kernel_build():
+    d, n, n_test = 60, 1800, 4000
+    data = sample_dataset(n, d, CovarianceSpec.identity(d), MomentMatchedSampler.gaussian(), 0)
+    tracemalloc.start()
+    try:
+        empirical_risk(data, KernelFunction.quartic(1.0, 6.0, 1.0), "deterministic_sigma", 1.0, 0.5, n_test, 2, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The quartic kernel's Horner build holds three n x n arrays; K, its
+    # Cholesky copy and the prediction blocks stay below that.
+    assert peak <= 3.1 * 8 * n * n
+    assert peak <= empirical_risk_bytes(n, d, n_test)
 
 
 def _coeffs_on_python_floats(kernel, cov, corrected):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from qrlab.datagen import CovarianceSpec, MomentMatchedSampler, sample_dataset
 from qrlab.errors import AssumptionWarning, InvalidArgumentError, NumericalFailureError
 from qrlab.kernels import (
     KernelFunction,
+    QuadCoeffs,
     cross_kernel,
     kernel_matrix,
     quad_coeffs,
@@ -246,3 +248,28 @@ def test_gap_decay_two_point_check():
             gaps.append(spectral_norm_gap(kernel_matrix(data, kern) - quad_kernel_matrix(data, coeffs)))
         medians.append(np.median(gaps))
     assert medians[1] < medians[0]
+
+
+def test_quad_kernel_matrix_keeps_the_inline_rounding():
+    # quad_kernel_matrix builds through the strip builder's surrogate formula;
+    # the reference is the in-place build it replaced, whose sums it keeps
+    # with the operands swapped, on the same two n x n arrays.
+    rng = np.random.default_rng(12)
+    for n, d in [(1, 1), (7, 3), (300, 24)]:
+        coeffs = QuadCoeffs(*rng.normal(size=4))
+        x = rng.normal(size=(n, d))
+        gram = x @ x.T
+        want = gram * gram
+        want *= coeffs.a2
+        gram *= coeffs.a1
+        gram += coeffs.a0
+        want += gram
+        want[np.diag_indices(n)] += coeffs.a_star
+        assert np.array_equal(quad_kernel_matrix(x, coeffs), want)
+    tracemalloc.start()
+    try:
+        quad_kernel_matrix(x, coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.01 * 8 * n * n  # the Gram matrix and its square
