@@ -37,10 +37,11 @@ the experiment's name and the keys it reads, less out), results.csv (one
 row per record of results.json, headed by the first record's keys), and a
 results.meta.json sidecar holding the wall-clock data (runtime_ms per pool
 task, or of the whole run for experiments off the pool; law_build_ms for
-esd and mp-law) and the environment (library versions, CPU count, BLAS
-thread variables, seed workers). esd and mp-law also write an SVG
-density overlay (with the first seed's eigenvalue histogram for esd) and
-law.csv, and esd eigs.csv.
+esd and mp-law), approx-norm's Lanczos statistics per task (solvers:
+matvec counts and certified residuals) and the environment (library
+versions, CPU count, BLAS thread variables, seed workers). esd and mp-law
+also write an SVG density overlay (with the first seed's eigenvalue
+histogram for esd) and law.csv, and esd eigs.csv.
 
 Seed discipline: each record's master seed is split into fixed consumer
 substreams (data=1, teacher=2, noise=3, test=4) so adding a consumer never
@@ -50,10 +51,11 @@ Exit codes: 0 success, 1 configuration error, 2 assumption violation,
 3 numerical failure or capacity error. Every experiment that reads a kernel
 exits 3 before any n x n work when a surrogate coefficient (a0, a1, a2,
 a_star) overflows; lambda-star with --a-star-override does not compute
-a_star. approx-norm holds one n x n array per task and risk about three;
-both exit 3 with a capacity error before any n x n work when their largest
-tasks, one per seed worker, would need more than the MemAvailable of
-/proc/meminfo. Warnings print as one "warning: ..." line on stderr.
+a_star. approx-norm holds one n x n array per task, and esd, train-error
+and risk about two; each exits 3 with a capacity error before any n x n
+work when its largest tasks, one per seed worker, would need more than the
+MemAvailable of /proc/meminfo. Warnings print as one "warning: ..." line
+on stderr.
 """
 
 from __future__ import annotations
@@ -375,6 +377,22 @@ def _check_capacity(task_bytes: list[int]) -> None:
         )
 
 
+def _esd_bytes(n: int, d: int) -> int:
+    """Bytes one esd seed task holds at its peak: the larger of the strip
+    build of K and the eigensolve, which holds K, the data and the n x n
+    work copy that numpy's ``eigvalsh`` hands to LAPACK. That copy is
+    allocated outside Python's allocator, so tracemalloc does not see it; it
+    is counted here from the code."""
+    return max(kernels.strip_build_bytes(n, d), 8 * (2 * n * n + n * d))
+
+
+def _training_error_bytes(n: int, d: int) -> int:
+    """Bytes one train-error seed task holds at its peak: the larger of the
+    strip build of K and the ridge fit, which holds K, the data, the
+    Cholesky copy of K and that copy's one-byte finiteness mask."""
+    return max(kernels.strip_build_bytes(n, d), 8 * (2 * n * n + n * d) + n * n)
+
+
 def _run_approx_norm(cfg: ExperimentConfig):
     kernel = _build("kernel", cfg.kernel)
     sampler = _build("sampler", cfg.sampler)
@@ -388,22 +406,30 @@ def _run_approx_norm(cfg: ExperimentConfig):
         naive = kernels.quad_coeffs(kernel, cov, corrected=False) if cfg.compare_naive else None
         rungs[d] = (cfg.n_for(d), cov, coeffs, naive)
     tasks = [(d, seed) for d in cfg.d for seed in cfg.seeds]
-    _check_capacity([kernels.gap_matrix_bytes(rungs[d][0], d) for d, _ in tasks])
+    _check_capacity([kernels.strip_build_bytes(rungs[d][0], d) for d, _ in tasks])
 
     def one(task):
         d, seed = task
         n, cov, coeffs, naive = rungs[d]
         data = datagen.sample_dataset(n, d, cov, sampler, seed)
         # One n x n array per task: D = K - K2, then shifted in place to the
-        # naive surrogate's difference.
+        # naive surrogate's difference, whose solve starts from the corrected
+        # solve's Ritz vector.
         diff = kernels.gap_matrix(data, kernel, coeffs)
-        rec = {"d": d, "n": data.n, "seed": seed, "gap": kernels.spectral_norm_gap(diff)}
+        solves = {"gap": kernels._lanczos_gap(diff)}
         if naive is not None:
             kernels.shift_gap_matrix(diff, data, coeffs, naive)
-            rec["gap_naive"] = kernels.spectral_norm_gap(diff)
-        return rec
+            solves["gap_naive"] = kernels._lanczos_gap(diff, start=solves["gap"].vector)
+        rec = {"d": d, "n": data.n, "seed": seed}
+        solver = {"d": d, "seed": seed}
+        for key, solve in solves.items():
+            rec[key] = solve.gap
+            solver[key] = {"matvecs": solve.matvecs, "residual": solve.residual, "bound": solve.bound}
+        return rec, solver
 
-    records, stats = _map_seeds(one, tasks)
+    results, stats = _map_seeds(one, tasks)
+    records = [rec for rec, _ in results]
+    stats["solvers"] = [solver for _, solver in results]
     keys = ("gap", "gap_naive") if cfg.compare_naive else ("gap",)
 
     def medians(key):
@@ -425,6 +451,7 @@ def _run_esd(cfg: ExperimentConfig):
         raise AssumptionViolationError("f''(0) must be nonzero for the spectral limit")
     a_star, nu = krr.limit_inputs(kernel, cov)
     factor = 4.0 * cfg.alpha / second
+    _check_capacity([_esd_bytes(n, d)] * len(cfg.seeds))
 
     # The law does not depend on the seeds: it is the pool's first (and
     # longest) task, None, while the other tasks compute the spectra.
@@ -483,6 +510,7 @@ def _run_train_error(cfg: ExperimentConfig):
     teacher_kind = cfg.teacher["kind"]
     c0 = cfg.teacher.get("c0", 0.0)
     c1 = cfg.teacher.get("c1", 0.0)
+    _check_capacity([_training_error_bytes(n, d)] * len(cfg.seeds))
     predicted = krr.asymptotic_training_error(kernel, cov, cfg.alpha, cfg.lam, cfg.c2, cfg.sigma_eps)
 
     def one(seed):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import astuple, dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -203,7 +203,8 @@ def quad_coeffs(kernel: KernelFunction, cov: CovarianceSpec, corrected: bool = T
 
 
 def kernel_matrix(data, kernel: KernelFunction) -> np.ndarray:
-    """K_ij = f(<x_i, x_j>/d), symmetric, K_ii = f(|x_i|^2/d)."""
+    """K_ij = f(<x_i, x_j>/d), symmetric, K_ii = f(|x_i|^2/d), built in
+    place on the scaled Gram matrix (see ``cross_kernel``)."""
     x = _as_matrix(data)
     # Both sides are the same array, so numpy forms x @ x.T by a symmetric
     # rank-k update (BLAS syrk) and the Gram matrix is exactly symmetric.
@@ -229,6 +230,7 @@ def quad_kernel_matrix(data, coeffs: QuadCoeffs) -> np.ndarray:
 # 46 + 27 ms with 64-row strips, 42 + 26 with 128, 59 + 44 with 256 and
 # 106 + 90 with 1024, against 192 ms for kernel_matrix - quad_kernel_matrix;
 # at n=4608, 238 + 178, 244 + 176 and 262 + 189 ms for 64, 128 and 256 rows.
+# cross_kernel (and so kernel_matrix) applies f in strips of the same height.
 GAP_STRIP_ROWS = 128
 # Strip-sized float64 temporaries alive at once in the strip loop: the Gram
 # strip plus at most two more (the surrogate's square, or the two arrays of a
@@ -277,9 +279,10 @@ def shift_gap_matrix(diff: np.ndarray, data, old: QuadCoeffs, new: QuadCoeffs) -
     diff.flat[:: len(x) + 1] += delta.a_star
 
 
-def gap_matrix_bytes(n: int, d: int) -> int:
-    """Bytes that ``gap_matrix`` and then ``shift_gap_matrix`` hold at their
-    peak for n points in d dimensions: D, the data and the strip temporaries."""
+def strip_build_bytes(n: int, d: int) -> int:
+    """Bytes that a strip build (``kernel_matrix``, or ``gap_matrix`` and then
+    ``shift_gap_matrix``) holds at its peak for n points in d dimensions: the
+    n x n result, the data and the strip temporaries."""
     return 8 * (n * n + n * d + GAP_STRIP_TEMPS * min(n, GAP_STRIP_ROWS) * n)
 
 
@@ -319,7 +322,10 @@ def cross_kernel(data, x_test, kernel: KernelFunction) -> np.ndarray:
     """Kernel values f(<x_test, x_i>/d) against every training row.
 
     ``x_test`` may be a single d-vector (returns an n-vector) or an m x d
-    matrix (returns m x n).
+    matrix (returns m x n). f overwrites the scaled inner products in place,
+    GAP_STRIP_ROWS rows at a time, so the result is the one array of its
+    size that the call allocates; entry for entry it equals f applied to
+    the whole array.
     """
     x = _as_matrix(data)
     t = np.asarray(x_test, dtype=np.float64)
@@ -329,34 +335,84 @@ def cross_kernel(data, x_test, kernel: KernelFunction) -> np.ndarray:
         )
     inner = t @ x.T
     inner /= x.shape[1]
-    return kernel.eval(inner)
+    rows = inner.reshape(-1, len(x))
+    for i in range(0, len(rows), GAP_STRIP_ROWS):
+        rows[i:i + GAP_STRIP_ROWS] = kernel.eval(rows[i:i + GAP_STRIP_ROWS])
+    return inner
+
+
+# ARPACK's stopping tolerance for spectral_norm_gap: the relative accuracy
+# asked of the Ritz value, |beta e_k' y| <= tol |theta| (tol = 0 asks for
+# machine precision). Chosen by measurement below the 1e-8 certificate, on
+# the exp kernel with gh_discrete:5 data at d = 24, 48, 64 and seeds 0, 1,
+# 5, 6 (one BLAS thread): the corrected solve took 31-51 matvecs at tol = 0
+# and 21-41 at 1e-10, with every gap within 1.1e-15 relative of the tol = 0
+# value and every eigen-residual at most 7.4e-11 relative, more than 100
+# times inside the certificate. 1e-9 took the same counts; 1e-11 took up to
+# one restart (10 matvecs) more.
+LANCZOS_TOL = 1e-10
+
+
+class _GapSolve(NamedTuple):
+    """One Lanczos solve of ``_lanczos_gap``: the gap |theta|, the unit Ritz
+    vector (None when no Lanczos ran: an all-zero D, or n = 1), the matvec
+    count, and the certified eigen-residual |D v - theta v| with its bound."""
+
+    gap: float
+    vector: np.ndarray | None
+    matvecs: int
+    residual: float
+    bound: float
 
 
 def spectral_norm_gap(diff: np.ndarray) -> float:
     """Spectral norm of the square difference D = K - K2 (largest |eigenvalue|).
 
     One route for every n: Lanczos (ARPACK ``eigsh``, the one eigenpair of
-    largest magnitude) on D, from a fixed seeded start vector, so the result
-    is deterministic. D is used as it is when exactly symmetric, averaged
-    with its transpose when symmetric within 1e-10 relative to its largest
-    entry, and rejected (InvalidArgumentError) otherwise. The Ritz pair
-    (theta, v) is certified by its eigen-residual |D v - theta v| <= 1e-8
-    max(1, |theta|). An all-zero D gives exactly 0.0. Non-finite entries in
-    D, an ARPACK failure or a residual above the bound raise
-    NumericalFailureError.
+    largest magnitude, stopped at ``LANCZOS_TOL``) on D, from a fixed seeded
+    start vector, so the result is deterministic. D is used as it is when
+    exactly symmetric, averaged with its transpose when symmetric within
+    1e-10 relative to its largest entry, and rejected (InvalidArgumentError)
+    otherwise. The Ritz pair (theta, v) is certified by its eigen-residual
+    |D v - theta v| <= 1e-8 max(1, |theta|). An all-zero D gives exactly
+    0.0. Non-finite entries in D, an ARPACK failure or a residual above the
+    bound raise NumericalFailureError.
+    """
+    return _lanczos_gap(diff).gap
+
+
+def _lanczos_gap(diff: np.ndarray, start: np.ndarray | None = None) -> _GapSolve:
+    """``spectral_norm_gap`` with its Ritz vector and solver statistics,
+    warm-started from ``start`` when given.
+
+    The start vector is ``start`` normalized plus 0.1 times the normalized
+    seeded vector of the cold route, so it keeps a component along every
+    eigen-direction: from an exact eigenvector of a non-extreme eigenvalue
+    alone, Lanczos could return that eigenvalue, whose residual passes the
+    certificate.
     """
     # Imported here: scipy.sparse.linalg costs ~20 ms of import time that
     # experiments which never compute a gap should not pay.
-    from scipy.sparse.linalg import ArpackError, eigsh
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     # ARPACK fails on inf/NaN entries and on an all-zero D, and cannot take
     # n = 1 (where the norm is |D_11|); max |D_ij| settles all three.
     diff, scale = _checked_symmetric(diff, "spectral norm gap: K - K2")
     if scale == 0.0 or len(diff) == 1:
-        return scale
+        return _GapSolve(scale, None, 0, 0.0, 1e-8 * max(1.0, scale))
     v0 = np.random.default_rng(0x51B).standard_normal(len(diff))
+    if start is not None:
+        v0 = start / np.linalg.norm(start) + 0.1 / np.linalg.norm(v0) * v0
+    matvecs = 0
+
+    def matvec(v):
+        nonlocal matvecs
+        matvecs += 1
+        return diff @ v
+
+    op = LinearOperator(diff.shape, matvec=matvec, dtype=diff.dtype)
     try:
-        theta, vec = eigsh(diff, k=1, which="LM", v0=v0)
+        theta, vec = eigsh(op, k=1, which="LM", v0=v0, tol=LANCZOS_TOL)
     except ArpackError as exc:  # includes ArpackNoConvergence
         raise NumericalFailureError("spectral norm gap: Lanczos failed on K - K2 (%s)" % exc) from exc
     theta, v = float(theta[0]), vec[:, 0]
@@ -366,4 +422,4 @@ def spectral_norm_gap(diff: np.ndarray) -> float:
         raise NumericalFailureError(
             "spectral norm gap: Lanczos residual %g exceeds %g" % (residual, bound), residual=residual
         )
-    return abs(theta)
+    return _GapSolve(abs(theta), v, matvecs, residual, bound)

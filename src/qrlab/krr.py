@@ -30,7 +30,7 @@ from .errors import (
     NumericalFailureError,
     SingularSystemError,
 )
-from .kernels import KernelFunction, QuadCoeffs, cross_kernel, kernel_matrix, quad_coeffs
+from .kernels import KernelFunction, QuadCoeffs, cross_kernel, kernel_matrix, quad_coeffs, strip_build_bytes
 from .seeding import NOISE, TEACHER, TEST, substream
 from .spectra import DiscreteLaw, companion_stieltjes, law_integrals
 
@@ -71,7 +71,9 @@ LAMBDA_STAR_AGREEMENT = 1e-10  # lambda_star_solve: relative agreement of the St
 # blocks are reused from the heap.
 RISK_BLOCK_ROWS = 500
 # Block-sized float64 temporaries alive at once in a block's prediction: the
-# inner products and the two arrays of a polynomial kernel's Horner evaluation.
+# inner products, which f overwrites strip by strip, and a block's worth each
+# for the two strip temporaries of a polynomial kernel's Horner evaluation
+# (an upper bound: a strip is GAP_STRIP_ROWS rows).
 RISK_BLOCK_TEMPS = 3
 
 
@@ -213,7 +215,8 @@ def _check_risk_kernel(kernel: KernelFunction) -> None:
     issues = kernel.assumption_check()
     if issues:
         raise AssumptionViolationError(
-            "kernel %s violates the generalization assumptions: %s" % (kernel.name, "; ".join(issues)),
+            "kernel %s violates the generalization assumptions: %s (even kernels with f''(0) > 0 pass, "
+            "such as quartic:b0,b2,b4 with b2 > 0, or cosh)" % (kernel.name, "; ".join(issues)),
             detail={"issues": issues},
         )
     if not kernel.bounded_high_derivs:
@@ -494,13 +497,14 @@ def _predict(dataset: Dataset, x_test: np.ndarray, kernel: KernelFunction, w: np
 
 def empirical_risk_bytes(n: int, d: int, n_test: int) -> int:
     """Bytes that ``empirical_risk`` holds at its peak for n training points
-    in d dimensions and ``n_test`` test points: the larger of the kernel
-    build (three n x n arrays for a polynomial kernel) and the fit (K, its
-    Cholesky copy and the block temporaries), plus the training data and,
+    in d dimensions and ``n_test`` test points: the larger of the strip build
+    of K and the fit (K, the data, its Cholesky copy, and then the larger of
+    that copy's one-byte finiteness mask and the block temporaries), plus,
     for the test points, three arrays of their size and six n_test-vectors
     (a replicate draws its points while the last replicate's are held)."""
     block = min(n_test, RISK_BLOCK_ROWS) * n
-    return 8 * (max(3 * n * n, 2 * n * n + RISK_BLOCK_TEMPS * block) + n * d + 3 * n_test * (d + 2))
+    fit = 8 * (2 * n * n + n * d) + max(n * n, 8 * RISK_BLOCK_TEMPS * block)
+    return max(strip_build_bytes(n, d), fit) + 8 * 3 * n_test * (d + 2)
 
 
 def deterministic_equivalents(

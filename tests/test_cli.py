@@ -3,6 +3,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from qrlab.cli import main
@@ -593,10 +594,108 @@ def test_approx_norm_refuses_a_pool_beyond_available_memory(tmp_path, monkeypatc
     monkeypatch.setattr(cli, "_mem_available", lambda: 2**20)
     # d=128: n = 8192, one 512 MiB array per task and two tasks at once.
     assert main(["approx-norm", "--d", "24,128", "--seeds", "2", "--out", str(tmp_path / "x")]) == 3
-    need = 2 * kernels.gap_matrix_bytes(8192, 128) // 2**20
+    need = 2 * kernels.strip_build_bytes(8192, 128) // 2**20
     err = capsys.readouterr().err
     assert "capacity error: the largest concurrent tasks need about %d MB, and 1 MB of memory is available" % need in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("compare_naive", [False, True], ids=["corrected", "compare-naive"])
+def test_approx_norm_meta_records_each_lanczos_solve(tmp_path, compare_naive):
+    out = tmp_path / "o"
+    args = ["approx-norm", "--d", "8,12", "--seeds", "2", "--out", str(out)]
+    assert main(args + ["--compare-naive"] * compare_naive) == 0
+    meta = json.loads((out / "results.meta.json").read_text())
+    solves = ("gap", "gap_naive") if compare_naive else ("gap",)
+    # One entry per (d, seed) task, in the order of runtime_ms.
+    assert [(s["d"], s["seed"]) for s in meta["solvers"]] == [(8, 0), (8, 1), (12, 0), (12, 1)]
+    for solver in meta["solvers"]:
+        assert set(solver) == {"d", "seed", *solves}
+        for key in solves:
+            stats = solver[key]
+            assert set(stats) == {"matvecs", "residual", "bound"}
+            assert type(stats["matvecs"]) is int and stats["matvecs"] > 0
+            assert type(stats["residual"]) is float and type(stats["bound"]) is float
+            assert 0.0 <= stats["residual"] <= stats["bound"]
+    payload = _read(out)
+    assert "solvers" not in payload
+    assert all(set(r) == {"d", "n", "seed", *solves} for r in payload["records"])
+
+
+@pytest.mark.parametrize("experiment, flags, estimate", [
+    ("esd", "", lambda cli, n, d: cli._esd_bytes(n, d)),
+    ("train-error", "--kernel quartic:1,1,1", lambda cli, n, d: cli._training_error_bytes(n, d)),
+], ids=["esd", "train-error"])
+def test_esd_and_train_error_refuse_tasks_beyond_available_memory(tmp_path, monkeypatch, capsys,
+                                                                  experiment, flags, estimate):
+    import qrlab.cli as cli
+    import qrlab.kernels as kernels
+    import qrlab.krr as krr
+    import qrlab.spectra as spectra
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("%s work started after the capacity check failed" % experiment)
+
+    monkeypatch.setenv("QRLAB_THREADS", "2")
+    monkeypatch.setattr(spectra, "deformed_mp_law", forbidden)
+    monkeypatch.setattr(krr, "asymptotic_training_error", forbidden)
+    monkeypatch.setattr(kernels, "kernel_matrix", forbidden)
+    monkeypatch.setattr(cli, "_mem_available", lambda: 2**20)
+    # The desk shape, d=60: n = 1800 and two tasks at once.
+    assert main([experiment, "--d", "60", "--seeds", "2", "--out", str(tmp_path / "x")] + flags.split()) == 3
+    need = 2 * estimate(cli, 1800, 60) // 2**20
+    err = capsys.readouterr().err
+    assert "capacity error: the largest concurrent tasks need about %d MB, and 1 MB of memory is available" % need in err
+    assert "Traceback" not in err
+
+
+def test_esd_and_train_error_estimates_bound_the_traced_peak():
+    import tracemalloc
+
+    import qrlab.cli as cli
+    from qrlab import datagen, krr, spectra
+    from qrlab.kernels import KernelFunction, kernel_matrix
+
+    d, n = 40, 800
+    cov = datagen.CovarianceSpec.identity(d)
+    kernel = KernelFunction.quartic(1.0, 1.0, 1.0)
+    data = datagen.sample_dataset(n, d, cov, datagen.MomentMatchedSampler.gaussian(), 0)
+    teacher = krr.TeacherModel.draw("pure_quadratic", cov, np.random.default_rng(0))
+    # One esd seed task, then one train-error seed task, as their runners do
+    # them. tracemalloc does not see eigvalsh's work copy, so the esd peak is
+    # K and its strips; the estimate adds that copy from the code.
+    tracemalloc.start()
+    try:
+        k_mat = kernel_matrix(data, kernel)
+        k_mat[np.diag_indices(n)] -= 0.5
+        k_mat *= 2.0
+        spectra.esd(k_mat)
+        del k_mat
+        esd_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        y = krr.make_labels(data, teacher, 0.5, 0)
+        krr.training_error(kernel_matrix(data, kernel), y, 1.0)
+        train_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert esd_peak <= cli._esd_bytes(n, d)
+    assert 2 * 8 * n * n <= train_peak <= cli._training_error_bytes(n, d)
+
+
+def test_risk_names_the_kernels_it_can_run(tmp_path, capsys):
+    from qrlab.errors import AssumptionWarning
+
+    # The default exp kernel has f'(0) != 0, so a bare risk run exits 2 and
+    # says which kernels pass.
+    assert main(["risk", "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "assumption violation: kernel exp violates the generalization assumptions" in err
+    assert "quartic:b0,b2,b4 with b2 > 0, or cosh" in err
+    assert main(["risk", "--d", "8", "--kernel", "quartic:1,1,1", "--seeds", "1", "--n-test", "20",
+                 "--n-repl", "2", "--out", str(tmp_path / "q")]) == 0
+    with pytest.warns(AssumptionWarning, match="unbounded high-order derivatives"):
+        assert main(["risk", "--d", "8", "--kernel", "cosh", "--seeds", "1", "--n-test", "20",
+                     "--n-repl", "2", "--out", str(tmp_path / "c")]) == 0
 
 
 def test_risk_refuses_tasks_beyond_available_memory(tmp_path, monkeypatch, capsys):

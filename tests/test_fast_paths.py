@@ -1,5 +1,5 @@
-"""The in-place kernel and teacher evaluations, the strip-built gap matrix,
-the blocked risk prediction, the surrogate coefficients on float64 scalars,
+"""The in-place kernel and teacher evaluations, the strip-built kernel and
+gap matrices, the blocked risk prediction, the surrogate coefficients on float64 scalars,
 the Lanczos spectral-norm gap and the one-sum companion solver against their
 plain forms."""
 
@@ -19,16 +19,18 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from qrlab.datagen import CovarianceSpec, MomentMatchedSampler, sample_dataset
 from qrlab.kernels import (
     GAP_STRIP_ROWS,
+    LANCZOS_TOL,
     KernelFunction,
     QuadCoeffs,
+    _lanczos_gap,
     cross_kernel,
     gap_matrix,
-    gap_matrix_bytes,
     kernel_matrix,
     quad_coeffs,
     quad_kernel_matrix,
     shift_gap_matrix,
     spectral_norm_gap,
+    strip_build_bytes,
 )
 from qrlab.errors import NumericalFailureError
 from qrlab.krr import RISK_BLOCK_ROWS, TeacherModel, _predict, empirical_risk, empirical_risk_bytes
@@ -208,7 +210,29 @@ def test_gap_matrix_holds_one_n_by_n_array(kernel):
         tracemalloc.stop()
     # Within the estimate approx-norm's capacity check uses, which is itself
     # below the two n x n arrays of K - K2.
-    assert peak <= gap_matrix_bytes(n, d) < 2 * 8 * n * n
+    assert peak <= strip_build_bytes(n, d) < 2 * 8 * n * n
+
+
+@pytest.mark.parametrize("kernel", [KernelFunction.exp(), KernelFunction.quartic(1.0, 6.0, 1.0)], ids=lambda k: k.name)
+def test_kernel_matrix_is_built_in_place_by_strips(kernel):
+    # f overwrites the scaled Gram matrix strip by strip: entry for entry the
+    # same as f of the whole matrix, for K and for a cross-kernel block, with
+    # one n x n array and a few strips at the peak (1.14 n x n at n = 1800,
+    # where the whole-matrix evaluation held 3.0).
+    n, d = 1800, 60
+    rng = np.random.default_rng(11)
+    x, x_test = rng.normal(size=(n, d)), rng.normal(size=(RISK_BLOCK_ROWS, d))
+    assert np.array_equal(kernel_matrix(x, kernel), kernel.eval(x @ x.T / d))
+    assert np.array_equal(cross_kernel(x, x_test, kernel), kernel.eval(x_test @ x.T / d))
+    assert np.array_equal(cross_kernel(x, x_test[0], kernel), kernel.eval(x @ x_test[0] / d))
+    tracemalloc.start()
+    try:
+        kernel_matrix(x, kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (n * n + 2 * GAP_STRIP_ROWS * n) + 4096
+    assert peak <= strip_build_bytes(n, d)
 
 
 def test_risk_block_rows_predict_bit_identically_on_one_blas_thread():
@@ -260,9 +284,10 @@ def test_empirical_risk_peak_is_the_kernel_build():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The quartic kernel's Horner build holds three n x n arrays; K, its
-    # Cholesky copy and the prediction blocks stay below that.
-    assert peak <= 3.1 * 8 * n * n
+    # K is built in place, so the peak is the fit: K, its Cholesky copy, one
+    # prediction block with its strip temporaries and the test points (2.50
+    # n x n arrays; 3.0 while f was applied to the whole Gram matrix).
+    assert peak <= 2.6 * 8 * n * n
     assert peak <= empirical_risk_bytes(n, d, n_test)
 
 
@@ -360,6 +385,61 @@ def test_spectral_norm_gap_matches_dense_eigvalsh(n, seed, top):
         a = b + _symmetric((q * eigs) @ q.T)
     want = float(np.abs(np.linalg.eigvalsh(_symmetric(a - b))).max())
     assert spectral_norm_gap(a - b) == pytest.approx(want, rel=1e-10)
+
+
+def test_lanczos_tolerance_is_inside_the_certificate():
+    # ARPACK stops at a Ritz estimate of tol |theta|; the certificate then
+    # asks |D v - theta v| <= 1e-8 max(1, |theta|).
+    assert 0.0 < LANCZOS_TOL < 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1), start=st.sampled_from(["random", "eigenvector"]))
+def test_warm_started_gap_matches_dense_eigvalsh(n, seed, start):
+    # The cold route and the warm-started helper both find max |eigenvalue|.
+    # The adversarial start is an eigenvector of the eigenvalue of median
+    # magnitude: Lanczos from it alone can return that eigenvalue, whose
+    # residual passes the certificate, or stall on it; the seeded blend
+    # restores a component along every eigen-direction.
+    rng = np.random.default_rng(seed)
+    diff = _symmetric(rng.normal(size=(n, n)))
+    eigs, vecs = np.linalg.eigh(diff)
+    want = float(np.abs(eigs).max())
+    v = rng.normal(size=n) if start == "random" else vecs[:, np.argsort(np.abs(eigs))[(n - 1) // 2]]
+    assert spectral_norm_gap(diff) == pytest.approx(want, rel=1e-10)
+    warm = _lanczos_gap(diff, start=v)
+    assert warm.gap == pytest.approx(want, rel=1e-10)
+    assert 0 < warm.matvecs and warm.residual <= warm.bound
+
+
+@pytest.mark.parametrize("n", [3, 21, 60])
+def test_warm_start_from_an_exact_null_vector_recovers_the_norm(n):
+    # D e_k = 0 exactly: ARPACK started from e_k alone stops with "starting
+    # vector is zero"; the blend still reaches the extreme eigenvalue 3.
+    eigs = np.linspace(-1.0, 1.0, n)
+    eigs[n // 2], eigs[-1] = 0.0, 3.0
+    diff = np.diag(eigs)
+    null = np.zeros(n)
+    null[n // 2] = 1.0
+    assert _lanczos_gap(diff, start=null).gap == pytest.approx(3.0, rel=1e-10)
+
+
+def test_warm_started_naive_gaps_match_a_cold_solve_at_the_ladder_shapes():
+    # The gap-ladder benchmark's shapes: approx-norm's naive solve starts from
+    # the corrected solve's Ritz vector and lands where a cold solve does.
+    kernel, sampler = KernelFunction.exp(), MomentMatchedSampler.gh_discrete(5)
+    for d in (24, 48, 64):
+        cov = CovarianceSpec.identity(d)
+        coeffs, naive = quad_coeffs(kernel, cov), quad_coeffs(kernel, cov, corrected=False)
+        for seed in (0, 1):
+            data = sample_dataset(d * d // 2, d, cov, sampler, seed)
+            diff = gap_matrix(data, kernel, coeffs)
+            corrected = _lanczos_gap(diff)
+            assert corrected.gap == spectral_norm_gap(diff)
+            shift_gap_matrix(diff, data, coeffs, naive)
+            warm = _lanczos_gap(diff, start=corrected.vector)
+            assert warm.gap == pytest.approx(spectral_norm_gap(diff), rel=1e-12)
+            assert warm.residual <= warm.bound
 
 
 def _two_sum_companion(z, alpha, nu, initial=None):
