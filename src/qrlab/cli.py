@@ -30,15 +30,19 @@ trailing comma makes a one-seed list (--seeds 3, is seed 3; --seeds 3 is
 the count of seeds 0, 1, 2). Per-seed work fans
 out to a thread pool capped by QRLAB_THREADS (an integer >= 1; default the
 CPU count): approx-norm checks every rung before it pools the (d, seed)
-tasks, and esd builds its limit law as the pool's first task, next to the
-seeds' spectra. Every run writes results.json (deterministic given config,
+tasks, and esd pools its limit law's grid segments beside the seeds'
+spectra, the top segment first and the others last, one segment at a time.
+Every run writes results.json (deterministic given config,
 seeds and the BLAS thread count; its config and sha256 config hash cover
 the experiment's name and the keys it reads, less out), results.csv (one
 row per record of results.json, headed by the first record's keys), and a
-results.meta.json sidecar holding the wall-clock data (runtime_ms per pool
+results.meta.json sidecar holding the wall-clock data (runtime_ms per seed
 task, or of the whole run for experiments off the pool; law_build_ms for
-esd and mp-law), approx-norm's Lanczos statistics per task (solvers:
-matvec counts and certified residuals) and the environment (library
+esd and mp-law, summed over the law's segments), the solver statistics
+under solvers (approx-norm: per task, Lanczos matvec counts and certified
+residuals; esd and mp-law: per law segment, companion solves, their
+iterations, and the cold restarts with the steps the failed warm starts
+spent) and the environment (library
 versions, CPU count, BLAS thread variables, seed workers). esd and mp-law
 also write an SVG density overlay (with the first seed's eigenvalue
 histogram for esd) and law.csv, and esd eigs.csv.
@@ -68,6 +72,7 @@ import math
 import os
 import platform
 import sys
+import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -453,19 +458,30 @@ def _run_esd(cfg: ExperimentConfig):
     factor = 4.0 * cfg.alpha / second
     _check_capacity([_esd_bytes(n, d)] * len(cfg.seeds))
 
-    # The law does not depend on the seeds: it is the pool's first (and
-    # longest) task, None, while the other tasks compute the spectra.
-    def one(seed):
-        if seed is None:
-            return spectra.deformed_mp_law(cfg.alpha, nu)
-        data = datagen.sample_dataset(n, d, cov, sampler, seed)
+    # The law does not depend on the seeds. Its grid segments are pool tasks:
+    # the top segment first, then the seeds, then the other segments last,
+    # and one lock keeps two segments from ever running at once. A segment is
+    # a Python loop, and two of them on two threads hold the GIL in turns:
+    # the esd-law benchmark's two segments took 0.79-0.86 s side by side
+    # against 0.42-0.49 s one after the other (2-CPU machine, one BLAS thread).
+    segments = spectra.law_segments(cfg.alpha, nu)
+    one_segment_at_a_time = threading.Lock()
+
+    def one(task):
+        if isinstance(task, spectra.LawSegment):
+            with one_segment_at_a_time:
+                return task()
+        data = datagen.sample_dataset(n, d, cov, sampler, task)
         # Recentred and scaled in place: (4 alpha / f''(0)) (K - a_star I).
         k_mat = kernels.kernel_matrix(data, kernel)
         k_mat[np.diag_indices(n)] -= a_star
         k_mat *= factor
         return spectra.esd(k_mat)
 
-    (law, *spectrum), pool = _map_seeds(one, [None] + cfg.seeds)
+    seeds = len(cfg.seeds)
+    results, pool = _map_seeds(one, [segments[0], *cfg.seeds, *segments[1:]])
+    spectrum = results[1:1 + seeds]
+    law = spectra.deformed_mp_law(cfg.alpha, nu, [results[0], *results[1 + seeds:]])
     records = [{"d": d, "n": n, "seed": seed, "ks": spectra.ks_distance(eigs, law)}
                for seed, eigs in zip(cfg.seeds, spectrum)]
     # The first seed's spectrum goes into the overlay and eigs.csv.
@@ -476,8 +492,13 @@ def _run_esd(cfg: ExperimentConfig):
     }
     summary = {"median_ks": float(np.median([r["ks"] for r in records]))}
     print("KS median over %d seeds: %.4f" % (len(records), summary["median_ks"]))
-    law_build_ms, *runtime_ms = pool["runtime_ms"]
-    stats = {"runtime_ms": runtime_ms, "law_build_ms": law_build_ms, "seed_workers": pool["seed_workers"]}
+    runtime_ms = pool["runtime_ms"]
+    stats = {
+        "runtime_ms": runtime_ms[1:1 + seeds],
+        "law_build_ms": runtime_ms[0] + sum(runtime_ms[1 + seeds:]),
+        "solvers": list(law.solvers),
+        "seed_workers": pool["seed_workers"],
+    }
     return records, summary, stats, files
 
 
@@ -498,7 +519,7 @@ def _run_mp_law(cfg: ExperimentConfig):
         "total_mass": law.total_mass(),
         "grid_points": int(law.grid.size),
     }]
-    return records, records[0], {"law_build_ms": law_build_ms}, files
+    return records, records[0], {"law_build_ms": law_build_ms, "solvers": list(law.solvers)}, files
 
 
 def _run_train_error(cfg: ExperimentConfig):

@@ -25,12 +25,14 @@ class CapacityError(QrlabError):
 class NumericalFailureError(QrlabError, RuntimeError):
     """An iterative or factorization routine failed to converge.
 
-    ``residual`` carries the last residual when one is available.
+    ``residual`` carries the last residual and ``iterations`` the steps spent
+    before the failure, when they are available.
     """
 
-    def __init__(self, message: str, residual: float | None = None):
+    def __init__(self, message: str, residual: float | None = None, iterations: int | None = None):
         super().__init__(message)
         self.residual = residual
+        self.iterations = iterations
 
 
 class SingularSystemError(NumericalFailureError):

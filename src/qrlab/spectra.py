@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,11 +27,14 @@ __all__ = [
     "DiscreteLaw",
     "StieltjesEval",
     "SpectralLaw",
+    "LawSegment",
+    "LawSweep",
     "esd",
     "mp_support",
     "mp_density",
     "companion_stieltjes",
     "deformed_mp_density",
+    "law_segments",
     "deformed_mp_law",
     "law_integrals",
     "ks_distance",
@@ -56,6 +60,11 @@ LAW_GRID_POINTS = 4000
 LAW_GRID_PAD = 1.3
 LAW_ETA_SCALE = 1e-8
 LAW_DENSITY_FLOOR = 1e-8
+# The grid is cut into LAW_SEGMENTS contiguous segments of equal point count,
+# each swept downward from a cold start at its top, so the segments are
+# independent tasks. The count is fixed here, not by a worker count, so the
+# law's bytes do not depend on how its segments are scheduled.
+LAW_SEGMENTS = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,9 +87,10 @@ class DiscreteLaw:
             raise InvalidArgumentError("weights must be positive")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
             raise InvalidArgumentError("weights must sum to 1 within 1e-12, got %r" % float(weights.sum()))
-        # Numerators of the companion fixed point's atom sums.
-        object.__setattr__(self, "_wa", weights * atoms)
-        object.__setattr__(self, "_wa2", weights * atoms**2)
+        # Numerators of the companion fixed point's atom sums, complex so that
+        # the sums are complex dot products with no cast per call.
+        object.__setattr__(self, "_wa", (weights * atoms).astype(np.complex128))
+        object.__setattr__(self, "_wa2", (weights * atoms**2).astype(np.complex128))
 
     @staticmethod
     def delta(c: float) -> "DiscreteLaw":
@@ -194,10 +204,14 @@ def mp_density(gamma: float, x) -> np.ndarray | float:
 
 
 def _first_integral(nu: DiscreteLaw, m: complex) -> tuple[np.ndarray, complex]:
-    """(1 + a m over the atoms a, integral x/(1+x m) dnu); the second
-    integral x^2/(1+x m)^2 dnu is (nu._wa2 / den**2).sum() from that den."""
-    den = 1.0 + nu.atoms * m
-    return den, complex((nu._wa / den).sum())
+    """(1/(1 + a m) over the atoms a, integral x/(1+x m) dnu); the second
+    integral x^2/(1+x m)^2 dnu is _second_integral of that reciprocal."""
+    inv = 1.0 / (1.0 + nu.atoms * m)
+    return inv, complex(inv @ nu._wa)
+
+
+def _second_integral(nu: DiscreteLaw, inv: np.ndarray) -> complex:
+    return complex((inv * inv) @ nu._wa2)
 
 
 def _check_point(z: complex) -> complex:
@@ -252,14 +266,15 @@ def companion_stieltjes(z: complex, alpha: float, nu: DiscreteLaw, initial: comp
     used = 0
     resid = math.inf
     try:
-        den, f1 = _first_integral(nu, m)
+        inv, f1 = _first_integral(nu, m)
         for stage in stages:
             tol = (STIELTJES_TOL if stage == z else min(1e-9, 1e-6 * abs(stage))) * max(1.0, abs(stage))
             relative = on_axis and stage == z
             while True:
                 if used == budget:
                     raise NumericalFailureError(
-                        "companion fixed point did not converge at z=%r (residual %.3g)" % (z, resid), residual=resid
+                        "companion fixed point did not converge at z=%r (residual %.3g)" % (z, resid),
+                        residual=resid, iterations=used,
                     )
                 used += 1
                 r = stage + 1.0 / m - alpha * f1
@@ -268,45 +283,54 @@ def companion_stieltjes(z: complex, alpha: float, nu: DiscreteLaw, initial: comp
                     break
                 # Newton step, accepted only when it actually shrinks the residual
                 # (it can diverge far from the root, e.g. near the support edge);
-                # an accepted candidate hands its den and f1 on to the next step.
-                dr = -1.0 / m**2 + alpha * complex((nu._wa2 / den**2).sum())
+                # an accepted candidate hands its inv and f1 on to the next step.
+                dr = -1.0 / m**2 + alpha * _second_integral(nu, inv)
                 if dr != 0:
                     cand = m - r / dr
                     ok = math.isfinite(cand.real) and math.isfinite(cand.imag) and cand != 0
                     if ok and (cand.real > 0 if on_axis else cand.imag >= -1e-13):
-                        cand_den, cand_f1 = _first_integral(nu, cand)
+                        cand_inv, cand_f1 = _first_integral(nu, cand)
                         if abs(stage + 1.0 / cand - alpha * cand_f1) < 0.9 * resid:
-                            m, den, f1 = cand, cand_den, cand_f1
+                            m, inv, f1 = cand, cand_inv, cand_f1
                             continue
                 denom = alpha * f1 - stage
                 if denom == 0:
-                    raise NumericalFailureError("degenerate fixed-point map at z=%r" % stage, residual=resid)
+                    raise NumericalFailureError(
+                        "degenerate fixed-point map at z=%r" % stage, residual=resid, iterations=used
+                    )
                 m = 0.5 * (m + 1.0 / denom)
                 if on_axis:
                     m = complex(max(m.real, 1e-300), 0.0)
-                den, f1 = _first_integral(nu, m)
+                inv, f1 = _first_integral(nu, m)
 
         if not on_axis and m.imag < -1e-10:
-            raise NumericalFailureError("Nevanlinna violation: Im m = %g < 0 for Im z > 0" % m.imag, residual=resid)
-        dprime_den = 1.0 / m**2 - alpha * complex((nu._wa2 / (1.0 + nu.atoms * m) ** 2).sum())
+            raise NumericalFailureError(
+                "Nevanlinna violation: Im m = %g < 0 for Im z > 0" % m.imag, residual=resid, iterations=used
+            )
+        # inv is the reciprocal at the final m.
+        dprime_den = 1.0 / m**2 - alpha * _second_integral(nu, inv)
         m_prime = 1.0 / dprime_den if dprime_den != 0 else complex(math.inf)
     except (OverflowError, ZeroDivisionError) as exc:
         # Python complex arithmetic raises where numpy would return inf: m**2
         # overflows once |m| passes ~1e154, and 1/m**2 divides by zero once
         # m**2 underflows (|m| below ~1e-162).
         raise NumericalFailureError(
-            "companion fixed point left the float range at z=%r (%s)" % (z, exc), residual=resid
+            "companion fixed point left the float range at z=%r (%s)" % (z, exc), residual=resid, iterations=used
         ) from exc
     return StieltjesEval(m_tilde=m, m_tilde_prime=m_prime, iterations=used, residual=resid)
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralLaw:
-    """Deformed MP law: point mass at zero plus a density on a grid."""
+    """Deformed MP law: point mass at zero plus a density on a grid.
+
+    ``solvers`` holds, for a law built by ``deformed_mp_law``, one dict of
+    companion-solver statistics per grid segment (see ``LawSweep``)."""
 
     atom0_mass: float
     grid: np.ndarray
     density: np.ndarray
+    solvers: tuple = ()
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=np.float64)
@@ -343,58 +367,130 @@ class SpectralLaw:
         return out
 
 
-def deformed_mp_density(alpha: float, nu: DiscreteLaw, x) -> np.ndarray | float:
-    """Continuous part of the deformed MP law at points ``x``.
+def _law_eta(alpha: float, nu: DiscreteLaw) -> float:
+    return LAW_ETA_SCALE * _support_scale(alpha, nu)
 
-    Stieltjes inversion density = Im mt(x + i LAW_ETA_SCALE s) / pi, with the
-    smeared contribution of the analytic atom at zero subtracted when alpha < 1.
+
+def _sweep(alpha: float, nu: DiscreteLaw, eta: float, xs: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Densities at the points ``xs`` and the sweep's solver statistics.
+
+    The sweep runs from the largest point (cold start) down, warm-starting
+    each solve from the last root. Near band edges a warm start can sit on
+    the wrong side of the square-root branch point; a failed warm solve is
+    repeated from a cold start, whose continuation ladder tracks the root
+    down in eta instead.
     """
-    if alpha <= 0:
-        raise InvalidArgumentError("alpha must be positive")
-    nu_c = nu.compressed()
-    eta = LAW_ETA_SCALE * _support_scale(alpha, nu_c)
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    # Sweep from large x (outside the support, where -1/z is an accurate
-    # start) down toward the hard edge, warm-starting each solve.
-    order = np.argsort(xs)[::-1]
     atom0 = max(1.0 - alpha, 0.0)
     dens = np.empty_like(xs)
+    stats = {"calls": 0, "iterations": 0, "iterations_max": 0, "cold_restarts": 0, "failed_warm_steps": 0}
     warm = None
-    for idx in order:
+    for idx in np.argsort(xs)[::-1]:
         z = complex(xs[idx], eta)
+        stats["calls"] += 1
         try:
-            ev = companion_stieltjes(z, alpha, nu_c, initial=warm)
-        except NumericalFailureError:
-            # Near band edges a warm start can sit on the wrong side of the
-            # square-root branch point; the cold continuation ladder tracks
-            # the root down in eta instead.
-            ev = companion_stieltjes(z, alpha, nu_c, initial=None)
+            ev = companion_stieltjes(z, alpha, nu, initial=warm)
+        except NumericalFailureError as exc:
+            if warm is None:
+                raise
+            stats["calls"] += 1
+            stats["cold_restarts"] += 1
+            stats["failed_warm_steps"] += exc.iterations
+            ev = companion_stieltjes(z, alpha, nu, initial=None)
+        stats["iterations"] += ev.iterations
+        stats["iterations_max"] = max(stats["iterations_max"], ev.iterations)
         warm = ev.m_tilde
         val = ev.m_tilde.imag / math.pi
         if atom0 > 0:
             val -= atom0 * eta / (xs[idx] ** 2 + eta**2) / math.pi
         dens[idx] = max(val, 0.0)
+    return dens, stats
+
+
+def deformed_mp_density(alpha: float, nu: DiscreteLaw, x) -> np.ndarray | float:
+    """Continuous part of the deformed MP law at points ``x``.
+
+    Stieltjes inversion density = Im mt(x + i LAW_ETA_SCALE s) / pi, with the
+    smeared contribution of the analytic atom at zero subtracted when alpha < 1.
+    The points are solved in one sweep from the largest down (outside the
+    support, where -1/z is an accurate start) toward the hard edge.
+    """
+    if alpha <= 0:
+        raise InvalidArgumentError("alpha must be positive")
+    nu_c = nu.compressed()
+    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    dens, _ = _sweep(alpha, nu_c, _law_eta(alpha, nu_c), xs)
     if np.isscalar(x):
         return float(dens[0])
     return dens
 
 
-def deformed_mp_law(alpha: float, nu: DiscreteLaw) -> SpectralLaw:
-    """Deformed MP law for ratio ``alpha`` and population law ``nu``.
+class LawSweep(NamedTuple):
+    """One swept grid segment: its points (ascending), their densities, and
+    its solver statistics: ``calls`` to companion_stieltjes (the failed warm
+    attempts included), the sum and maximum of the converged solves'
+    ``iterations``, the ``cold_restarts`` after a failed warm attempt and the
+    ``failed_warm_steps`` those attempts spent, plus the segment's ``points``
+    and its ``x_min`` and ``x_max``."""
 
-    The returned law carries the analytic atom max(1-alpha, 0) at zero and
-    the inverted density on a sqrt-concentrated grid trimmed to where the
-    density exceeds ``LAW_DENSITY_FLOOR``.
+    x: np.ndarray
+    density: np.ndarray
+    solver: dict
+
+
+@dataclass(frozen=True, eq=False)
+class LawSegment:
+    """One contiguous segment of the inversion grid of ``deformed_mp_law``;
+    calling it sweeps its points downward from a cold start at its top."""
+
+    alpha: float
+    nu: DiscreteLaw
+    x: np.ndarray
+
+    def __call__(self) -> LawSweep:
+        try:
+            dens, stats = _sweep(self.alpha, self.nu, _law_eta(self.alpha, self.nu), self.x)
+        except NumericalFailureError as exc:
+            raise NumericalFailureError(
+                "density inversion failed: %s" % exc, residual=exc.residual, iterations=exc.iterations
+            ) from exc
+        where = {"points": int(self.x.size), "x_min": float(self.x[0]), "x_max": float(self.x[-1])}
+        return LawSweep(self.x, dens, {**where, **stats})
+
+
+def law_segments(alpha: float, nu: DiscreteLaw) -> list[LawSegment]:
+    """The LAW_SEGMENTS segments of the law's inversion grid, top first.
+
+    The grid has LAW_GRID_POINTS points, sqrt-concentrated near zero, from 0
+    to LAW_GRID_PAD times the support scale.
     """
     if alpha <= 0:
         raise InvalidArgumentError("alpha must be positive")
+    nu_c = nu.compressed()
     t = np.linspace(0.0, 1.0, LAW_GRID_POINTS)
-    grid = LAW_GRID_PAD * _support_scale(alpha, nu) * t**2
+    grid = LAW_GRID_PAD * _support_scale(alpha, nu_c) * t**2
     grid[0] = 0.0
-    try:
-        dens = deformed_mp_density(alpha, nu, grid)
-    except NumericalFailureError as exc:
-        raise NumericalFailureError("density inversion failed: %s" % exc, residual=exc.residual) from exc
+    return [LawSegment(alpha, nu_c, x) for x in np.array_split(grid, LAW_SEGMENTS)[::-1]]
+
+
+def deformed_mp_law(alpha: float, nu: DiscreteLaw, sweeps: list[LawSweep] | None = None) -> SpectralLaw:
+    """Deformed MP law for ratio ``alpha`` and population law ``nu``.
+
+    The returned law carries the analytic atom max(1-alpha, 0) at zero and
+    the inverted density on the grid of ``law_segments``, trimmed to where
+    the density exceeds ``LAW_DENSITY_FLOOR``, and each segment's solver
+    statistics in ``solvers`` (top segment first). A caller that schedules
+    the segments itself passes their ``sweeps``, in the order of
+    ``law_segments``; by default they are swept here, one after another.
+    """
+    segments = law_segments(alpha, nu)
+    if sweeps is None:
+        sweeps = [segment() for segment in segments]
+    elif len(sweeps) != len(segments) or not all(
+        np.array_equal(sweep.x, segment.x) for sweep, segment in zip(sweeps, segments)
+    ):
+        raise InvalidArgumentError("sweeps must be those of law_segments(alpha, nu), in its order")
+    grid = np.concatenate([sweep.x for sweep in sweeps[::-1]])
+    dens = np.concatenate([sweep.density for sweep in sweeps[::-1]])
     atom0 = max(1.0 - alpha, 0.0)
     # Trim flat tails but keep one padding point on each side.
     live = np.nonzero(dens > LAW_DENSITY_FLOOR)[0]
@@ -402,7 +498,7 @@ def deformed_mp_law(alpha: float, nu: DiscreteLaw) -> SpectralLaw:
         lo = max(int(live[0]) - 1, 0)
         hi = min(int(live[-1]) + 2, grid.size)
         grid, dens = grid[lo:hi], dens[lo:hi]
-    return SpectralLaw(atom0_mass=atom0, grid=grid, density=dens)
+    return SpectralLaw(atom0_mass=atom0, grid=grid, density=dens, solvers=tuple(sweep.solver for sweep in sweeps))
 
 
 def law_integrals(alpha: float, nu: DiscreteLaw, s: float) -> tuple[float, float, float]:

@@ -518,13 +518,68 @@ def test_non_finite_kernel_exits_numerical_failure(tmp_path, capsys, experiment)
 
 def test_esd_outputs_independent_of_worker_count(tmp_path, monkeypatch):
     blobs = []
-    for threads in ("1", "2"):
+    # With 4 workers both law segments and the seeds are pooled at once.
+    for threads in ("1", "2", "4"):
         monkeypatch.setenv("QRLAB_THREADS", threads)
         out = tmp_path / ("t" + threads)
         assert main(["esd", "--d", "12", "--kernel", "quartic:1,1,1", "--cov", "uniform:0.5,1.5",
                      "--seeds", "2,0,1", "--out", str(out)]) == 0
         blobs.append([(out / name).read_bytes() for name in ("results.json", "law.csv", "eigs.csv")])
-    assert blobs[0] == blobs[1]
+    assert blobs[0] == blobs[1] == blobs[2]
+    # mp-law builds the same law from the same d, alpha and covariance.
+    out = tmp_path / "mp"
+    assert main(["mp-law", "--d", "12", "--cov", "uniform:0.5,1.5", "--out", str(out)]) == 0
+    assert (out / "law.csv").read_bytes() == blobs[0][1]
+
+
+@pytest.mark.parametrize("threads", ["2", "4"])
+def test_esd_never_runs_two_law_segments_at_once(tmp_path, monkeypatch, threads):
+    import time
+
+    from qrlab import spectra
+
+    sweep = spectra.LawSegment.__call__
+    spans = []
+
+    def timed(segment):
+        start = time.perf_counter()
+        out = sweep(segment)
+        spans.append((start, time.perf_counter()))
+        return out
+
+    monkeypatch.setattr(spectra.LawSegment, "__call__", timed)
+    monkeypatch.setenv("QRLAB_THREADS", threads)
+    assert main(["esd", "--d", "12", "--kernel", "quartic:1,1,1", "--seeds", "2",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert len(spans) == spectra.LAW_SEGMENTS
+    spans.sort()
+    assert all(earlier[1] <= later[0] for earlier, later in zip(spans, spans[1:]))
+
+
+@pytest.mark.parametrize("experiment", ["esd", "mp-law"])
+def test_law_meta_records_each_segment_solve(tmp_path, experiment):
+    from qrlab import spectra
+
+    out = tmp_path / "o"
+    args = [experiment, "--d", "8", "--out", str(out)] + (["--seeds", "2"] if experiment == "esd" else [])
+    assert main(args) == 0
+    meta = json.loads((out / "results.meta.json").read_text())
+    solvers = meta["solvers"]
+    # One entry per grid segment, top segment first.
+    assert len(solvers) == spectra.LAW_SEGMENTS
+    assert sum(s["points"] for s in solvers) == spectra.LAW_GRID_POINTS
+    assert [s["x_max"] for s in solvers] == sorted((s["x_max"] for s in solvers), reverse=True)
+    for stats in solvers:
+        assert set(stats) == {"points", "x_min", "x_max", "calls", "iterations", "iterations_max",
+                              "cold_restarts", "failed_warm_steps"}
+        assert all(type(stats[key]) is float for key in ("x_min", "x_max"))
+        counts = {key: value for key, value in stats.items() if key not in ("x_min", "x_max")}
+        assert all(type(value) is int and value >= 0 for value in counts.values())
+        assert stats["calls"] == stats["points"] + stats["cold_restarts"]
+        assert stats["iterations_max"] <= spectra.STIELTJES_WARM_STEPS
+        assert stats["iterations"] >= stats["points"]
+        assert stats["failed_warm_steps"] <= stats["cold_restarts"] * spectra.STIELTJES_WARM_STEPS
+    assert "solvers" not in _read(out)
 
 
 @pytest.mark.parametrize("experiment, flags, code, message", [
@@ -556,6 +611,7 @@ def test_esd_and_gap_fail_before_the_n_by_n_work(tmp_path, monkeypatch, capsys, 
     def forbidden(*args, **kwargs):
         raise AssertionError("called after a check that should have failed the run")
 
+    monkeypatch.setattr(spectra, "law_segments", forbidden)
     monkeypatch.setattr(spectra, "deformed_mp_law", forbidden)
     monkeypatch.setattr(kernels, "kernel_matrix", forbidden)
     monkeypatch.setattr(kernels, "gap_matrix", forbidden)
@@ -637,6 +693,7 @@ def test_esd_and_train_error_refuse_tasks_beyond_available_memory(tmp_path, monk
         raise AssertionError("%s work started after the capacity check failed" % experiment)
 
     monkeypatch.setenv("QRLAB_THREADS", "2")
+    monkeypatch.setattr(spectra, "law_segments", forbidden)
     monkeypatch.setattr(spectra, "deformed_mp_law", forbidden)
     monkeypatch.setattr(krr, "asymptotic_training_error", forbidden)
     monkeypatch.setattr(kernels, "kernel_matrix", forbidden)

@@ -446,14 +446,15 @@ def _two_sum_companion(z, alpha, nu, initial=None):
     """Companion solve that sums both atom integrals at every iterate and
     again at every Newton candidate, one call per continuation stage: the
     plain form of ``companion_stieltjes``, same steps and same floating-point
-    operations. A warm start from ``initial`` runs the stage z alone on the
-    smaller budget."""
+    operations (one reciprocal 1/(1 + a m) per iterate, then complex dot
+    products with the weighted atoms). A warm start from ``initial`` runs the
+    stage z alone on the smaller budget."""
+    wa = (nu.weights * nu.atoms).astype(complex)
+    wa2 = (nu.weights * nu.atoms**2).astype(complex)
 
     def frac_integrals(m):
-        den = 1.0 + nu.atoms * m
-        f1 = np.sum(nu.weights * nu.atoms / den)
-        f2 = np.sum(nu.weights * nu.atoms**2 / den**2)
-        return complex(f1), complex(f2)
+        inv = 1.0 / (1.0 + nu.atoms * m)
+        return complex(inv @ wa), complex((inv * inv) @ wa2)
 
     def solve(z, m, budget, tol_abs):
         on_axis = z.imag == 0.0

@@ -354,3 +354,84 @@ def test_law_build_solves_within_warm_budget(monkeypatch, cov, alpha):
     assert len(iterations) >= spectra.LAW_GRID_POINTS
     assert max(iterations) <= 100
     assert law.total_mass() == pytest.approx(1.0, abs=2e-3)
+
+
+LAWS = pytest.mark.parametrize("cov, alpha", [
+    (CovarianceSpec.uniform(60, 0.5, 1.5), 1.0),  # the esd-law benchmark law
+    (CovarianceSpec.uniform(60, 0.5, 1.5), 0.5),  # the README mp-law example
+    (CovarianceSpec.identity(60), 1.0),
+], ids=["esd-law", "mp-law", "identity"])
+
+
+@LAWS
+def test_segmented_law_matches_one_sweep(cov, alpha):
+    nu = sigma2_diagonal(cov)
+    law = deformed_mp_law(alpha, nu)
+    grid = np.concatenate([segment.x for segment in spectra.law_segments(alpha, nu)[::-1]])
+    assert grid.size == spectra.LAW_GRID_POINTS and np.all(np.diff(grid) > 0)
+    dens = deformed_mp_density(alpha, nu, grid)
+    live = np.nonzero(dens > spectra.LAW_DENSITY_FLOOR)[0]
+    lo, hi = max(int(live[0]) - 1, 0), min(int(live[-1]) + 2, grid.size)
+    np.testing.assert_array_equal(law.grid, grid[lo:hi])
+    # An absolute bound: near x = 0 with alpha < 1 the density is a
+    # difference of terms of order 1e2, so its relative error is larger there.
+    assert np.abs(law.density - dens[lo:hi]).max() <= 1e-10 * dens.max()
+
+
+@LAWS
+def test_law_records_each_segment_solve(monkeypatch, cov, alpha):
+    solve = spectra.companion_stieltjes
+    calls = []  # (x, iterations, converged)
+
+    def counting(z, *args, **kwargs):
+        try:
+            ev = solve(z, *args, **kwargs)
+        except NumericalFailureError as exc:
+            calls.append((z.real, exc.iterations, False))
+            raise
+        calls.append((z.real, ev.iterations, True))
+        return ev
+
+    monkeypatch.setattr(spectra, "companion_stieltjes", counting)
+    law = deformed_mp_law(alpha, sigma2_diagonal(cov))
+    assert len(law.solvers) == spectra.LAW_SEGMENTS
+    assert [s["x_max"] for s in law.solvers] == sorted((s["x_max"] for s in law.solvers), reverse=True)
+    assert sum(s["points"] for s in law.solvers) == spectra.LAW_GRID_POINTS
+    # Each of these laws has a warm start that stalls at a support edge.
+    assert any(not ok for _, _, ok in calls)
+    for stats in law.solvers:
+        mine = [(steps, ok) for x, steps, ok in calls if stats["x_min"] <= x <= stats["x_max"]]
+        done = [steps for steps, ok in mine if ok]
+        failed = [steps for steps, ok in mine if not ok]
+        assert stats["calls"] == len(mine)
+        assert stats["iterations"] == sum(done) and stats["iterations_max"] == max(done)
+        assert stats["cold_restarts"] == len(failed)
+        assert stats["failed_warm_steps"] == sum(failed)
+        assert all(0 < steps <= spectra.STIELTJES_WARM_STEPS for steps in failed)
+
+
+def test_law_segments_do_not_depend_on_their_schedule():
+    alpha, nu = 0.5, DiscreteLaw.from_values([1.0, 2.0, 3.0])
+    segments = spectra.law_segments(alpha, nu)
+    assert len(segments) == spectra.LAW_SEGMENTS
+    # Top first, contiguous and of equal size.
+    for upper, lower in zip(segments, segments[1:]):
+        assert lower.x[-1] < upper.x[0]
+    assert {segment.x.size for segment in segments} == {spectra.LAW_GRID_POINTS // spectra.LAW_SEGMENTS}
+    bottom_first = [segment() for segment in segments[::-1]][::-1]
+    law = deformed_mp_law(alpha, nu)
+    again = deformed_mp_law(alpha, nu, bottom_first)
+    assert law_to_csv(again) == law_to_csv(law)
+    assert again.solvers == law.solvers
+    for wrong in (bottom_first[::-1], bottom_first[:1]):
+        with pytest.raises(InvalidArgumentError, match="law_segments"):
+            deformed_mp_law(alpha, nu, wrong)
+
+
+@pytest.mark.parametrize("initial, budget", [(None, "STIELTJES_MAX_STEPS"), (complex(5.0, 1.0), "STIELTJES_WARM_STEPS")],
+                         ids=["cold", "warm"])
+def test_unconverged_companion_solve_reports_its_steps(monkeypatch, initial, budget):
+    monkeypatch.setattr(spectra, budget, 3)
+    with pytest.raises(NumericalFailureError, match="did not converge") as info:
+        companion_stieltjes(complex(1.0, 1e-8), 1.0, DiscreteLaw.delta(1.0), initial=initial)
+    assert info.value.iterations == 3 and info.value.residual > 0
