@@ -579,7 +579,7 @@ def _run_risk(cfg: ExperimentConfig):
     kernel = _build("kernel", cfg.kernel)
     sampler = _build("sampler", cfg.sampler)
     teacher_kind = cfg.teacher["kind"]
-    _check_capacity([krr.empirical_risk_bytes(n, d, cfg.n_test)] * len(cfg.seeds))
+    _check_capacity([krr.empirical_risk_bytes(n, d, cfg.n_test, cfg.n_repl)] * len(cfg.seeds))
     pred = krr.asymptotic_risk(kernel, cov, cfg.alpha, cfg.lam, cfg.sigma_eps, teacher_kind)
 
     def one(seed):

@@ -72,12 +72,18 @@ class KernelFunction:
     ``bounded_high_derivs`` records whether the ninth derivative is globally
     bounded (needed by the generalization-error formulas; exp and cosh fail
     it but stay usable at desk scale, with a warning).
+    ``poly`` holds f's coefficients in t, low to high degree, when f is a
+    polynomial: ``quartic`` and ``custom_poly`` set it, and it is None for
+    ``exp``, ``cosh`` and ``from_callable``. It describes the same f as
+    ``fn``, which still forms K; the risk prediction reads it to evaluate
+    f(G/d) @ w as a sum of power terms (see ``krr._predict``).
     """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     derivs0: tuple[float, float, float, float, float]
     bounded_high_derivs: bool = True
+    poly: tuple[float, ...] | None = None
 
     def eval(self, t):
         out = self.fn(np.asarray(t, dtype=np.float64))
@@ -99,7 +105,8 @@ class KernelFunction:
             return _horner(t * t, coeffs)
 
         name = "quartic:%g,%g,%g" % (b0, b2, b4)
-        return KernelFunction(name, fn, (float(b0), 0.0, float(b2), 0.0, float(b4)))
+        poly = (float(b0), 0.0, coeffs[1], 0.0, coeffs[2])
+        return KernelFunction(name, fn, (float(b0), 0.0, float(b2), 0.0, float(b4)), poly=poly)
 
     @staticmethod
     def custom_poly(coeffs) -> "KernelFunction":
@@ -112,7 +119,7 @@ class KernelFunction:
             return _horner(t, c)
 
         derivs = tuple(math.factorial(k) * c[k] if k < len(c) else 0.0 for k in range(5))
-        return KernelFunction("custom_poly:" + ",".join("%g" % v for v in c), fn, derivs)
+        return KernelFunction("custom_poly:" + ",".join("%g" % v for v in c), fn, derivs, poly=tuple(c))
 
     @staticmethod
     def from_callable(name: str, fn: Callable, derivs0, bounded_high_derivs: bool = True) -> "KernelFunction":

@@ -19,6 +19,7 @@ from .datagen import (
     CovarianceSpec,
     Dataset,
     MomentMatchedSampler,
+    _as_matrix,
     reduced_tensor_features,
     sigma2_diagonal,
     tensor_mean_vector,
@@ -30,7 +31,15 @@ from .errors import (
     NumericalFailureError,
     SingularSystemError,
 )
-from .kernels import KernelFunction, QuadCoeffs, cross_kernel, kernel_matrix, quad_coeffs, strip_build_bytes
+from .kernels import (
+    GAP_STRIP_ROWS,
+    KernelFunction,
+    QuadCoeffs,
+    cross_kernel,
+    kernel_matrix,
+    quad_coeffs,
+    strip_build_bytes,
+)
 from .seeding import NOISE, TEACHER, TEST, substream
 from .spectra import DiscreteLaw, companion_stieltjes, law_integrals
 
@@ -61,20 +70,21 @@ RIDGE_RESIDUAL_RTOL = 1e-8
 LAMBDA_STAR_TOL = 1e-12  # lambda_star_solve: root residual, relative to the largest term
 LAMBDA_STAR_AGREEMENT = 1e-10  # lambda_star_solve: relative agreement of the Stieltjes route
 # Test rows per block of empirical_risk's prediction. One BLAS thread, 2-CPU
-# Xeon, quartic kernel, 4000 test rows against n=1800, best of 5: 98 ms and
-# 172.8 MB of block temporaries for the whole block, 71 ms and 21.6 MB with
-# 500 rows. Under one BLAS thread, blocks of 500, 1000 and 2000 rows predict
-# bit-identically to the whole block and 250 rows do not (6e-15 relative);
+# Xeon, 4000 test rows against n=1800 at d=60, best of 7: with blocks of
+# 250, 500, 1000, 2000 and 4000 rows, power sums (quartic:1,6,1) took 46,
+# 43, 46, 48 and 46 ms and held 3.6, 7.2, 14.4, 28.9 and 57.7 MB, and the
+# cross-kernel route (cosh) took 43, 45, 46, 51 and 66 ms (the Horner route
+# that quartic took before power sums: 68 ms at 500 rows). Under one BLAS
+# thread, blocks of 500 rows or more predict bit-identically to the whole
+# block on either route and 250 rows do not (4e-16 and 7e-15 relative);
 # more BLAS threads split a block's rows between them, so the last digits
-# can move with the thread count. A 57.6 MB block is above glibc's 32 MB
-# mmap threshold, so every replicate maps and unmaps fresh pages; 7.2 MB
-# blocks are reused from the heap.
+# can move with the thread count.
 RISK_BLOCK_ROWS = 500
-# Block-sized float64 temporaries alive at once in a block's prediction: the
-# inner products, which f overwrites strip by strip, and a block's worth each
-# for the two strip temporaries of a polynomial kernel's Horner evaluation
-# (an upper bound: a strip is GAP_STRIP_ROWS rows).
-RISK_BLOCK_TEMPS = 3
+# Block-sized float64 buffers of one power-sum prediction: the scaled
+# products G (squared in place for an even f) and, for a power above the
+# second, the running power. The cross-kernel route holds its block and f's
+# strip temporaries instead: at most two strips of GAP_STRIP_ROWS rows.
+RISK_BLOCK_TEMPS = 2
 
 
 def _draw_g_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -186,13 +196,23 @@ class RidgeFactor:
             ) from exc
 
     def solve(self, y: np.ndarray) -> np.ndarray:
+        """Weights (K + lambda I)^{-1} y for a label n-vector y, or for each
+        column of an n x r label block at once: one pair of triangular solves
+        and one residual product K W for the whole block. Each column must
+        meet its own residual bound (NumericalFailureError otherwise)."""
         w = scipy.linalg.cho_solve(self._factor, y, check_finite=False)
-        residual = float(np.linalg.norm(self._k @ w + self._lam * w - y))
-        bound = RIDGE_RESIDUAL_RTOL * max(float(np.linalg.norm(y)), 1e-300)
+        residual = self._k @ w
+        residual += self._lam * w
+        residual -= y
+        residual = np.atleast_1d(np.linalg.norm(residual, axis=0))
+        bound = RIDGE_RESIDUAL_RTOL * np.maximum(np.atleast_1d(np.linalg.norm(y, axis=0)), 1e-300)
         # Negated so that a NaN residual (non-finite labels) fails too.
-        if not residual <= bound:
+        failed = np.flatnonzero(~(residual <= bound))
+        if failed.size:
+            j = failed[0]
+            where = " in label column %d" % j if np.ndim(y) == 2 else ""
             raise NumericalFailureError(
-                "ridge solve residual %g exceeds %g" % (residual, bound), residual=residual
+                "ridge solve residual %g exceeds %g%s" % (residual[j], bound[j], where), residual=float(residual[j])
             )
         return w
 
@@ -459,9 +479,11 @@ def empirical_risk(
     Each of the ``n_repl`` replicates redraws the teacher randomness (for
     the random quadratic teacher), the label noise, and a fresh batch of
     ``n_test`` Gaussian test points; the replicate means are averaged and
-    their spread gives the standard error. The test points are predicted in
-    blocks of ``RISK_BLOCK_ROWS`` rows, so the cross kernel against the
-    training set is never held whole.
+    their spread gives the standard error. Every replicate draws from its
+    own substreams, so all label vectors are drawn first and fitted by one
+    block solve. The test points are predicted in blocks of
+    ``RISK_BLOCK_ROWS`` rows (see ``_predict``), so the cross kernel against
+    the training set is never held whole.
     """
     if teacher_kind not in RISK_TEACHERS:
         raise InvalidArgumentError("teacher_kind must be one of %r" % (RISK_TEACHERS,))
@@ -471,14 +493,16 @@ def empirical_risk(
     cov = dataset.covariance
     k_mat = kernel_matrix(dataset, kernel)
     factor = RidgeFactor(k_mat, lam)
+    teachers = [TeacherModel.draw(teacher_kind, cov, substream(seed, TEACHER, r)) for r in range(n_repl)]
+    labels = np.stack([make_labels(dataset, t, sigma_eps, seed, replicate=r) for r, t in enumerate(teachers)], axis=1)
+    weights = factor.solve(labels)
+    del labels
+    blocks = _prediction_blocks(kernel, min(n_test, RISK_BLOCK_ROWS), dataset.n)
     scale = np.sqrt(cov.diag)[None, :]
     means = []
-    for r in range(n_repl):
-        teacher = TeacherModel.draw(teacher_kind, cov, substream(seed, TEACHER, r))
-        y = make_labels(dataset, teacher, sigma_eps, seed, replicate=r)
-        w = factor.solve(y)
+    for r, teacher in enumerate(teachers):
         x_test = sampler.sample(substream(seed, TEST, r), (n_test, cov.d)) * scale
-        predictions = _predict(dataset, x_test, kernel, w)
+        predictions = _predict(dataset, x_test, kernel, np.ascontiguousarray(weights[:, r]), blocks)
         truth = teacher.predict(x_test)
         means.append(float(np.mean((predictions - truth) ** 2)))
     mean = float(np.mean(means))
@@ -486,24 +510,93 @@ def empirical_risk(
     return mean, stderr
 
 
-def _predict(dataset: Dataset, x_test: np.ndarray, kernel: KernelFunction, w: np.ndarray) -> np.ndarray:
+def _power_plan(poly: tuple[float, ...]) -> tuple[bool, tuple[float, ...], int]:
+    """How ``_predict`` sums the powers of f = sum_k poly[k] t^k: whether it
+    works in G o G (f even), f's coefficients in that base up to its last
+    nonzero one, and the block buffers that takes (none for a constant f; G
+    alone up to the base's second power, which is squared in place; G and
+    the running power above it)."""
+    c = list(poly)
+    while len(c) > 1 and c[-1] == 0.0:
+        c.pop()
+    square = not any(c[1::2])
+    if square:
+        c = c[0::2]
+    degree = len(c) - 1
+    return square, tuple(c), 0 if degree == 0 else 1 if degree <= 2 else 2
+
+
+def _prediction_blocks(kernel: KernelFunction, rows: int, n: int) -> np.ndarray:
+    """Block buffers for ``_predict``'s power-sum route, ``rows`` test rows
+    against n training rows each (none for a kernel without ``poly``)."""
+    count = 0 if kernel.poly is None else _power_plan(kernel.poly)[2]
+    return np.empty((count, rows, n))
+
+
+def _predict(
+    dataset: Dataset,
+    x_test: np.ndarray,
+    kernel: KernelFunction,
+    w: np.ndarray,
+    blocks: np.ndarray | None = None,
+) -> np.ndarray:
     """cross_kernel(dataset, x_test, kernel) @ w, formed RISK_BLOCK_ROWS test
-    rows at a time."""
+    rows at a time.
+
+    A kernel without ``poly`` takes exactly that route. A polynomial
+    f(t) = sum_k c_k t^k goes by power sums instead: each block's scaled
+    products G = x_blk X'/d (cross_kernel's own) are formed into
+    ``blocks[0]`` and the block's predictions are c_0 sum(w) + sum_k
+    c_k (G^{ok} @ w), with the entrywise powers taken in place (an even f
+    squares G once and runs over powers of G o G), so f(G/d) is never
+    formed. ``blocks`` from ``_prediction_blocks`` can be reused across
+    calls; without it, the buffers are allocated here.
+    """
+    x = _as_matrix(dataset)
     out = np.empty(len(x_test))
+    if kernel.poly is None:
+        for i in range(0, len(x_test), RISK_BLOCK_ROWS):
+            out[i:i + RISK_BLOCK_ROWS] = cross_kernel(x, x_test[i:i + RISK_BLOCK_ROWS], kernel) @ w
+        return out
+    square, coeffs, _ = _power_plan(kernel.poly)
+    if blocks is None:
+        blocks = _prediction_blocks(kernel, min(len(x_test), RISK_BLOCK_ROWS), len(x))
+    out[:] = coeffs[0] * w.sum()
+    if len(coeffs) == 1:
+        return out
     for i in range(0, len(x_test), RISK_BLOCK_ROWS):
-        out[i:i + RISK_BLOCK_ROWS] = cross_kernel(dataset, x_test[i:i + RISK_BLOCK_ROWS], kernel) @ w
+        rows = x_test[i:i + RISK_BLOCK_ROWS]
+        acc = out[i:i + RISK_BLOCK_ROWS]
+        base = np.matmul(rows, x.T, out=blocks[0, : len(rows)])
+        base /= x.shape[1]
+        if square:
+            np.multiply(base, base, out=base)
+        # A top power of 2 squares the base in place; above that the base
+        # stays and its running power goes to the second buffer.
+        power = base
+        for k, c in enumerate(coeffs[1:], start=1):
+            if k == 2 and len(coeffs) > 3:
+                power = np.multiply(base, base, out=blocks[1, : len(rows)])
+            elif k >= 2:
+                power *= base
+            if c != 0.0:
+                acc += c * (power @ w)
     return out
 
 
-def empirical_risk_bytes(n: int, d: int, n_test: int) -> int:
+def empirical_risk_bytes(n: int, d: int, n_test: int, n_repl: int) -> int:
     """Bytes that ``empirical_risk`` holds at its peak for n training points
-    in d dimensions and ``n_test`` test points: the larger of the strip build
-    of K and the fit (K, the data, its Cholesky copy, and then the larger of
-    that copy's one-byte finiteness mask and the block temporaries), plus,
-    for the test points, three arrays of their size and six n_test-vectors
-    (a replicate draws its points while the last replicate's are held)."""
-    block = min(n_test, RISK_BLOCK_ROWS) * n
-    fit = 8 * (2 * n * n + n * d) + max(n * n, 8 * RISK_BLOCK_TEMPS * block)
+    in d dimensions, ``n_test`` test points and ``n_repl`` replicates: the
+    larger of the strip build of K and the fit (K, the data, its Cholesky
+    copy, four n x n_repl arrays for the labels, the weights and the block
+    solve's residual, and then the larger of the Cholesky copy's one-byte
+    finiteness mask and a prediction's block buffers, for either route),
+    plus, for the test points, three arrays of their size and six
+    n_test-vectors (a replicate draws its points while the last replicate's
+    are held)."""
+    rows = min(n_test, RISK_BLOCK_ROWS)
+    block = max(RISK_BLOCK_TEMPS * rows, rows + 2 * min(rows, GAP_STRIP_ROWS)) * n
+    fit = 8 * (2 * n * n + n * d + 4 * n * n_repl) + max(n * n, 8 * block)
     return max(strip_build_bytes(n, d), fit) + 8 * 3 * n_test * (d + 2)
 
 

@@ -771,7 +771,7 @@ def test_risk_refuses_tasks_beyond_available_memory(tmp_path, monkeypatch, capsy
     # The desk shape, d=60: n = 1800 and two tasks at once.
     assert main(["risk", "--d", "60", "--kernel", "quartic:1,6,1", "--seeds", "2", "--n-test", "4000",
                  "--out", str(tmp_path / "x")]) == 3
-    need = 2 * krr.empirical_risk_bytes(1800, 60, 4000) // 2**20
+    need = 2 * krr.empirical_risk_bytes(1800, 60, 4000, 8) // 2**20
     err = capsys.readouterr().err
     assert "capacity error: the largest concurrent tasks need about %d MB, and 1 MB of memory is available" % need in err
     assert "Traceback" not in err

@@ -59,18 +59,33 @@ def _assert_matches_terms(got, terms):
     assert np.all(np.abs(got - expected) <= 1e-12 * scale + UNDERFLOW)
 
 
+def _poly_terms(poly, t):
+    """The terms c_k t^k of ``poly``, f's coefficients in t from low to high degree."""
+    return [np.full_like(t, c) if k == 0 else c * t**k for k, c in enumerate(poly)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(COEF, COEF, COEF, POINTS)
 def test_quartic_matches_power_form(b0, b2, b4, t):
-    got = KernelFunction.quartic(b0, b2, b4).eval(t)
+    kernel = KernelFunction.quartic(b0, b2, b4)
+    got = kernel.eval(t)
     _assert_matches_terms(got, [np.full_like(t, b0), b2 * t**2 / 2.0, b4 * t**4 / 24.0])
+    assert kernel.poly == (b0, 0.0, b2 / 2.0, 0.0, b4 / 24.0)
+    _assert_matches_terms(got, _poly_terms(kernel.poly, t))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(COEF, min_size=1, max_size=8), POINTS)
 def test_custom_poly_matches_power_form(coeffs, t):
-    got = KernelFunction.custom_poly(coeffs).eval(t)
-    _assert_matches_terms(got, [np.full_like(t, c) if k == 0 else c * t**k for k, c in enumerate(coeffs)])
+    kernel = KernelFunction.custom_poly(coeffs)
+    assert kernel.poly == tuple(coeffs)
+    _assert_matches_terms(kernel.eval(t), _poly_terms(kernel.poly, t))
+
+
+def test_only_polynomial_kernels_carry_coefficients():
+    assert KernelFunction.exp().poly is None
+    assert KernelFunction.cosh().poly is None
+    assert KernelFunction.from_callable("sq", lambda t: 1.0 + t * t, (1, 0, 2, 0, 0)).poly is None
 
 
 KERNELS = [
@@ -236,19 +251,26 @@ def test_kernel_matrix_is_built_in_place_by_strips(kernel):
 
 
 def test_risk_block_rows_predict_bit_identically_on_one_blas_thread():
-    # Pins RISK_BLOCK_ROWS at the desk shape: under one BLAS thread the blocked
-    # predictions equal the whole cross-kernel block's bit for bit. OpenBLAS
-    # fixes its thread count when it loads, hence a fresh interpreter.
+    # Pins RISK_BLOCK_ROWS at the desk shape for both routes of _predict:
+    # under one BLAS thread, power sums in blocks equal power sums over the
+    # whole 4000-row block bit for bit, and the cross-kernel route equals
+    # the whole cross-kernel block's product. OpenBLAS fixes its thread count
+    # when it loads, hence a fresh interpreter.
     script = """if True:
         import numpy as np
+        from qrlab import krr
         from qrlab.datagen import CovarianceSpec, MomentMatchedSampler, sample_dataset
         from qrlab.kernels import KernelFunction, cross_kernel
-        from qrlab.krr import _predict
         data = sample_dataset(1800, 60, CovarianceSpec.identity(60), MomentMatchedSampler.gaussian(), 0)
         rng = np.random.default_rng(3)
         x_test, w = rng.standard_normal((4000, 60)), rng.standard_normal(1800)
-        kernel = KernelFunction.quartic(1.0, 6.0, 1.0)
-        assert np.array_equal(_predict(data, x_test, kernel, w), cross_kernel(data, x_test, kernel) @ w)
+        for kernel in (KernelFunction.quartic(1.0, 6.0, 1.0), KernelFunction.custom_poly([1, 0, 3, 0, 0.04, 0.01])):
+            blocked = krr._predict(data, x_test, kernel, w)
+            krr.RISK_BLOCK_ROWS, rows = len(x_test), krr.RISK_BLOCK_ROWS
+            assert np.array_equal(blocked, krr._predict(data, x_test, kernel, w)), kernel.name
+            krr.RISK_BLOCK_ROWS = rows
+        kernel = KernelFunction.cosh()
+        assert np.array_equal(krr._predict(data, x_test, kernel, w), cross_kernel(data, x_test, kernel) @ w)
     """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
@@ -257,38 +279,62 @@ def test_risk_block_rows_predict_bit_identically_on_one_blas_thread():
     assert child.returncode == 0, child.stderr
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 3 * RISK_BLOCK_ROWS + 7), st.integers(0, 2**32 - 1))
-@example(1, 0)
-@example(RISK_BLOCK_ROWS - 1, 0)
-@example(RISK_BLOCK_ROWS, 0)
-@example(RISK_BLOCK_ROWS + 1, 0)
-@example(3 * RISK_BLOCK_ROWS + 7, 0)
-def test_blocked_prediction_matches_the_whole_block(n_test, seed):
+# Both routes of _predict: power sums for the polynomial kernels (even, with
+# one squaring; constant; linear; with a t^5 term, which holds the running
+# power in a second buffer) and the cross-kernel product for cosh.
+PREDICT_KERNELS = [
+    KernelFunction.quartic(1.0, 6.0, 1.0),
+    KernelFunction.custom_poly([2.5]),
+    KernelFunction.custom_poly([1.0, -0.5]),
+    KernelFunction.custom_poly([1.0, 0.0, 3.0, 0.0, 0.04, 0.01]),
+    KernelFunction.custom_poly([1.0, 0.5, 0.25, 0.125, 0.0625]),
+    KernelFunction.cosh(),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3 * RISK_BLOCK_ROWS + 7), st.integers(0, 2**32 - 1), st.sampled_from(PREDICT_KERNELS))
+@example(1, 0, PREDICT_KERNELS[0])
+@example(RISK_BLOCK_ROWS - 1, 0, PREDICT_KERNELS[0])
+@example(RISK_BLOCK_ROWS, 0, PREDICT_KERNELS[0])
+@example(RISK_BLOCK_ROWS + 1, 0, PREDICT_KERNELS[0])
+@example(3 * RISK_BLOCK_ROWS + 7, 0, PREDICT_KERNELS[0])
+@example(RISK_BLOCK_ROWS + 1, 0, PREDICT_KERNELS[1])
+@example(RISK_BLOCK_ROWS + 1, 0, PREDICT_KERNELS[2])
+@example(RISK_BLOCK_ROWS + 1, 0, PREDICT_KERNELS[3])
+@example(RISK_BLOCK_ROWS + 1, 0, PREDICT_KERNELS[5])
+def test_blocked_prediction_matches_the_whole_block(n_test, seed, kernel):
     rng = np.random.default_rng(seed)
     x, x_test, w = rng.normal(size=(40, 6)), rng.normal(size=(n_test, 6)), rng.normal(size=40)
-    kernel = KernelFunction.quartic(1.0, 6.0, 1.0)
     cross = cross_kernel(x, x_test, kernel)
     # Relative to the sum of the terms' magnitudes, which bounds the rounding
-    # of any order of the sum.
-    scale = np.abs(cross) @ np.abs(w)
+    # of any order of the sum: sum_k |c_k| |G/d|^{ok} @ |w| for a polynomial,
+    # |f(G/d)| @ |w| otherwise.
+    if kernel.poly is None:
+        scale = np.abs(cross) @ np.abs(w)
+    else:
+        gram = np.abs(x_test @ x.T / x.shape[1])
+        scale = sum(abs(c) * (gram**k @ np.abs(w)) for k, c in enumerate(kernel.poly))
     assert np.all(np.abs(_predict(x, x_test, kernel, w) - cross @ w) <= 1e-13 * scale)
 
 
 def test_empirical_risk_peak_is_the_kernel_build():
-    d, n, n_test = 60, 1800, 4000
+    d, n, n_test, n_repl = 60, 1800, 4000, 2
     data = sample_dataset(n, d, CovarianceSpec.identity(d), MomentMatchedSampler.gaussian(), 0)
-    tracemalloc.start()
-    try:
-        empirical_risk(data, KernelFunction.quartic(1.0, 6.0, 1.0), "deterministic_sigma", 1.0, 0.5, n_test, 2, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # K is built in place, so the peak is the fit: K, its Cholesky copy, one
-    # prediction block with its strip temporaries and the test points (2.50
-    # n x n arrays; 3.0 while f was applied to the whole Gram matrix).
-    assert peak <= 2.6 * 8 * n * n
-    assert peak <= empirical_risk_bytes(n, d, n_test)
+    # quartic predicts by power sums, cosh through the cross-kernel blocks.
+    for kernel in (KernelFunction.quartic(1.0, 6.0, 1.0), KernelFunction.cosh()):
+        tracemalloc.start()
+        try:
+            empirical_risk(data, kernel, "deterministic_sigma", 1.0, 0.5, n_test, n_repl, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # K is built in place, so the peak is the fit: K, its Cholesky copy,
+        # one prediction block with its buffers or strip temporaries, and the
+        # test points (2.50 n x n arrays; 3.0 while f was applied to the
+        # whole Gram matrix).
+        assert peak <= 2.6 * 8 * n * n, kernel.name
+        assert peak <= empirical_risk_bytes(n, d, n_test, n_repl), kernel.name
 
 
 def _coeffs_on_python_floats(kernel, cov, corrected):

@@ -160,6 +160,34 @@ def test_ridge_solve_rejects_nan_labels():
         RidgeFactor(_spd(), 1.0).solve(y)
 
 
+def test_block_solve_matches_one_column_at_a_time():
+    k, _, lam = _ridge_system(1e6)
+    labels = np.random.default_rng(5).normal(size=(len(k), 6)) * np.geomspace(1e-3, 1e3, 6)
+    factor = RidgeFactor(k, lam)
+    block = factor.solve(labels)
+    assert block.shape == labels.shape
+    for j in range(labels.shape[1]):
+        w = factor.solve(labels[:, j])
+        assert np.linalg.norm(block[:, j] - w) <= 1e-12 * np.linalg.norm(w)
+
+
+def test_block_solve_rejects_a_nan_in_one_column():
+    labels = np.random.default_rng(4).normal(size=(50, 3))
+    labels[9, 1] = np.nan
+    with pytest.raises(NumericalFailureError, match="ridge solve residual nan exceeds .* in label column 1"):
+        RidgeFactor(_spd(), 1.0).solve(labels)
+
+
+def test_fit_and_training_error_keep_one_label_vector_one_dimensional():
+    k = _spd()
+    y = np.random.default_rng(6).normal(size=50)
+    w = krr_fit(k, y, 0.5)
+    assert w.shape == (50,)
+    assert np.array_equal(w, RidgeFactor(k, 0.5).solve(y))
+    assert type(training_error(k, y, 0.5)) is float
+    assert training_error(k, y, 0.5) == float(0.25 / 50 * (w @ w))
+
+
 def test_training_error_closed_forms():
     rng = np.random.default_rng(1)
     m = rng.normal(size=(10, 10))
