@@ -92,10 +92,6 @@ from .errors import (
     QrlabError,
 )
 
-class _ConfigError(Exception):
-    pass
-
-
 # Loaders turn a JSON value or a flag's text into the canonical value and
 # raise ValueError or TypeError on anything else.
 def _float(v) -> float:
@@ -252,10 +248,10 @@ class ExperimentConfig:
         exact = d * d / (2.0 * self.alpha)
         n = round(exact) if math.isfinite(exact) else None
         if n is None or 8 * n * n > sys.maxsize:
-            raise _ConfigError("derived n = round(d^2/(2 alpha)) = %.4g is too large for an n x n float64 array "
-                               "on this platform" % exact)
+            raise InvalidArgumentError("derived n = round(d^2/(2 alpha)) = %.4g is too large for an n x n "
+                                       "float64 array on this platform" % exact)
         if n < 1:
-            raise _ConfigError("derived n = round(d^2/(2 alpha)) must be >= 1, got %d" % n)
+            raise InvalidArgumentError("derived n = round(d^2/(2 alpha)) must be >= 1, got %d" % n)
         return n
 
     def canonical(self) -> dict:
@@ -291,7 +287,7 @@ def _thread_limit() -> int:
     except ValueError:
         limit = 0
     if limit < 1:
-        raise _ConfigError("QRLAB_THREADS must be an integer >= 1, got %r" % cap)
+        raise InvalidArgumentError("QRLAB_THREADS must be an integer >= 1, got %r" % cap)
     return limit
 
 
@@ -382,20 +378,14 @@ def _check_capacity(task_bytes: list[int]) -> None:
         )
 
 
-def _esd_bytes(n: int, d: int) -> int:
-    """Bytes one esd seed task holds at its peak: the larger of the strip
-    build of K and the eigensolve, which holds K, the data and the n x n
-    work copy that numpy's ``eigvalsh`` hands to LAPACK. That copy is
-    allocated outside Python's allocator, so tracemalloc does not see it; it
-    is counted here from the code."""
+def _dense_task_bytes(n: int, d: int) -> int:
+    """Bytes one esd or train-error seed task holds at its peak: the larger
+    of the strip build of K and the dense step after it, which holds K, the
+    data and one n x n copy of K that LAPACK works on (numpy's ``eigvalsh``
+    copy, or the ridge fit's Cholesky copy). ``eigvalsh`` allocates its copy
+    outside Python's allocator, so tracemalloc does not see it; it is
+    counted here from the code."""
     return max(kernels.strip_build_bytes(n, d), 8 * (2 * n * n + n * d))
-
-
-def _training_error_bytes(n: int, d: int) -> int:
-    """Bytes one train-error seed task holds at its peak: the larger of the
-    strip build of K and the ridge fit, which holds K, the data, the
-    Cholesky copy of K and that copy's one-byte finiteness mask."""
-    return max(kernels.strip_build_bytes(n, d), 8 * (2 * n * n + n * d) + n * n)
 
 
 def _run_approx_norm(cfg: ExperimentConfig):
@@ -456,7 +446,7 @@ def _run_esd(cfg: ExperimentConfig):
         raise AssumptionViolationError("f''(0) must be nonzero for the spectral limit")
     a_star, nu = krr.limit_inputs(kernel, cov)
     factor = 4.0 * cfg.alpha / second
-    _check_capacity([_esd_bytes(n, d)] * len(cfg.seeds))
+    _check_capacity([_dense_task_bytes(n, d)] * len(cfg.seeds))
 
     # The law does not depend on the seeds. Its grid segments are pool tasks:
     # the top segment first, then the seeds, then the other segments last,
@@ -531,7 +521,7 @@ def _run_train_error(cfg: ExperimentConfig):
     teacher_kind = cfg.teacher["kind"]
     c0 = cfg.teacher.get("c0", 0.0)
     c1 = cfg.teacher.get("c1", 0.0)
-    _check_capacity([_training_error_bytes(n, d)] * len(cfg.seeds))
+    _check_capacity([_dense_task_bytes(n, d)] * len(cfg.seeds))
     predicted = krr.asymptotic_training_error(kernel, cov, cfg.alpha, cfg.lam, cfg.c2, cfg.sigma_eps)
 
     def one(seed):
@@ -639,13 +629,13 @@ def run(cfg: ExperimentConfig) -> int:
     try:
         runner = _EXPERIMENT_TABLE[cfg.experiment][0]
     except KeyError:
-        raise _ConfigError("unknown experiment %r" % cfg.experiment) from None
+        raise InvalidArgumentError("unknown experiment %r" % cfg.experiment) from None
     if cfg.experiment != "approx-norm" and len(cfg.d) > 1:
-        raise _ConfigError("%s takes one d, got the ladder %s" % (cfg.experiment, ",".join(map(str, cfg.d))))
+        raise InvalidArgumentError("%s takes one d, got the ladder %s" % (cfg.experiment, ",".join(map(str, cfg.d))))
     if cfg.experiment == "oracle-check" and len(cfg.seeds) > 1:
-        raise _ConfigError("oracle-check takes one seed, got %s" % ",".join(map(str, cfg.seeds)))
+        raise InvalidArgumentError("oracle-check takes one seed, got %s" % ",".join(map(str, cfg.seeds)))
     if cfg.experiment != "train-error" and {"c0", "c1"} & set(cfg.teacher):
-        raise _ConfigError("teacher c0/c1 apply only to train-error, not to %s" % cfg.experiment)
+        raise InvalidArgumentError("teacher c0/c1 apply only to train-error, not to %s" % cfg.experiment)
     _thread_limit()  # a bad QRLAB_THREADS fails before any work starts
     t0 = time.perf_counter()
     records, summary, stats, files = runner(cfg)
@@ -659,7 +649,7 @@ def run(cfg: ExperimentConfig) -> int:
 class _Parser(argparse.ArgumentParser):
     # Config/flag problems must exit 1, not argparse's default 2.
     def error(self, message):
-        raise _ConfigError(message)
+        raise InvalidArgumentError(message)
 
 
 def _build_parser() -> _Parser:
@@ -687,15 +677,15 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         try:
             base = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            raise _ConfigError("cannot read config file: %s" % exc) from exc
+            raise InvalidArgumentError("cannot read config file: %s" % exc) from exc
         if not isinstance(base, dict):
-            raise _ConfigError("config file must hold a JSON object")
+            raise InvalidArgumentError("config file must hold a JSON object")
     named = base.pop("experiment", experiment)
     if named != experiment:
-        raise _ConfigError("config file experiment %r conflicts with %r" % (named, experiment))
+        raise InvalidArgumentError("config file experiment %r conflicts with %r" % (named, experiment))
     unknown = sorted(set(base) - set(keys))
     if unknown:
-        raise _ConfigError("%s does not read config key(s): %s" % (experiment, ", ".join(unknown)))
+        raise InvalidArgumentError("%s does not read config key(s): %s" % (experiment, ", ".join(unknown)))
     cfg = ExperimentConfig(experiment=experiment)
     for key in keys:
         f = _FIELDS[key]
@@ -706,7 +696,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             try:
                 setattr(cfg, f.name, f.metadata["load"](value))
             except (TypeError, ValueError) as exc:
-                raise _ConfigError("%s: %s" % (source, exc)) from exc
+                raise InvalidArgumentError("%s: %s" % (source, exc)) from exc
     return cfg
 
 
@@ -723,7 +713,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         cfg = _config_from_args(args)
         return run(cfg)
-    except (_ConfigError, InvalidArgumentError) as exc:
+    except InvalidArgumentError as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 1
     except AssumptionViolationError as exc:

@@ -58,6 +58,18 @@ def _horner(x, coeffs):
     return out
 
 
+def _power_plan(poly: tuple[float, ...]) -> tuple[bool, tuple[float, ...]]:
+    """How to evaluate f = sum_k poly[k] t^k: whether to work in s = t*t (f
+    even), and f's coefficients in that base, low to high degree, up to its
+    last nonzero one. ``KernelFunction`` evaluates f by Horner's rule in the
+    base; ``krr._predict`` sums its powers against the weights."""
+    c = list(poly)
+    while len(c) > 1 and c[-1] == 0.0:
+        c.pop()
+    square = not any(c[1::2])
+    return square, tuple(c[0::2] if square else c)
+
+
 @dataclass(frozen=True)
 class KernelFunction:
     """Scalar kernel profile f with its derivatives at zero.
@@ -73,10 +85,11 @@ class KernelFunction:
     bounded (needed by the generalization-error formulas; exp and cosh fail
     it but stay usable at desk scale, with a warning).
     ``poly`` holds f's coefficients in t, low to high degree, when f is a
-    polynomial: ``quartic`` and ``custom_poly`` set it, and it is None for
-    ``exp``, ``cosh`` and ``from_callable``. It describes the same f as
-    ``fn``, which still forms K; the risk prediction reads it to evaluate
-    f(G/d) @ w as a sum of power terms (see ``krr._predict``).
+    polynomial, and is None for ``exp``, ``cosh`` and ``from_callable``. It
+    defines a polynomial kernel: ``quartic`` and ``custom_poly`` derive
+    ``fn`` from it through ``_power_plan``, and the risk prediction reads
+    the same plan to evaluate f(G/d) @ w as a sum of power terms (see
+    ``krr._predict``).
     """
 
     name: str
@@ -99,27 +112,31 @@ class KernelFunction:
 
     @staticmethod
     def quartic(b0: float, b2: float, b4: float) -> "KernelFunction":
-        coeffs = (b0, b2 / 2.0, b4 / 24.0)
-
-        def fn(t):
-            return _horner(t * t, coeffs)
-
         name = "quartic:%g,%g,%g" % (b0, b2, b4)
-        poly = (float(b0), 0.0, coeffs[1], 0.0, coeffs[2])
-        return KernelFunction(name, fn, (float(b0), 0.0, float(b2), 0.0, float(b4)), poly=poly)
+        poly = (float(b0), 0.0, b2 / 2.0, 0.0, b4 / 24.0)
+        return KernelFunction._polynomial(name, poly, (float(b0), 0.0, float(b2), 0.0, float(b4)))
 
     @staticmethod
     def custom_poly(coeffs) -> "KernelFunction":
         """Polynomial sum_k c_k t^k from low to high degree."""
-        c = [float(v) for v in coeffs]
+        c = tuple(float(v) for v in coeffs)
         if not c:
             raise InvalidArgumentError("custom_poly needs at least one coefficient")
+        derivs = tuple(math.factorial(k) * c[k] if k < len(c) else 0.0 for k in range(5))
+        return KernelFunction._polynomial("custom_poly:" + ",".join("%g" % v for v in c), c, derivs)
+
+    @staticmethod
+    def _polynomial(name: str, poly: tuple[float, ...], derivs0) -> "KernelFunction":
+        """The kernel f = sum_k poly[k] t^k, evaluated by Horner's rule in
+        t*t for an even f and in t otherwise (see ``_power_plan``).
+        ``derivs0`` is passed in, not derived from ``poly``: quartic's
+        f''''(0) is b4 itself, which 24 * (b4/24) can miss by a bit."""
+        square, coeffs = _power_plan(poly)
 
         def fn(t):
-            return _horner(t, c)
+            return _horner(t * t if square else t, coeffs)
 
-        derivs = tuple(math.factorial(k) * c[k] if k < len(c) else 0.0 for k in range(5))
-        return KernelFunction("custom_poly:" + ",".join("%g" % v for v in c), fn, derivs, poly=tuple(c))
+        return KernelFunction(name, fn, derivs0, poly=poly)
 
     @staticmethod
     def from_callable(name: str, fn: Callable, derivs0, bounded_high_derivs: bool = True) -> "KernelFunction":

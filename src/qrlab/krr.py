@@ -35,6 +35,7 @@ from .kernels import (
     GAP_STRIP_ROWS,
     KernelFunction,
     QuadCoeffs,
+    _power_plan,
     cross_kernel,
     kernel_matrix,
     quad_coeffs,
@@ -183,8 +184,9 @@ class RidgeFactor:
         # One fresh K + lambda I, in the Fortran order LAPACK factors in place.
         shifted = np.array(self._k, order="F")
         shifted[np.diag_indices_from(shifted)] += self._lam
-        if not np.isfinite(shifted).all():
-            # The unchecked Cholesky below would factor inf/NaN silently.
+        # The unchecked Cholesky below would factor inf/NaN silently. Checked
+        # from the extremes (NaN and +-inf reach max or min), with no n x n mask.
+        if not math.isfinite(max(abs(float(shifted.max())), abs(float(shifted.min())))):
             raise NumericalFailureError("ridge factorization: K + lambda I has non-finite entries")
         try:
             self._factor = scipy.linalg.cho_factor(shifted, lower=True, overwrite_a=True, check_finite=False)
@@ -497,12 +499,11 @@ def empirical_risk(
     labels = np.stack([make_labels(dataset, t, sigma_eps, seed, replicate=r) for r, t in enumerate(teachers)], axis=1)
     weights = factor.solve(labels)
     del labels
-    blocks = _prediction_blocks(kernel, min(n_test, RISK_BLOCK_ROWS), dataset.n)
     scale = np.sqrt(cov.diag)[None, :]
     means = []
     for r, teacher in enumerate(teachers):
         x_test = sampler.sample(substream(seed, TEST, r), (n_test, cov.d)) * scale
-        predictions = _predict(dataset, x_test, kernel, np.ascontiguousarray(weights[:, r]), blocks)
+        predictions = _predict(dataset, x_test, kernel, np.ascontiguousarray(weights[:, r]))
         truth = teacher.predict(x_test)
         means.append(float(np.mean((predictions - truth) ** 2)))
     mean = float(np.mean(means))
@@ -510,47 +511,20 @@ def empirical_risk(
     return mean, stderr
 
 
-def _power_plan(poly: tuple[float, ...]) -> tuple[bool, tuple[float, ...], int]:
-    """How ``_predict`` sums the powers of f = sum_k poly[k] t^k: whether it
-    works in G o G (f even), f's coefficients in that base up to its last
-    nonzero one, and the block buffers that takes (none for a constant f; G
-    alone up to the base's second power, which is squared in place; G and
-    the running power above it)."""
-    c = list(poly)
-    while len(c) > 1 and c[-1] == 0.0:
-        c.pop()
-    square = not any(c[1::2])
-    if square:
-        c = c[0::2]
-    degree = len(c) - 1
-    return square, tuple(c), 0 if degree == 0 else 1 if degree <= 2 else 2
-
-
-def _prediction_blocks(kernel: KernelFunction, rows: int, n: int) -> np.ndarray:
-    """Block buffers for ``_predict``'s power-sum route, ``rows`` test rows
-    against n training rows each (none for a kernel without ``poly``)."""
-    count = 0 if kernel.poly is None else _power_plan(kernel.poly)[2]
-    return np.empty((count, rows, n))
-
-
-def _predict(
-    dataset: Dataset,
-    x_test: np.ndarray,
-    kernel: KernelFunction,
-    w: np.ndarray,
-    blocks: np.ndarray | None = None,
-) -> np.ndarray:
+def _predict(dataset: Dataset, x_test: np.ndarray, kernel: KernelFunction, w: np.ndarray) -> np.ndarray:
     """cross_kernel(dataset, x_test, kernel) @ w, formed RISK_BLOCK_ROWS test
     rows at a time.
 
     A kernel without ``poly`` takes exactly that route. A polynomial
-    f(t) = sum_k c_k t^k goes by power sums instead: each block's scaled
-    products G = x_blk X'/d (cross_kernel's own) are formed into
-    ``blocks[0]`` and the block's predictions are c_0 sum(w) + sum_k
+    f(t) = sum_k c_k t^k goes by power sums instead, on the plan that
+    ``kernels._power_plan`` also evaluates f by: each block's scaled
+    products G = x_blk X'/d (cross_kernel's own) are formed into a block
+    buffer and the block's predictions are c_0 sum(w) + sum_k
     c_k (G^{ok} @ w), with the entrywise powers taken in place (an even f
     squares G once and runs over powers of G o G), so f(G/d) is never
-    formed. ``blocks`` from ``_prediction_blocks`` can be reused across
-    calls; without it, the buffers are allocated here.
+    formed. The block buffers are allocated once per call: G alone up to
+    the base's second power, which is squared in place, and G with the
+    running power above it.
     """
     x = _as_matrix(dataset)
     out = np.empty(len(x_test))
@@ -558,12 +532,11 @@ def _predict(
         for i in range(0, len(x_test), RISK_BLOCK_ROWS):
             out[i:i + RISK_BLOCK_ROWS] = cross_kernel(x, x_test[i:i + RISK_BLOCK_ROWS], kernel) @ w
         return out
-    square, coeffs, _ = _power_plan(kernel.poly)
-    if blocks is None:
-        blocks = _prediction_blocks(kernel, min(len(x_test), RISK_BLOCK_ROWS), len(x))
+    square, coeffs = _power_plan(kernel.poly)
     out[:] = coeffs[0] * w.sum()
     if len(coeffs) == 1:
         return out
+    blocks = np.empty((1 if len(coeffs) <= 3 else 2, min(len(x_test), RISK_BLOCK_ROWS), len(x)))
     for i in range(0, len(x_test), RISK_BLOCK_ROWS):
         rows = x_test[i:i + RISK_BLOCK_ROWS]
         acc = out[i:i + RISK_BLOCK_ROWS]
@@ -589,14 +562,14 @@ def empirical_risk_bytes(n: int, d: int, n_test: int, n_repl: int) -> int:
     in d dimensions, ``n_test`` test points and ``n_repl`` replicates: the
     larger of the strip build of K and the fit (K, the data, its Cholesky
     copy, four n x n_repl arrays for the labels, the weights and the block
-    solve's residual, and then the larger of the Cholesky copy's one-byte
-    finiteness mask and a prediction's block buffers, for either route),
+    solve's residual, and then a prediction's block buffers, for either
+    route),
     plus, for the test points, three arrays of their size and six
     n_test-vectors (a replicate draws its points while the last replicate's
     are held)."""
     rows = min(n_test, RISK_BLOCK_ROWS)
     block = max(RISK_BLOCK_TEMPS * rows, rows + 2 * min(rows, GAP_STRIP_ROWS)) * n
-    fit = 8 * (2 * n * n + n * d + 4 * n * n_repl) + max(n * n, 8 * block)
+    fit = 8 * (2 * n * n + n * d + 4 * n * n_repl + block)
     return max(strip_build_bytes(n, d), fit) + 8 * 3 * n_test * (d + 2)
 
 

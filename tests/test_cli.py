@@ -678,12 +678,11 @@ def test_approx_norm_meta_records_each_lanczos_solve(tmp_path, compare_naive):
     assert all(set(r) == {"d", "n", "seed", *solves} for r in payload["records"])
 
 
-@pytest.mark.parametrize("experiment, flags, estimate", [
-    ("esd", "", lambda cli, n, d: cli._esd_bytes(n, d)),
-    ("train-error", "--kernel quartic:1,1,1", lambda cli, n, d: cli._training_error_bytes(n, d)),
+@pytest.mark.parametrize("experiment, flags", [
+    ("esd", ""),
+    ("train-error", "--kernel quartic:1,1,1"),
 ], ids=["esd", "train-error"])
-def test_esd_and_train_error_refuse_tasks_beyond_available_memory(tmp_path, monkeypatch, capsys,
-                                                                  experiment, flags, estimate):
+def test_esd_and_train_error_refuse_tasks_beyond_available_memory(tmp_path, monkeypatch, capsys, experiment, flags):
     import qrlab.cli as cli
     import qrlab.kernels as kernels
     import qrlab.krr as krr
@@ -700,7 +699,7 @@ def test_esd_and_train_error_refuse_tasks_beyond_available_memory(tmp_path, monk
     monkeypatch.setattr(cli, "_mem_available", lambda: 2**20)
     # The desk shape, d=60: n = 1800 and two tasks at once.
     assert main([experiment, "--d", "60", "--seeds", "2", "--out", str(tmp_path / "x")] + flags.split()) == 3
-    need = 2 * estimate(cli, 1800, 60) // 2**20
+    need = 2 * cli._dense_task_bytes(1800, 60) // 2**20
     err = capsys.readouterr().err
     assert "capacity error: the largest concurrent tasks need about %d MB, and 1 MB of memory is available" % need in err
     assert "Traceback" not in err
@@ -735,8 +734,8 @@ def test_esd_and_train_error_estimates_bound_the_traced_peak():
         train_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert esd_peak <= cli._esd_bytes(n, d)
-    assert 2 * 8 * n * n <= train_peak <= cli._training_error_bytes(n, d)
+    assert esd_peak <= cli._dense_task_bytes(n, d)
+    assert 2 * 8 * n * n <= train_peak <= cli._dense_task_bytes(n, d)
 
 
 def test_risk_names_the_kernels_it_can_run(tmp_path, capsys):

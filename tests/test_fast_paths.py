@@ -82,6 +82,28 @@ def test_custom_poly_matches_power_form(coeffs, t):
     _assert_matches_terms(kernel.eval(t), _poly_terms(kernel.poly, t))
 
 
+@pytest.mark.parametrize("b0, b2, b4", [(1.0, 6.0, 1.0), (1.0, 1.0, 0.5), (1.0, 1.0, 1.0)])
+def test_quartic_kernel_matrix_is_horner_in_the_square(b0, b2, b4):
+    d = 20
+    x = np.random.default_rng(7).normal(size=(300, d))
+    t = x @ x.T
+    t /= d
+    s = t * t
+    expected = s * (b4 / 24.0)
+    expected += b2 / 2.0
+    expected *= s
+    expected += b0
+    assert np.array_equal(kernel_matrix(x, KernelFunction.quartic(b0, b2, b4)), expected)
+
+
+def test_even_custom_poly_is_the_same_kernel_as_its_quartic():
+    quartic = KernelFunction.quartic(1.0, 1.0, 0.5)
+    poly = KernelFunction.custom_poly([1.0, 0.0, 0.5, 0.0, 0.020833333333333332])
+    assert poly.poly == quartic.poly
+    x = np.random.default_rng(8).normal(size=(300, 20))
+    assert np.array_equal(kernel_matrix(x, poly), kernel_matrix(x, quartic))
+
+
 def test_only_polynomial_kernels_carry_coefficients():
     assert KernelFunction.exp().poly is None
     assert KernelFunction.cosh().poly is None

@@ -146,9 +146,10 @@ def _spd(n=50, seed=3):
     return m @ m.T / n + np.eye(n)
 
 
-def test_ridge_factor_rejects_non_finite_matrix():
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_ridge_factor_rejects_non_finite_matrix(bad):
     k = _spd()
-    k[4, 17] = k[17, 4] = np.inf
+    k[4, 17] = k[17, 4] = bad
     with pytest.raises(NumericalFailureError, match="ridge factorization"):
         RidgeFactor(k, 1.0)
 
