@@ -1,0 +1,111 @@
+"""Dense BLAS/LAPACK routines that run without the GIL.
+
+scipy's f2py wrappers (``scipy.linalg.cho_factor``, ``cho_solve`` and
+``scipy.linalg.blas``) hold the GIL for the whole call, so two seed workers
+calling them run one after the other. ``scipy.linalg.cython_blas`` and
+``cython_lapack`` export the same routines of scipy's bundled library as C
+function pointers; they are resolved once here and called through ctypes,
+which releases the GIL for the length of a foreign call. The routines and
+the library are the ones the f2py wrappers call, so results are the same
+bits.
+
+Each helper asserts the memory layout it needs (InvalidArgumentError
+otherwise) and never copies: the caller makes the one copy it means to.
+"""
+
+from __future__ import annotations
+
+import ctypes
+
+import numpy as np
+import scipy.linalg.cython_blas
+import scipy.linalg.cython_lapack
+
+from .errors import InvalidArgumentError
+
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+
+
+def _routine(module, name: str, nargs: int):
+    """The routine ``name`` of a scipy Cython BLAS/LAPACK module, taking
+    ``nargs`` pointers (Fortran passes every argument by reference)."""
+    capsule = module.__pyx_capi__[name]
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(_capsule_pointer(capsule, _capsule_name(capsule)))
+
+
+_dsymv = _routine(scipy.linalg.cython_blas, "dsymv", 10)
+_dpotrf = _routine(scipy.linalg.cython_lapack, "dpotrf", 5)
+_dpotrs = _routine(scipy.linalg.cython_lapack, "dpotrs", 8)
+_LOWER = ctypes.c_char(b"L")
+_ONE = ctypes.c_int(1)
+_ALPHA = ctypes.c_double(1.0)
+_BETA = ctypes.c_double(0.0)
+
+_at = ctypes.addressof
+
+
+def _check(a: np.ndarray, ndims: tuple[int, ...], order: str, what: str, writable: bool = False) -> None:
+    contiguous = a.flags.f_contiguous if order == "F" else a.flags.c_contiguous
+    if a.dtype != np.float64 or a.ndim not in ndims or not contiguous or (writable and not a.flags.writeable):
+        raise InvalidArgumentError(
+            "%s must be a %sfloat64 %s-contiguous array with %s dimensions (got %s of shape %s)"
+            % (what, "writable " if writable else "", order, " or ".join(map(str, ndims)), a.dtype, a.shape)
+        )
+
+
+def _square(a: np.ndarray, order: str, what: str, writable: bool = False) -> int:
+    _check(a, (2,), order, what, writable)
+    if a.shape[0] != a.shape[1]:
+        raise InvalidArgumentError("%s must be square, got %s" % (what, a.shape))
+    return a.shape[0]
+
+
+def potrf(a: np.ndarray) -> int:
+    """Cholesky factor L of the symmetric F-order ``a``, read from and written
+    over its lower triangle in place (LAPACK ``dpotrf``, uplo L); the strict
+    upper triangle is left as it was. Returns LAPACK's info: 0, or k > 0 when
+    the leading minor of order k is not positive definite."""
+    n = ctypes.c_int(_square(a, "F", "potrf: a", writable=True))
+    info = ctypes.c_int(0)
+    lda = ctypes.c_int(max(1, n.value))
+    _dpotrf(_at(_LOWER), _at(n), a.ctypes.data, _at(lda), _at(info))
+    if info.value < 0:
+        raise InvalidArgumentError("dpotrf: argument %d is invalid" % -info.value)
+    return info.value
+
+
+def potrs(c: np.ndarray, b: np.ndarray) -> None:
+    """Overwrite ``b`` (an n-vector, or an F-order n x r block) with the
+    solution of L L' x = b, for the factor L in the lower triangle of the
+    F-order ``c`` that ``potrf`` wrote (LAPACK ``dpotrs``, uplo L)."""
+    n = _square(c, "F", "potrs: c")
+    _check(b, (1, 2), "F", "potrs: b", writable=True)
+    if b.shape[0] != n:
+        raise InvalidArgumentError("potrs: b has %d rows, the factor %d" % (b.shape[0], n))
+    info = ctypes.c_int(0)
+    order, nrhs, lead = ctypes.c_int(n), ctypes.c_int(b.shape[1] if b.ndim == 2 else 1), ctypes.c_int(max(1, n))
+    _dpotrs(_at(_LOWER), _at(order), _at(nrhs), c.ctypes.data, _at(lead), b.ctypes.data, _at(lead), _at(info))
+    if info.value < 0:
+        raise InvalidArgumentError("dpotrs: argument %d is invalid" % -info.value)
+
+
+def symv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for a symmetric C-order ``a``, read from its upper triangle alone
+    (BLAS ``dsymv``; the strict lower triangle is never read), into a fresh
+    n-vector. ``x`` must be a contiguous float64 n-vector."""
+    n = _square(a, "C", "symv: a")
+    _check(x, (1,), "C", "symv: x")
+    if x.size != n:
+        raise InvalidArgumentError("symv: x has %d entries, a is %d x %d" % (x.size, n, n))
+    # Zeroed although beta = 0: the product then never depends on what the
+    # buffer held.
+    out = np.zeros(n)
+    order, lead = ctypes.c_int(n), ctypes.c_int(max(1, n))
+    # Read column-major, a C-order matrix is its transpose: its upper
+    # triangle is the lower triangle there.
+    _dsymv(_at(_LOWER), _at(order), _at(_ALPHA), a.ctypes.data, _at(lead), x.ctypes.data, _at(_ONE),
+           _at(_BETA), out.ctypes.data, _at(_ONE))
+    return out

@@ -42,7 +42,8 @@ esd and mp-law, summed over the law's segments), the solver statistics
 under solvers (approx-norm: per task, Lanczos matvec counts and certified
 residuals; esd and mp-law: per law segment, companion solves, their
 iterations, and the cold restarts with the steps the failed warm starts
-spent) and the environment (library
+spent; train-error and risk: per seed, the ridge solve's largest residual
+over its bound, ridge_residual_ratio, at most 1) and the environment (library
 versions, CPU count, BLAS thread variables, seed workers). esd and mp-law
 also write an SVG density overlay (with the first seed's eigenvalue
 histogram for esd) and law.csv, and esd eigs.csv.
@@ -529,10 +530,13 @@ def _run_train_error(cfg: ExperimentConfig):
         teacher = krr.TeacherModel.draw(teacher_kind, cov, substream(seed, TEACHER, 0), c0, c1, cfg.c2)
         y = krr.make_labels(data, teacher, cfg.sigma_eps, seed)
         k_mat = kernels.kernel_matrix(data, kernel)
-        emp = krr.training_error(k_mat, y, cfg.lam)
-        return {"seed": seed, "empirical": emp, "predicted": predicted}
+        emp, ratio = krr._training_fit(k_mat, y, cfg.lam)
+        record = {"seed": seed, "empirical": emp, "predicted": predicted}
+        return record, {"seed": seed, "ridge_residual_ratio": ratio}
 
-    records, stats = _map_seeds(one, cfg.seeds)
+    results, stats = _map_seeds(one, cfg.seeds)
+    records = [rec for rec, _ in results]
+    stats["solvers"] = [solver for _, solver in results]
     mean = float(np.mean([r["empirical"] for r in records]))
     summary = {
         "mean_empirical": mean,
@@ -574,12 +578,15 @@ def _run_risk(cfg: ExperimentConfig):
 
     def one(seed):
         data = datagen.sample_dataset(n, d, cov, sampler, seed)
-        mean, stderr = krr.empirical_risk(
+        mean, stderr, ratio = krr.empirical_risk(
             data, kernel, teacher_kind, cfg.lam, cfg.sigma_eps, cfg.n_test, cfg.n_repl, seed
         )
-        return {"seed": seed, "empirical": mean, "stderr": stderr, "predicted": pred.total}
+        record = {"seed": seed, "empirical": mean, "stderr": stderr, "predicted": pred.total}
+        return record, {"seed": seed, "ridge_residual_ratio": ratio}
 
-    records, stats = _map_seeds(one, cfg.seeds)
+    results, stats = _map_seeds(one, cfg.seeds)
+    records = [rec for rec, _ in results]
+    stats["solvers"] = [solver for _, solver in results]
     per_seed = [r["empirical"] for r in records]
     mean = float(np.mean(per_seed))
     summary = {

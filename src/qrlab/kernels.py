@@ -25,6 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _lapack
 from .datagen import CovarianceSpec, _as_matrix
 from .errors import AssumptionWarning, InvalidArgumentError, NumericalFailureError
 from .spectra import _checked_symmetric
@@ -397,17 +398,28 @@ def spectral_norm_gap(diff: np.ndarray) -> float:
     start vector, so the result is deterministic. D is used as it is when
     exactly symmetric, averaged with its transpose when symmetric within
     1e-10 relative to its largest entry, and rejected (InvalidArgumentError)
-    otherwise. The Ritz pair (theta, v) is certified by its eigen-residual
+    otherwise; this is the one symmetry check, since the solve itself reads
+    D's upper triangle alone (see ``_lanczos_gap``). The Ritz pair
+    (theta, v) is certified by its eigen-residual
     |D v - theta v| <= 1e-8 max(1, |theta|). An all-zero D gives exactly
     0.0. Non-finite entries in D, an ARPACK failure or a residual above the
     bound raise NumericalFailureError.
     """
-    return _lanczos_gap(diff).gap
+    diff, _ = _checked_symmetric(diff, "spectral norm gap: K - K2")
+    return _lanczos_gap(np.ascontiguousarray(diff)).gap
 
 
 def _lanczos_gap(diff: np.ndarray, start: np.ndarray | None = None) -> _GapSolve:
-    """``spectral_norm_gap`` with its Ritz vector and solver statistics,
-    warm-started from ``start`` when given.
+    """``spectral_norm_gap`` of a C-order float64 D with its Ritz vector and
+    solver statistics, warm-started from ``start`` when given.
+
+    D is not checked for symmetry: every product with it, in the Lanczos
+    iteration and in the certificate, is BLAS ``dsymv`` on its upper
+    triangle (without the GIL, see ``_lapack``), so the operator is the
+    symmetric matrix that triangle defines. ``gap_matrix`` builds D exactly
+    symmetric; ``spectral_norm_gap`` checks any other input. Only the
+    extremes are checked here: non-finite entries raise
+    NumericalFailureError, and an all-zero D or n = 1 returns max |D_ij|.
 
     The start vector is ``start`` normalized plus 0.1 times the normalized
     seeded vector of the cold route, so it keeps a component along every
@@ -420,8 +432,11 @@ def _lanczos_gap(diff: np.ndarray, start: np.ndarray | None = None) -> _GapSolve
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     # ARPACK fails on inf/NaN entries and on an all-zero D, and cannot take
-    # n = 1 (where the norm is |D_11|); max |D_ij| settles all three.
-    diff, scale = _checked_symmetric(diff, "spectral norm gap: K - K2")
+    # n = 1 (where the norm is |D_11|); max |D_ij| settles all three. From
+    # the extremes, NaN included, with no n x n copy.
+    scale = max(abs(float(diff.max())), abs(float(diff.min())))
+    if not math.isfinite(scale):
+        raise NumericalFailureError("spectral norm gap: K - K2 has non-finite entries")
     if scale == 0.0 or len(diff) == 1:
         return _GapSolve(scale, None, 0, 0.0, 1e-8 * max(1.0, scale))
     v0 = np.random.default_rng(0x51B).standard_normal(len(diff))
@@ -432,7 +447,7 @@ def _lanczos_gap(diff: np.ndarray, start: np.ndarray | None = None) -> _GapSolve
     def matvec(v):
         nonlocal matvecs
         matvecs += 1
-        return diff @ v
+        return _lapack.symv(diff, v)
 
     op = LinearOperator(diff.shape, matvec=matvec, dtype=diff.dtype)
     try:
@@ -440,7 +455,7 @@ def _lanczos_gap(diff: np.ndarray, start: np.ndarray | None = None) -> _GapSolve
     except ArpackError as exc:  # includes ArpackNoConvergence
         raise NumericalFailureError("spectral norm gap: Lanczos failed on K - K2 (%s)" % exc) from exc
     theta, v = float(theta[0]), vec[:, 0]
-    residual = float(np.linalg.norm(diff @ v - theta * v))
+    residual = float(np.linalg.norm(_lapack.symv(diff, v) - theta * v))
     bound = 1e-8 * max(1.0, abs(theta))
     if residual > bound:
         raise NumericalFailureError(

@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
+from . import _lapack
 from .datagen import (
     CovarianceSpec,
     Dataset,
@@ -50,6 +51,7 @@ __all__ = [
     "LambdaStarResult",
     "make_labels",
     "RidgeFactor",
+    "RidgeSolve",
     "krr_fit",
     "training_error",
     "train_error_limit",
@@ -169,10 +171,20 @@ def make_labels(
     return y
 
 
+class RidgeSolve(NamedTuple):
+    """Weights of one ``RidgeFactor.solve`` and its largest residual relative
+    to the bound the solve checked it against (at most 1)."""
+
+    weights: np.ndarray
+    residual_ratio: float
+
+
 class RidgeFactor:
     """Cholesky factorization of K + lambda I, reusable across label vectors.
 
-    Each solve checks its residual against the caller's K, which is held by
+    Factored and solved by LAPACK ``dpotrf``/``dpotrs`` without the GIL (see
+    ``_lapack``), so seed workers fit their ridge systems side by side. Each
+    solve checks its residual against the caller's K, which is held by
     reference: K must not change while the factor is in use.
     """
 
@@ -188,21 +200,23 @@ class RidgeFactor:
         # from the extremes (NaN and +-inf reach max or min), with no n x n mask.
         if not math.isfinite(max(abs(float(shifted.max())), abs(float(shifted.min())))):
             raise NumericalFailureError("ridge factorization: K + lambda I has non-finite entries")
-        try:
-            self._factor = scipy.linalg.cho_factor(shifted, lower=True, overwrite_a=True, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
+        if _lapack.potrf(shifted):
             lam_min = float(np.linalg.eigvalsh(self._k + self._lam * np.eye(len(self._k)))[0])
             raise SingularSystemError(
                 "K + lambda I is not positive definite (lambda_min about %g)" % lam_min,
                 lambda_min=lam_min,
-            ) from exc
+            )
+        self._factor = shifted
 
-    def solve(self, y: np.ndarray) -> np.ndarray:
+    def solve(self, y: np.ndarray) -> RidgeSolve:
         """Weights (K + lambda I)^{-1} y for a label n-vector y, or for each
         column of an n x r label block at once: one pair of triangular solves
         and one residual product K W for the whole block. Each column must
-        meet its own residual bound (NumericalFailureError otherwise)."""
-        w = scipy.linalg.cho_solve(self._factor, y, check_finite=False)
+        meet its own residual bound (NumericalFailureError otherwise); the
+        largest residual over its bound is returned with the weights."""
+        # The copy that dpotrs overwrites with the weights.
+        w = np.array(y, dtype=np.float64, order="F")
+        _lapack.potrs(self._factor, w)
         residual = self._k @ w
         residual += self._lam * w
         residual -= y
@@ -216,21 +230,26 @@ class RidgeFactor:
             raise NumericalFailureError(
                 "ridge solve residual %g exceeds %g%s" % (residual[j], bound[j], where), residual=float(residual[j])
             )
-        return w
+        return RidgeSolve(w, float((residual / bound).max()))
 
 
 def krr_fit(k_mat: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     """Representer weights (K + lambda I)^{-1} y."""
-    return RidgeFactor(k_mat, lam).solve(np.asarray(y, dtype=np.float64))
+    return RidgeFactor(k_mat, lam).solve(np.asarray(y, dtype=np.float64)).weights
 
 
 def training_error(k_mat: np.ndarray, y: np.ndarray, lam: float) -> float:
     """Mean squared training residual of the ridge fit,
     (lambda^2/n) y'(K+lambda I)^{-2} y = (lambda^2/n) |w|^2 for the
     representer weights w."""
+    return _training_fit(k_mat, y, lam)[0]
+
+
+def _training_fit(k_mat: np.ndarray, y: np.ndarray, lam: float) -> tuple[float, float]:
+    """``training_error`` with the ridge solve's residual over its bound."""
     y = np.asarray(y, dtype=np.float64)
-    w = RidgeFactor(k_mat, lam).solve(y)
-    return float(lam**2 / y.size * (w @ w))
+    w, ratio = RidgeFactor(k_mat, lam).solve(y)
+    return float(lam**2 / y.size * (w @ w)), ratio
 
 
 def _check_risk_kernel(kernel: KernelFunction) -> None:
@@ -475,8 +494,9 @@ def empirical_risk(
     n_test: int,
     n_repl: int,
     seed: int,
-) -> tuple[float, float]:
-    """Monte Carlo generalization error, conditioned on the training inputs.
+) -> tuple[float, float, float]:
+    """Monte Carlo generalization error, conditioned on the training inputs:
+    (mean, standard error, the ridge solve's largest residual over its bound).
 
     Each of the ``n_repl`` replicates redraws the teacher randomness (for
     the random quadratic teacher), the label noise, and a fresh batch of
@@ -497,8 +517,10 @@ def empirical_risk(
     factor = RidgeFactor(k_mat, lam)
     teachers = [TeacherModel.draw(teacher_kind, cov, substream(seed, TEACHER, r)) for r in range(n_repl)]
     labels = np.stack([make_labels(dataset, t, sigma_eps, seed, replicate=r) for r, t in enumerate(teachers)], axis=1)
-    weights = factor.solve(labels)
-    del labels
+    weights, ridge_ratio = factor.solve(labels)
+    # The predictions need neither K nor its factor: freed before the first
+    # block, so two seed workers predicting side by side hold neither.
+    del labels, factor, k_mat
     scale = np.sqrt(cov.diag)[None, :]
     means = []
     for r, teacher in enumerate(teachers):
@@ -508,7 +530,7 @@ def empirical_risk(
         means.append(float(np.mean((predictions - truth) ** 2)))
     mean = float(np.mean(means))
     stderr = float(np.std(means, ddof=1) / math.sqrt(n_repl)) if n_repl > 1 else 0.0
-    return mean, stderr
+    return mean, stderr, ridge_ratio
 
 
 def _predict(dataset: Dataset, x_test: np.ndarray, kernel: KernelFunction, w: np.ndarray) -> np.ndarray:
@@ -560,16 +582,16 @@ def _predict(dataset: Dataset, x_test: np.ndarray, kernel: KernelFunction, w: np
 def empirical_risk_bytes(n: int, d: int, n_test: int, n_repl: int) -> int:
     """Bytes that ``empirical_risk`` holds at its peak for n training points
     in d dimensions, ``n_test`` test points and ``n_repl`` replicates: the
-    larger of the strip build of K and the fit (K, the data, its Cholesky
-    copy, four n x n_repl arrays for the labels, the weights and the block
-    solve's residual, and then a prediction's block buffers, for either
-    route),
-    plus, for the test points, three arrays of their size and six
-    n_test-vectors (a replicate draws its points while the last replicate's
-    are held)."""
+    largest of the strip build of K, the fit (K, the data, its Cholesky
+    copy, and four n x n_repl arrays for the labels, the weights and the
+    block solve's residual) and the predictions (the data, the weights and
+    a prediction's block buffers, for either route; K and its factor are
+    freed by then), plus, for the test points, three arrays of their size
+    and six n_test-vectors (a replicate draws its points while the last
+    replicate's are held)."""
     rows = min(n_test, RISK_BLOCK_ROWS)
     block = max(RISK_BLOCK_TEMPS * rows, rows + 2 * min(rows, GAP_STRIP_ROWS)) * n
-    fit = 8 * (2 * n * n + n * d + 4 * n * n_repl + block)
+    fit = 8 * (n * d + max(2 * n * n + 4 * n * n_repl, n * n_repl + block))
     return max(strip_build_bytes(n, d), fit) + 8 * 3 * n_test * (d + 2)
 
 
@@ -595,12 +617,12 @@ def deterministic_equivalents(
     x2 = reduced_tensor_features(dataset, allow_large=True)
     x2_bar = x2 - tensor_mean_vector(cov)[None, :]
     p = x2.shape[1]
-    m_mat = coeffs.a2 * (x2_bar.T @ x2_bar) + (coeffs.a_star + lam) * np.eye(p)
-    try:
-        cho = scipy.linalg.cho_factor(m_mat, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystemError("tensor resolvent is not positive definite") from exc
-    inv = scipy.linalg.cho_solve(cho, np.eye(p), check_finite=False)
+    # Fortran order, which dpotrf factors in place.
+    m_mat = np.asfortranarray(coeffs.a2 * (x2_bar.T @ x2_bar) + (coeffs.a_star + lam) * np.eye(p))
+    if _lapack.potrf(m_mat):
+        raise SingularSystemError("tensor resolvent is not positive definite")
+    inv = np.eye(p, order="F")
+    _lapack.potrs(m_mat, inv)
     sig2 = nu.atoms
     first_emp = coeffs.a2 * float(np.sum(np.diag(inv) * sig2))
     second_emp = coeffs.a2 * (coeffs.a_star + lam) * float(np.sum((inv * inv).sum(axis=0) * sig2))

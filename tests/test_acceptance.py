@@ -245,9 +245,9 @@ def test_criterion_08_deterministic_teacher_risk():
     vals, bias_vals = [], []
     for seed in range(4):
         data = sample_dataset(n, d, cov, GAUSS, seed)
-        mean, _ = empirical_risk(data, kern, "deterministic_sigma", lam, sig, 4000, 8, seed)
+        mean, _, _ = empirical_risk(data, kern, "deterministic_sigma", lam, sig, 4000, 8, seed)
         vals.append(mean)
-        bias, _ = empirical_risk(data, kern, "deterministic_sigma", lam, 0.0, 4000, 2, seed)
+        bias, _, _ = empirical_risk(data, kern, "deterministic_sigma", lam, 0.0, 4000, 2, seed)
         bias_vals.append(bias)
     emp = float(np.mean(vals))
     bias = float(np.mean(bias_vals))
@@ -271,7 +271,7 @@ def test_criterion_09_random_teacher_risk():
     vals = []
     for seed in range(4):
         data = sample_dataset(n, d, cov, GAUSS, seed)
-        mean, _ = empirical_risk(data, kern, "pure_quadratic", lam, sig, 4000, 8, seed)
+        mean, _, _ = empirical_risk(data, kern, "pure_quadratic", lam, sig, 4000, 8, seed)
         vals.append(mean)
     emp = float(np.mean(vals))
     rel = abs(emp - pred.total) / pred.total

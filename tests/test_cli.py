@@ -278,6 +278,37 @@ def test_approx_norm_bytes_independent_of_worker_count(tmp_path, monkeypatch):
     assert (outs[0] / "results.json").read_bytes() == (outs[1] / "results.json").read_bytes()
 
 
+@pytest.mark.parametrize("args", [
+    ["risk", "--d", "8", "--kernel", "quartic:1,1,1", "--seeds", "3", "--n-test", "50", "--n-repl", "2"],
+    ["train-error", "--d", "8", "--kernel", "quartic:1,1,1", "--seeds", "3"],
+], ids=["risk", "train-error"])
+def test_ridge_bytes_independent_of_worker_count(tmp_path, monkeypatch, args):
+    # The seed workers' ridge fits run side by side, outside the GIL.
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("QRLAB_THREADS", threads)
+        outs.append(tmp_path / ("threads_" + threads))
+        assert main(args + ["--out", str(outs[-1])]) == 0
+    assert (outs[0] / "results.json").read_bytes() == (outs[1] / "results.json").read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["risk", "--kernel", "quartic:1,1,1", "--n-test", "50", "--n-repl", "3"],
+    ["train-error", "--kernel", "quartic:1,1,1"],
+], ids=["risk", "train-error"])
+def test_meta_records_each_ridge_solve(tmp_path, args):
+    out = tmp_path / "o"
+    assert main(args + ["--d", "8", "--seeds", "2,0,1", "--out", str(out)]) == 0
+    solvers = json.loads((out / "results.meta.json").read_text())["solvers"]
+    # One entry per seed, in the order of the records and of runtime_ms.
+    assert [s["seed"] for s in solvers] == [2, 0, 1]
+    for solver in solvers:
+        assert set(solver) == {"seed", "ridge_residual_ratio"}
+        assert type(solver["ridge_residual_ratio"]) is float
+        assert 0.0 <= solver["ridge_residual_ratio"] <= 1.0
+    assert "solvers" not in _read(out)
+
+
 def test_lambda_star_other_kernels(tmp_path):
     out = tmp_path / "cosh"
     code = main([

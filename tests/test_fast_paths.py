@@ -1,13 +1,16 @@
 """The in-place kernel and teacher evaluations, the strip-built kernel and
 gap matrices, the blocked risk prediction, the surrogate coefficients on float64 scalars,
-the Lanczos spectral-norm gap and the one-sum companion solver against their
-plain forms."""
+the Lanczos spectral-norm gap, the one-sum companion solver and the GIL-free
+BLAS/LAPACK layer against their plain forms."""
 
 import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
+import types
 from dataclasses import astuple
 
 import numpy as np
@@ -32,8 +35,10 @@ from qrlab.kernels import (
     spectral_norm_gap,
     strip_build_bytes,
 )
-from qrlab.errors import NumericalFailureError
-from qrlab.krr import RISK_BLOCK_ROWS, TeacherModel, _predict, empirical_risk, empirical_risk_bytes
+from qrlab import _lapack
+from qrlab.cli import main
+from qrlab.errors import InvalidArgumentError, NumericalFailureError, SingularSystemError
+from qrlab.krr import RISK_BLOCK_ROWS, RidgeFactor, TeacherModel, _predict, empirical_risk, empirical_risk_bytes
 from qrlab.spectra import (
     STIELTJES_MAX_STEPS,
     STIELTJES_TOL,
@@ -351,11 +356,11 @@ def test_empirical_risk_peak_is_the_kernel_build():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # K is built in place, so the peak is the fit: K, its Cholesky copy,
-        # one prediction block with its buffers or strip temporaries, and the
-        # test points (2.50 n x n arrays; 3.0 while f was applied to the
-        # whole Gram matrix).
-        assert peak <= 2.6 * 8 * n * n, kernel.name
+        # K is built in place and freed with its Cholesky copy before the
+        # predictions, so the peak is the fit: K, the copy and the labels
+        # (2.04 n x n arrays; 2.50 while the predictions ran beside K and
+        # its factor, 3.0 while f was applied to the whole Gram matrix).
+        assert peak <= 2.1 * 8 * n * n, kernel.name
         assert peak <= empirical_risk_bytes(n, d, n_test, n_repl), kernel.name
 
 
@@ -453,6 +458,8 @@ def test_spectral_norm_gap_matches_dense_eigvalsh(n, seed, top):
         a = b + _symmetric((q * eigs) @ q.T)
     want = float(np.abs(np.linalg.eigvalsh(_symmetric(a - b))).max())
     assert spectral_norm_gap(a - b) == pytest.approx(want, rel=1e-10)
+    # The solve reads a C-order upper triangle; other layouts are copied once.
+    assert spectral_norm_gap(np.asfortranarray(a - b)) == pytest.approx(want, rel=1e-10)
 
 
 def test_lanczos_tolerance_is_inside_the_certificate():
@@ -621,3 +628,167 @@ def test_companion_matches_two_sum_loop(atoms, raw_weights, alpha, z, initial):
     want = _outcome(lambda: _two_sum_companion(z, alpha, nu, initial))
     # Bit for bit: equal floats, including the iteration count.
     assert got == want
+
+
+def _spd_matrix(n, seed):
+    m = np.random.default_rng(seed).normal(size=(n, n))
+    return m @ m.T / n + np.eye(n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), rhs=st.sampled_from([0, 1, 3]))
+@example(n=1, seed=0, rhs=0)
+@example(n=1, seed=0, rhs=2)
+def test_lapack_cholesky_is_bit_equal_to_scipy(n, seed, rhs):
+    # The same dpotrf/dpotrs of the same bundled library as scipy's f2py
+    # wrappers; rhs 0 is one label n-vector, otherwise an n x rhs block.
+    import scipy.linalg
+
+    a = _spd_matrix(n, seed)
+    b = np.random.default_rng(seed + 1).normal(size=(n, rhs) if rhs else n)
+    want = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
+    factor = np.array(a, order="F")
+    assert _lapack.potrf(factor) == 0
+    assert np.array_equal(factor, want[0])
+    x = np.array(b, order="F")
+    _lapack.potrs(factor, x)
+    assert np.array_equal(x, scipy.linalg.cho_solve(want, b, check_finite=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1), shift=st.floats(1e-3, 5.0))
+@example(n=1, seed=0, shift=1.0)
+def test_ridge_factor_on_a_non_pd_system_fails_as_scipy_does(n, seed, shift):
+    # K + lambda I with its smallest eigenvalue at -shift.
+    import scipy.linalg
+
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    eigs = rng.uniform(0.5, 2.0, n)
+    eigs[rng.integers(n)] = -shift
+    k = _symmetric((q * eigs) @ q.T) - 0.25 * np.eye(n)
+    shifted = np.array(k + 0.25 * np.eye(n), order="F")
+    with pytest.raises(scipy.linalg.LinAlgError, match=r"(\d+)-th leading minor") as scipy_err:
+        scipy.linalg.cho_factor(shifted.copy(order="F"), lower=True, check_finite=False)
+    assert _lapack.potrf(shifted) == int(str(scipy_err.value).split("-th")[0])
+    with pytest.raises(SingularSystemError) as err:
+        RidgeFactor(k, 0.25)
+    assert err.value.lambda_min == float(np.linalg.eigvalsh(k + 0.25 * np.eye(n))[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
+def test_symv_reads_the_upper_triangle_alone(n, seed):
+    rng = np.random.default_rng(seed)
+    a = _symmetric(rng.normal(size=(n, n)))
+    v = rng.normal(size=n)
+    got = _lapack.symv(a, v)
+    want = a @ v
+    assert np.linalg.norm(got - want) <= 1e-13 * max(np.linalg.norm(want), 1e-300)
+    a[np.tril_indices(n, -1)] = np.nan
+    assert np.array_equal(_lapack.symv(a, v), got)
+
+
+def test_lapack_layer_rejects_the_wrong_layout():
+    spd = _spd_matrix(6, 0)
+    vec = np.ones(6)
+    factor = np.array(spd, order="F")
+    assert _lapack.potrf(factor) == 0
+    frozen = np.array(spd, order="F")
+    frozen.flags.writeable = False
+    wrong = {
+        "potrf: a": [
+            lambda: _lapack.potrf(np.array(spd, order="C")),
+            lambda: _lapack.potrf(np.asfortranarray(spd, dtype=np.float32)),
+            lambda: _lapack.potrf(frozen),
+            lambda: _lapack.potrf(np.zeros((3, 4), order="F")),
+        ],
+        "potrs: c": [lambda: _lapack.potrs(np.ascontiguousarray(factor), vec.copy())],
+        "potrs: b": [
+            lambda: _lapack.potrs(factor, np.ones((6, 2))),
+            lambda: _lapack.potrs(factor, np.ones(12)[::2]),
+            lambda: _lapack.potrs(factor, np.ones(5)),
+        ],
+        "symv: a": [
+            lambda: _lapack.symv(np.asfortranarray(spd), vec),
+            lambda: _lapack.symv(spd[:, :5], vec[:5]),
+        ],
+        "symv: x": [
+            lambda: _lapack.symv(spd, np.ones(12)[::2]),
+            lambda: _lapack.symv(spd, np.ones((6, 1))),
+            lambda: _lapack.symv(spd, np.ones(5)),
+        ],
+    }
+    for what, calls in wrong.items():
+        for call in calls:
+            with pytest.raises(InvalidArgumentError, match=what):
+                call()
+
+
+def _overlapping_spans(work):
+    """[start, end] of ``work(i)`` on two threads released together, under a
+    switch interval so long that a thread gives up the GIL only when it
+    blocks or a C call releases it: the two spans overlap only if ``work``
+    releases the GIL."""
+    barrier = threading.Barrier(2, timeout=60.0)
+    spans = [None, None]
+
+    def one(i):
+        barrier.wait()
+        start = time.perf_counter()
+        work(i)
+        spans[i] = (start, time.perf_counter())
+
+    threads = [threading.Thread(target=one, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(10.0)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and None not in spans
+    (s0, e0), (s1, e1) = spans
+    return min(e0, e1) > max(s0, s1)
+
+
+def test_lapack_cholesky_releases_the_gil():
+    # Each thread factors its own 1200 x 1200 matrix. Through scipy's f2py
+    # cho_factor the same harness gives spans that never overlap; a second
+    # and third attempt only guard against a thread the OS did not schedule.
+    spd = _spd_matrix(1200, 0)
+
+    def attempt():
+        copies = [np.array(spd, order="F") for _ in range(2)]
+        return _overlapping_spans(lambda i: _lapack.potrf(copies[i]))
+
+    assert any(attempt() for _ in range(3))
+
+
+def test_seed_workers_never_call_scipy_f2py_blas_or_lapack(tmp_path, monkeypatch):
+    # The GIL-holding routes stay gone: scipy's Cholesky wrappers and its f2py
+    # BLAS module raise. ARPACK's own calls inside eigsh do not go through them.
+    import scipy.linalg
+    import scipy.sparse.linalg  # noqa: F401  (loaded before the BLAS module is replaced)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy f2py BLAS/LAPACK called on a seed worker")
+
+    class ForbiddenModule(types.ModuleType):
+        def __getattr__(self, name):
+            forbidden()
+
+    monkeypatch.setenv("QRLAB_THREADS", "2")
+    monkeypatch.setattr(scipy.linalg, "cho_factor", forbidden)
+    monkeypatch.setattr(scipy.linalg, "cho_solve", forbidden)
+    monkeypatch.setattr(scipy.linalg, "blas", ForbiddenModule("scipy.linalg.blas"))
+    monkeypatch.setitem(sys.modules, "scipy.linalg.blas", ForbiddenModule("scipy.linalg.blas"))
+    runs = [
+        ["risk", "--d", "8", "--kernel", "quartic:1,1,1", "--seeds", "2", "--n-test", "50", "--n-repl", "2"],
+        ["train-error", "--d", "8", "--kernel", "quartic:1,1,1", "--seeds", "2"],
+        ["approx-norm", "--d", "8,12", "--seeds", "2", "--compare-naive"],
+    ]
+    for i, args in enumerate(runs):
+        assert main(args + ["--out", str(tmp_path / str(i))]) == 0

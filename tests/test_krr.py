@@ -165,10 +165,10 @@ def test_block_solve_matches_one_column_at_a_time():
     k, _, lam = _ridge_system(1e6)
     labels = np.random.default_rng(5).normal(size=(len(k), 6)) * np.geomspace(1e-3, 1e3, 6)
     factor = RidgeFactor(k, lam)
-    block = factor.solve(labels)
+    block = factor.solve(labels).weights
     assert block.shape == labels.shape
     for j in range(labels.shape[1]):
-        w = factor.solve(labels[:, j])
+        w = factor.solve(labels[:, j]).weights
         assert np.linalg.norm(block[:, j] - w) <= 1e-12 * np.linalg.norm(w)
 
 
@@ -184,7 +184,7 @@ def test_fit_and_training_error_keep_one_label_vector_one_dimensional():
     y = np.random.default_rng(6).normal(size=50)
     w = krr_fit(k, y, 0.5)
     assert w.shape == (50,)
-    assert np.array_equal(w, RidgeFactor(k, 0.5).solve(y))
+    assert np.array_equal(w, RidgeFactor(k, 0.5).solve(y).weights)
     assert type(training_error(k, y, 0.5)) is float
     assert training_error(k, y, 0.5) == float(0.25 / 50 * (w @ w))
 
