@@ -9,6 +9,13 @@ which releases the GIL for the length of a foreign call. The routines and
 the library are the ones the f2py wrappers call, so results are the same
 bits.
 
+The eigenvalue helper ``syevd`` calls LAPACK's two-stage ``dsyevd_2stage``
+(a BLAS-3 reduction to band form, then bulge chasing to tridiagonal form;
+Haidar, Ltaief & Dongarra, SC'11). It is not in ``cython_lapack``, so it is
+looked up by name in the same library; where the library lacks it, the
+one-stage ``dsyevd`` of ``cython_lapack`` takes its place. ``EIGEN_DRIVER``
+names the routine that was resolved.
+
 Each helper asserts the memory layout it needs (InvalidArgumentError
 otherwise) and never copies: the caller makes the one copy it means to.
 """
@@ -21,7 +28,7 @@ import numpy as np
 import scipy.linalg.cython_blas
 import scipy.linalg.cython_lapack
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericalFailureError
 
 _capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
 _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
@@ -29,16 +36,39 @@ _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c
 )
 
 
+def _prototype(nargs: int):
+    # Fortran passes every argument by reference.
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)
+
+
 def _routine(module, name: str, nargs: int):
     """The routine ``name`` of a scipy Cython BLAS/LAPACK module, taking
-    ``nargs`` pointers (Fortran passes every argument by reference)."""
+    ``nargs`` pointers."""
     capsule = module.__pyx_capi__[name]
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(_capsule_pointer(capsule, _capsule_name(capsule)))
+    return _prototype(nargs)(_capsule_pointer(capsule, _capsule_name(capsule)))
+
+
+def _eigen_routine():
+    """(name, routine): ``dsyevd_2stage`` of the library behind
+    ``cython_lapack`` (scipy's wheels prefix its symbols with ``scipy_``),
+    else ``cython_lapack``'s ``dsyevd``. Both take the same 11 arguments, and
+    jobz N asks both for eigenvalues alone."""
+    # A lookup through this handle also searches the libraries it depends on.
+    library = ctypes.CDLL(scipy.linalg.cython_lapack.__file__)
+    for symbol in ("scipy_dsyevd_2stage_", "dsyevd_2stage_"):
+        try:
+            address = ctypes.cast(getattr(library, symbol), ctypes.c_void_p).value
+        except AttributeError:
+            continue
+        return "dsyevd_2stage", _prototype(11)(address)
+    return "dsyevd", _routine(scipy.linalg.cython_lapack, "dsyevd", 11)
 
 
 _dsymv = _routine(scipy.linalg.cython_blas, "dsymv", 10)
 _dpotrf = _routine(scipy.linalg.cython_lapack, "dpotrf", 5)
 _dpotrs = _routine(scipy.linalg.cython_lapack, "dpotrs", 8)
+EIGEN_DRIVER, _dsyevd = _eigen_routine()
+_EIGENVALUES_ONLY = ctypes.c_char(b"N")
 _LOWER = ctypes.c_char(b"L")
 _ONE = ctypes.c_int(1)
 _ALPHA = ctypes.c_double(1.0)
@@ -48,7 +78,8 @@ _at = ctypes.addressof
 
 
 def _check(a: np.ndarray, ndims: tuple[int, ...], order: str, what: str, writable: bool = False) -> None:
-    contiguous = a.flags.f_contiguous if order == "F" else a.flags.c_contiguous
+    """``order`` is "C", "F", or "C or F"."""
+    contiguous = (order != "F" and a.flags.c_contiguous) or (order != "C" and a.flags.f_contiguous)
     if a.dtype != np.float64 or a.ndim not in ndims or not contiguous or (writable and not a.flags.writeable):
         raise InvalidArgumentError(
             "%s must be a %sfloat64 %s-contiguous array with %s dimensions (got %s of shape %s)"
@@ -109,3 +140,33 @@ def symv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     _dsymv(_at(_LOWER), _at(order), _at(_ALPHA), a.ctypes.data, _at(lead), x.ctypes.data, _at(_ONE),
            _at(_BETA), out.ctypes.data, _at(_ONE))
     return out
+
+
+def syevd(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric, C- or F-contiguous ``a``, which
+    the solve overwrites (``EIGEN_DRIVER``, jobz N, uplo L). Read column-major,
+    a contiguous symmetric matrix is itself in either order, so one triangle
+    alone is read: the upper of a C-order array, the lower of an F-order one.
+    NumericalFailureError when the tridiagonal solve does not converge."""
+    n = ctypes.c_int(_square(a, "C or F", "syevd: a", writable=True))
+    lda = ctypes.c_int(max(1, n.value))
+    w = np.empty(n.value)
+    info = ctypes.c_int(0)
+
+    def call(work, lwork, iwork, liwork):
+        _dsyevd(_at(_EIGENVALUES_ONLY), _at(_LOWER), _at(n), a.ctypes.data, _at(lda), w.ctypes.data,
+                work.ctypes.data, _at(lwork), iwork.ctypes.data, _at(liwork), _at(info))
+        if info.value < 0:
+            raise InvalidArgumentError("%s: argument %d is invalid" % (EIGEN_DRIVER, -info.value))
+
+    # Workspace query first (lwork = liwork = -1), then the solve.
+    work, iwork = np.zeros(1), np.zeros(1, dtype=np.int32)
+    call(work, ctypes.c_int(-1), iwork, ctypes.c_int(-1))
+    work, iwork = np.zeros(max(1, int(work[0]))), np.zeros(max(1, int(iwork[0])), dtype=np.int32)
+    call(work, ctypes.c_int(work.size), iwork, ctypes.c_int(iwork.size))
+    if info.value > 0:
+        raise NumericalFailureError(
+            "eigensolver failed: %s left %d off-diagonal elements of the tridiagonal form unconverged"
+            % (EIGEN_DRIVER, info.value)
+        )
+    return w

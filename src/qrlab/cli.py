@@ -83,7 +83,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import datagen, kernels, krr, oracles, plots, spectra
+from . import _lapack, datagen, kernels, krr, oracles, plots, spectra
 from .seeding import TEACHER, substream
 from .errors import (
     AssumptionViolationError,
@@ -297,12 +297,14 @@ def _worker_count(n_tasks: int) -> int:
 
 
 def _environment(seed_workers: int) -> dict:
-    """Library versions, CPUs, raw BLAS thread variables (None when unset), seed workers."""
+    """Library versions, the LAPACK eigenvalue routine ``_lapack`` resolved,
+    CPUs, raw BLAS thread variables (None when unset), seed workers."""
     blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        "eigen_driver": _lapack.EIGEN_DRIVER,
         "cpu_count": os.cpu_count(),
         **{var: os.environ.get(var) for var in blas_vars},
         "seed_workers": seed_workers,
@@ -380,12 +382,12 @@ def _check_capacity(task_bytes: list[int]) -> None:
 
 
 def _dense_task_bytes(n: int, d: int) -> int:
-    """Bytes one esd or train-error seed task holds at its peak: the larger
-    of the strip build of K and the dense step after it, which holds K, the
-    data and one n x n copy of K that LAPACK works on (numpy's ``eigvalsh``
-    copy, or the ridge fit's Cholesky copy). ``eigvalsh`` allocates its copy
-    outside Python's allocator, so tracemalloc does not see it; it is
-    counted here from the code."""
+    """Bytes one esd or train-error seed task holds at its peak, as one upper
+    bound for both: the larger of the strip build of K and the dense step
+    after it. train-error's dense step holds K, the data and the n x n copy
+    of K that its Cholesky factor overwrites. esd's holds less: it solves K in
+    place (``_lapack.syevd``), beside the data and LAPACK's workspace (about
+    1.5 MB at n = 1800)."""
     return max(kernels.strip_build_bytes(n, d), 8 * (2 * n * n + n * d))
 
 

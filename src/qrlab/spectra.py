@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _lapack
 from .errors import InvalidArgumentError, NumericalFailureError
 
 __all__ = [
@@ -169,13 +170,14 @@ def esd(matrix: np.ndarray) -> np.ndarray:
 
     The input must be finite and symmetric within 1e-10 relative to its
     largest entry; it is symmetrized before the dense solve unless it is
-    exactly symmetric.
+    exactly symmetric. The solve works in place (``_lapack.syevd``), so an
+    exactly symmetric, writable, C- or F-contiguous float64 ``matrix`` is
+    overwritten; pass a copy to keep it. Any other input is solved on a copy.
     """
     sym, _ = _checked_symmetric(matrix, "esd: matrix")
-    try:
-        return np.linalg.eigvalsh(sym)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericalFailureError("eigensolver failed: %s" % exc) from exc
+    if not (sym.flags.writeable and (sym.flags.c_contiguous or sym.flags.f_contiguous)):
+        sym = np.array(sym)
+    return _lapack.syevd(sym)
 
 
 def mp_support(gamma: float) -> tuple[float, float]:

@@ -47,6 +47,7 @@ def test_results_json_is_reproducible(tmp_path):
 def test_meta_records_environment(tmp_path, monkeypatch, experiment, seeds, workers):
     import numpy
     import scipy
+    from qrlab import _lapack
 
     monkeypatch.setenv("QRLAB_THREADS", "2")
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
@@ -62,9 +63,10 @@ def test_meta_records_environment(tmp_path, monkeypatch, experiment, seeds, work
     assert main(args) == 0
     meta = json.loads((out / "results.meta.json").read_text())
     env = meta["environment"]
-    assert set(env) == {"python", "numpy", "scipy", "cpu_count", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                        "MKL_NUM_THREADS", "seed_workers"}
+    assert set(env) == {"python", "numpy", "scipy", "eigen_driver", "cpu_count", "OPENBLAS_NUM_THREADS",
+                        "OMP_NUM_THREADS", "MKL_NUM_THREADS", "seed_workers"}
     assert (env["numpy"], env["scipy"]) == (numpy.__version__, scipy.__version__)
+    assert env["eigen_driver"] == _lapack.EIGEN_DRIVER and env["eigen_driver"] in ("dsyevd_2stage", "dsyevd")
     assert env["OMP_NUM_THREADS"] == "3" and env["MKL_NUM_THREADS"] is None
     assert env["seed_workers"] == workers
     assert "environment" not in _read(out)
@@ -394,7 +396,12 @@ def test_esd_solves_each_seed_once(tmp_path, monkeypatch):
         calls.append(mat.shape)
         return esd(mat)
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy's eigvalsh called on esd's path")
+
     monkeypatch.setattr(spectra, "esd", counting_esd)
+    # One route: the in-place LAPACK solve of qrlab._lapack.
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
     seeds = [3, 1, 2]
     out = tmp_path / "esd"
     code = main([
@@ -749,8 +756,8 @@ def test_esd_and_train_error_estimates_bound_the_traced_peak():
     data = datagen.sample_dataset(n, d, cov, datagen.MomentMatchedSampler.gaussian(), 0)
     teacher = krr.TeacherModel.draw("pure_quadratic", cov, np.random.default_rng(0))
     # One esd seed task, then one train-error seed task, as their runners do
-    # them. tracemalloc does not see eigvalsh's work copy, so the esd peak is
-    # K and its strips; the estimate adds that copy from the code.
+    # them. esd solves K in place, so its peak is K and its strips; the
+    # estimate is the train-error bound, which adds the Cholesky copy.
     tracemalloc.start()
     try:
         k_mat = kernel_matrix(data, kernel)

@@ -3,6 +3,7 @@ gap matrices, the blocked risk prediction, the surrogate coefficients on float64
 the Lanczos spectral-norm gap, the one-sum companion solver and the GIL-free
 BLAS/LAPACK layer against their plain forms."""
 
+import ctypes
 import math
 import os
 import subprocess
@@ -689,6 +690,78 @@ def test_symv_reads_the_upper_triangle_alone(n, seed):
     assert np.array_equal(_lapack.symv(a, v), got)
 
 
+def _fallback_eigen_routine():
+    """What ``_lapack`` resolves on a library that exports no two-stage driver."""
+
+    class NoSymbols:
+        def __init__(self, path):
+            pass
+
+        def __getattr__(self, name):
+            raise AttributeError(name)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_lapack.ctypes, "CDLL", NoSymbols)
+        return _lapack._eigen_routine()
+
+
+EIGEN_ROUTINES = {"resolved": (_lapack.EIGEN_DRIVER, _lapack._dsyevd), "fallback": _fallback_eigen_routine()}
+
+
+def test_eigen_routine_falls_back_to_one_stage_dsyevd():
+    assert _lapack.EIGEN_DRIVER in ("dsyevd_2stage", "dsyevd")
+    assert EIGEN_ROUTINES["fallback"][0] == "dsyevd"
+
+
+def _eigen_test_matrix(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return _symmetric(rng.normal(size=(n, n)))
+    if kind == "diagonal":
+        return np.diag(rng.normal(size=n))
+    if kind == "rank_one":
+        v = rng.normal(size=n)
+        return np.outer(v, v)
+    # Three distinct eigenvalues, each repeated, in a random basis.
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return _symmetric((q * rng.choice(rng.normal(size=3), size=n)) @ q.T)
+
+
+@pytest.mark.parametrize("routine", sorted(EIGEN_ROUTINES))
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 120),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["random", "diagonal", "rank_one", "repeated"]),
+    scale=st.sampled_from([1.0, 1e150, 1e-150]),
+    order=st.sampled_from("CF"),
+)
+@example(n=0, seed=0, kind="random", scale=1.0, order="C")
+@example(n=1, seed=0, kind="rank_one", scale=1e150, order="F")
+def test_syevd_matches_numpy_eigvalsh(routine, n, seed, kind, scale, order):
+    m = _eigen_test_matrix(kind, n, seed) * scale
+    want = np.linalg.eigvalsh(m.copy())
+    a = np.array(m, order=order)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_lapack, "EIGEN_DRIVER", EIGEN_ROUTINES[routine][0])
+        patch.setattr(_lapack, "_dsyevd", EIGEN_ROUTINES[routine][1])
+        got = _lapack.syevd(a)
+    assert got.shape == (n,) and np.all(np.diff(got) >= 0)
+    peak = np.abs(want).max() if n else 0.0
+    assert np.abs(got - want).max(initial=0.0) <= 4 * np.finfo(float).eps * n * peak
+
+
+def test_eigensolver_failure_is_a_numerical_failure(monkeypatch):
+    from qrlab.spectra import esd
+
+    def unconverged(*args):
+        ctypes.c_int.from_address(args[10]).value = 2
+
+    monkeypatch.setattr(_lapack, "_dsyevd", _lapack._prototype(11)(unconverged))
+    with pytest.raises(NumericalFailureError, match="eigensolver failed: .* left 2 off-diagonal elements"):
+        esd(np.eye(3))
+
+
 def test_lapack_layer_rejects_the_wrong_layout():
     spd = _spd_matrix(6, 0)
     vec = np.ones(6)
@@ -717,6 +790,13 @@ def test_lapack_layer_rejects_the_wrong_layout():
             lambda: _lapack.symv(spd, np.ones(12)[::2]),
             lambda: _lapack.symv(spd, np.ones((6, 1))),
             lambda: _lapack.symv(spd, np.ones(5)),
+        ],
+        "syevd: a": [
+            lambda: _lapack.syevd(spd[::2, ::2]),
+            lambda: _lapack.syevd(np.array(spd, dtype=np.float32)),
+            lambda: _lapack.syevd(frozen),
+            lambda: _lapack.syevd(np.zeros((3, 4))),
+            lambda: _lapack.syevd(np.zeros(6)),
         ],
     }
     for what, calls in wrong.items():
@@ -763,6 +843,16 @@ def test_lapack_cholesky_releases_the_gil():
     def attempt():
         copies = [np.array(spd, order="F") for _ in range(2)]
         return _overlapping_spans(lambda i: _lapack.potrf(copies[i]))
+
+    assert any(attempt() for _ in range(3))
+
+
+def test_lapack_eigensolve_releases_the_gil():
+    spd = _spd_matrix(1000, 0)
+
+    def attempt():
+        copies = [spd.copy() for _ in range(2)]
+        return _overlapping_spans(lambda i: _lapack.syevd(copies[i]))
 
     assert any(attempt() for _ in range(3))
 

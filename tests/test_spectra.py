@@ -46,12 +46,44 @@ def test_esd_basics():
     rng = np.random.default_rng(0)
     m = rng.normal(size=(8, 8))
     m = (m + m.T) / 2.0
-    eigs = esd(m)
+    eigs = esd(m.copy())
     assert abs(eigs.sum() - np.trace(m)) < 1e-10
     with pytest.raises(InvalidArgumentError):
         esd(rng.normal(size=(5, 5)))
     with pytest.raises(InvalidArgumentError, match="square"):
         esd(np.zeros((3, 4)))
+
+
+def test_esd_copies_only_a_matrix_it_cannot_solve_in_place():
+    import tracemalloc
+
+    rng = np.random.default_rng(1)
+    m = rng.normal(size=(12, 12))
+    m = m + m.T
+    want = esd(m.copy())
+    # A read-only, a strided and a list input are solved on a copy and kept.
+    frozen = m.copy()
+    frozen.flags.writeable = False
+    strided = np.repeat(m, 2, axis=1)[:, ::2]
+    for keep in (frozen, strided, m.tolist()):
+        assert np.array_equal(esd(keep), want)
+    assert np.array_equal(frozen, m) and np.array_equal(strided, m)
+    # A writable contiguous one is solved in place: besides LAPACK's workspace
+    # (0.65 MB at n = 800), nothing near n x n is allocated.
+    n = 800
+    m = rng.normal(size=(n, n))
+    m = m + m.T
+    want = esd(m.copy())
+    for order in "CF":
+        mine = np.array(m, order=order)
+        tracemalloc.start()
+        try:
+            got = esd(mine)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < 8 * n * n // 4
 
 
 def test_symmetric_input_check_keeps_exact_input():
