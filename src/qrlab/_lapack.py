@@ -14,7 +14,15 @@ The eigenvalue helper ``syevd`` calls LAPACK's two-stage ``dsyevd_2stage``
 Haidar, Ltaief & Dongarra, SC'11). It is not in ``cython_lapack``, so it is
 looked up by name in the same library; where the library lacks it, the
 one-stage ``dsyevd`` of ``cython_lapack`` takes its place. ``EIGEN_DRIVER``
-names the routine that was resolved.
+names the routine that was resolved. ``lapack_threads`` reads the thread
+count of that library, looked up by name in the same way.
+
+The Cholesky helpers and ``symm`` share one storage convention: the
+factor lives in the lower triangle of an F-order array, and ``symm`` reads
+the upper one alone. So the F-order view ``K.T`` of a C-order symmetric K
+can be factored in place and still give K W from its strict upper
+triangle, which ``potrf`` leaves as it was, once K's diagonal is put back
+for the call (``krr.RidgeFactor``).
 
 Each helper asserts the memory layout it needs (InvalidArgumentError
 otherwise) and never copies: the caller makes the one copy it means to.
@@ -48,28 +56,40 @@ def _routine(module, name: str, nargs: int):
     return _prototype(nargs)(_capsule_pointer(capsule, _capsule_name(capsule)))
 
 
-def _eigen_routine():
-    """(name, routine): ``dsyevd_2stage`` of the library behind
-    ``cython_lapack`` (scipy's wheels prefix its symbols with ``scipy_``),
-    else ``cython_lapack``'s ``dsyevd``. Both take the same 11 arguments, and
-    jobz N asks both for eigenvalues alone."""
+def _library_symbol(name: str):
+    """The address of ``name`` in the library behind ``cython_lapack``, under
+    the ``scipy_`` prefix of scipy's wheels or as it is; None where neither
+    is exported."""
     # A lookup through this handle also searches the libraries it depends on.
     library = ctypes.CDLL(scipy.linalg.cython_lapack.__file__)
-    for symbol in ("scipy_dsyevd_2stage_", "dsyevd_2stage_"):
+    for symbol in ("scipy_" + name, name):
         try:
-            address = ctypes.cast(getattr(library, symbol), ctypes.c_void_p).value
+            return ctypes.cast(getattr(library, symbol), ctypes.c_void_p).value
         except AttributeError:
             continue
-        return "dsyevd_2stage", _prototype(11)(address)
-    return "dsyevd", _routine(scipy.linalg.cython_lapack, "dsyevd", 11)
+    return None
+
+
+def _eigen_routine():
+    """(name, routine): ``dsyevd_2stage`` of the library behind
+    ``cython_lapack``, else ``cython_lapack``'s ``dsyevd``. Both take the same
+    11 arguments, and jobz N asks both for eigenvalues alone."""
+    address = _library_symbol("dsyevd_2stage_")
+    if address is None:
+        return "dsyevd", _routine(scipy.linalg.cython_lapack, "dsyevd", 11)
+    return "dsyevd_2stage", _prototype(11)(address)
 
 
 _dsymv = _routine(scipy.linalg.cython_blas, "dsymv", 10)
+_dsymm = _routine(scipy.linalg.cython_blas, "dsymm", 12)
 _dpotrf = _routine(scipy.linalg.cython_lapack, "dpotrf", 5)
 _dpotrs = _routine(scipy.linalg.cython_lapack, "dpotrs", 8)
 EIGEN_DRIVER, _dsyevd = _eigen_routine()
+_openblas_threads = _library_symbol("openblas_get_num_threads")
 _EIGENVALUES_ONLY = ctypes.c_char(b"N")
+_LEFT = ctypes.c_char(b"L")
 _LOWER = ctypes.c_char(b"L")
+_UPPER = ctypes.c_char(b"U")
 _ONE = ctypes.c_int(1)
 _ALPHA = ctypes.c_double(1.0)
 _BETA = ctypes.c_double(0.0)
@@ -140,6 +160,32 @@ def symv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     _dsymv(_at(_LOWER), _at(order), _at(_ALPHA), a.ctypes.data, _at(lead), x.ctypes.data, _at(_ONE),
            _at(_BETA), out.ctypes.data, _at(_ONE))
     return out
+
+
+def symm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a symmetric F-order ``a``, read from its upper triangle
+    alone (BLAS ``dsymm``, side L, uplo U; the strict lower triangle, where
+    ``potrf`` writes its factor, is never read), into a fresh array of b's
+    shape. ``b`` is an n-vector or an F-order n x r block."""
+    n = _square(a, "F", "symm: a")
+    _check(b, (1, 2), "F", "symm: b")
+    if b.shape[0] != n:
+        raise InvalidArgumentError("symm: b has %d rows, a is %d x %d" % (b.shape[0], n, n))
+    # Zeroed although beta = 0, as in symv.
+    out = np.zeros(b.shape, order="F")
+    rows, cols, lead = ctypes.c_int(n), ctypes.c_int(b.shape[1] if b.ndim == 2 else 1), ctypes.c_int(max(1, n))
+    _dsymm(_at(_LEFT), _at(_UPPER), _at(rows), _at(cols), _at(_ALPHA), a.ctypes.data, _at(lead),
+           b.ctypes.data, _at(lead), _at(_BETA), out.ctypes.data, _at(lead))
+    return out
+
+
+def lapack_threads() -> int | None:
+    """The number of threads the OpenBLAS behind these routines runs a call
+    on (its ``openblas_get_num_threads``), or None where that library does
+    not export it."""
+    if _openblas_threads is None:
+        return None
+    return ctypes.CFUNCTYPE(ctypes.c_int)(_openblas_threads)()
 
 
 def syevd(a: np.ndarray) -> np.ndarray:

@@ -297,14 +297,16 @@ def _worker_count(n_tasks: int) -> int:
 
 
 def _environment(seed_workers: int) -> dict:
-    """Library versions, the LAPACK eigenvalue routine ``_lapack`` resolved,
-    CPUs, raw BLAS thread variables (None when unset), seed workers."""
+    """Library versions, the LAPACK eigenvalue routine ``_lapack`` resolved
+    and the thread count of its OpenBLAS (None where unreported), CPUs, raw
+    BLAS thread variables (None when unset), seed workers."""
     blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "eigen_driver": _lapack.EIGEN_DRIVER,
+        "lapack_threads": _lapack.lapack_threads(),
         "cpu_count": os.cpu_count(),
         **{var: os.environ.get(var) for var in blas_vars},
         "seed_workers": seed_workers,
@@ -381,16 +383,6 @@ def _check_capacity(task_bytes: list[int]) -> None:
         )
 
 
-def _dense_task_bytes(n: int, d: int) -> int:
-    """Bytes one esd or train-error seed task holds at its peak, as one upper
-    bound for both: the larger of the strip build of K and the dense step
-    after it. train-error's dense step holds K, the data and the n x n copy
-    of K that its Cholesky factor overwrites. esd's holds less: it solves K in
-    place (``_lapack.syevd``), beside the data and LAPACK's workspace (about
-    1.5 MB at n = 1800)."""
-    return max(kernels.strip_build_bytes(n, d), 8 * (2 * n * n + n * d))
-
-
 def _run_approx_norm(cfg: ExperimentConfig):
     kernel = _build("kernel", cfg.kernel)
     sampler = _build("sampler", cfg.sampler)
@@ -449,7 +441,10 @@ def _run_esd(cfg: ExperimentConfig):
         raise AssumptionViolationError("f''(0) must be nonzero for the spectral limit")
     a_star, nu = krr.limit_inputs(kernel, cov)
     factor = 4.0 * cfg.alpha / second
-    _check_capacity([_dense_task_bytes(n, d)] * len(cfg.seeds))
+    # A seed task peaks in the strip build of K: it then solves K in place
+    # (``_lapack.syevd``), beside the data and LAPACK's workspace (about
+    # 1.5 MB at n = 1800, less than the strip temporaries).
+    _check_capacity([kernels.strip_build_bytes(n, d)] * len(cfg.seeds))
 
     # The law does not depend on the seeds. Its grid segments are pool tasks:
     # the top segment first, then the seeds, then the other segments last,
@@ -524,15 +519,16 @@ def _run_train_error(cfg: ExperimentConfig):
     teacher_kind = cfg.teacher["kind"]
     c0 = cfg.teacher.get("c0", 0.0)
     c1 = cfg.teacher.get("c1", 0.0)
-    _check_capacity([_dense_task_bytes(n, d)] * len(cfg.seeds))
+    # A seed task peaks in the strip build of K, which the ridge fit then
+    # factors in place (``krr.RidgeFactor``).
+    _check_capacity([kernels.strip_build_bytes(n, d)] * len(cfg.seeds))
     predicted = krr.asymptotic_training_error(kernel, cov, cfg.alpha, cfg.lam, cfg.c2, cfg.sigma_eps)
 
     def one(seed):
         data = datagen.sample_dataset(n, d, cov, sampler, seed)
         teacher = krr.TeacherModel.draw(teacher_kind, cov, substream(seed, TEACHER, 0), c0, c1, cfg.c2)
         y = krr.make_labels(data, teacher, cfg.sigma_eps, seed)
-        k_mat = kernels.kernel_matrix(data, kernel)
-        emp, ratio = krr._training_fit(k_mat, y, cfg.lam)
+        emp, ratio = krr._training_fit(kernels.kernel_matrix(data, kernel), y, cfg.lam)
         record = {"seed": seed, "empirical": emp, "predicted": predicted}
         return record, {"seed": seed, "ridge_residual_ratio": ratio}
 

@@ -182,31 +182,49 @@ class RidgeSolve(NamedTuple):
 class RidgeFactor:
     """Cholesky factorization of K + lambda I, reusable across label vectors.
 
+    Factored in place: the factor takes the storage of K, which must be
+    symmetric, and no second n x n array is made. Read column-major, a
+    C-order K is itself; LAPACK ``dpotrf`` writes the factor over its upper
+    triangle and diagonal (the lower triangle of the F-order view ``K.T``)
+    and leaves the strict lower triangle as it was. Each solve checks its
+    residual against K from that untouched triangle, so a K whose two
+    triangles differ beyond rounding fails the check. A K that is not a
+    writable C-contiguous float64 array is factored on a copy; pass a copy to
+    keep K. On failure K's lower triangle and diagonal are as given.
+
     Factored and solved by LAPACK ``dpotrf``/``dpotrs`` without the GIL (see
-    ``_lapack``), so seed workers fit their ridge systems side by side. Each
-    solve checks its residual against the caller's K, which is held by
-    reference: K must not change while the factor is in use.
+    ``_lapack``), so seed workers fit their ridge systems side by side. A
+    solve puts K's diagonal back into the shared array for its residual
+    product, so one factor must not be solved from two threads at once.
     """
 
     def __init__(self, k_mat: np.ndarray, lam: float):
         if lam < 0:
             raise InvalidArgumentError("lambda must be nonnegative")
-        self._k = np.asarray(k_mat, dtype=np.float64)
+        k = np.require(k_mat, np.float64, ["C", "W"])
+        if k.ndim != 2 or k.shape[0] != k.shape[1]:
+            raise InvalidArgumentError("K must be a square matrix, got shape %s" % (k.shape,))
         self._lam = float(lam)
-        # One fresh K + lambda I, in the Fortran order LAPACK factors in place.
-        shifted = np.array(self._k, order="F")
-        shifted[np.diag_indices_from(shifted)] += self._lam
+        self._k = k
+        self._diag = k.diagonal().copy()
+        self._set_diagonal(self._diag + self._lam)
         # The unchecked Cholesky below would factor inf/NaN silently. Checked
         # from the extremes (NaN and +-inf reach max or min), with no n x n mask.
-        if not math.isfinite(max(abs(float(shifted.max())), abs(float(shifted.min())))):
+        if not math.isfinite(max(abs(float(k.max())), abs(float(k.min())))):
+            self._set_diagonal(self._diag)
             raise NumericalFailureError("ridge factorization: K + lambda I has non-finite entries")
-        if _lapack.potrf(shifted):
-            lam_min = float(np.linalg.eigvalsh(self._k + self._lam * np.eye(len(self._k)))[0])
+        if _lapack.potrf(k.T):
+            # K's lower triangle is untouched and its diagonal is back: all
+            # that eigvalsh (UPLO L) reads of K + lambda I.
+            self._set_diagonal(self._diag)
+            lam_min = float(np.linalg.eigvalsh(k + self._lam * np.eye(len(k)))[0])
             raise SingularSystemError(
                 "K + lambda I is not positive definite (lambda_min about %g)" % lam_min,
                 lambda_min=lam_min,
             )
-        self._factor = shifted
+
+    def _set_diagonal(self, values: np.ndarray) -> None:
+        self._k.flat[:: len(self._k) + 1] = values
 
     def solve(self, y: np.ndarray) -> RidgeSolve:
         """Weights (K + lambda I)^{-1} y for a label n-vector y, or for each
@@ -214,10 +232,18 @@ class RidgeFactor:
         and one residual product K W for the whole block. Each column must
         meet its own residual bound (NumericalFailureError otherwise); the
         largest residual over its bound is returned with the weights."""
+        factor = self._k.T
         # The copy that dpotrs overwrites with the weights.
         w = np.array(y, dtype=np.float64, order="F")
-        _lapack.potrs(self._factor, w)
-        residual = self._k @ w
+        _lapack.potrs(factor, w)
+        # K W from K's untouched triangle, the upper one of ``factor``, with
+        # K's own diagonal in place for that one call.
+        factor_diag = self._k.diagonal().copy()
+        self._set_diagonal(self._diag)
+        try:
+            residual = _lapack.symm(factor, w)
+        finally:
+            self._set_diagonal(factor_diag)
         residual += self._lam * w
         residual -= y
         residual = np.atleast_1d(np.linalg.norm(residual, axis=0))
@@ -234,19 +260,23 @@ class RidgeFactor:
 
 
 def krr_fit(k_mat: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """Representer weights (K + lambda I)^{-1} y."""
-    return RidgeFactor(k_mat, lam).solve(np.asarray(y, dtype=np.float64)).weights
+    """Representer weights (K + lambda I)^{-1} y. Factored on a copy of K, so
+    the caller's K is left as it was."""
+    factor = RidgeFactor(np.array(k_mat, dtype=np.float64, order="C"), lam)
+    return factor.solve(np.asarray(y, dtype=np.float64)).weights
 
 
 def training_error(k_mat: np.ndarray, y: np.ndarray, lam: float) -> float:
     """Mean squared training residual of the ridge fit,
     (lambda^2/n) y'(K+lambda I)^{-2} y = (lambda^2/n) |w|^2 for the
-    representer weights w."""
-    return _training_fit(k_mat, y, lam)[0]
+    representer weights w. Factored on a copy of K, so the caller's K is
+    left as it was."""
+    return _training_fit(np.array(k_mat, dtype=np.float64, order="C"), y, lam)[0]
 
 
 def _training_fit(k_mat: np.ndarray, y: np.ndarray, lam: float) -> tuple[float, float]:
-    """``training_error`` with the ridge solve's residual over its bound."""
+    """``training_error`` with the ridge solve's residual over its bound,
+    factored in place: ``k_mat`` is overwritten (see ``RidgeFactor``)."""
     y = np.asarray(y, dtype=np.float64)
     w, ratio = RidgeFactor(k_mat, lam).solve(y)
     return float(lam**2 / y.size * (w @ w)), ratio
@@ -513,14 +543,15 @@ def empirical_risk(
         raise InvalidArgumentError("need n_repl >= 1 and n_test >= 1")
     sampler = MomentMatchedSampler.gaussian()
     cov = dataset.covariance
-    k_mat = kernel_matrix(dataset, kernel)
-    factor = RidgeFactor(k_mat, lam)
+    # K is handed to its factor, which overwrites it: one n x n array.
+    factor = RidgeFactor(kernel_matrix(dataset, kernel), lam)
     teachers = [TeacherModel.draw(teacher_kind, cov, substream(seed, TEACHER, r)) for r in range(n_repl)]
     labels = np.stack([make_labels(dataset, t, sigma_eps, seed, replicate=r) for r, t in enumerate(teachers)], axis=1)
     weights, ridge_ratio = factor.solve(labels)
-    # The predictions need neither K nor its factor: freed before the first
-    # block, so two seed workers predicting side by side hold neither.
-    del labels, factor, k_mat
+    # The predictions need neither K nor its factor, which is K's storage:
+    # freed before the first block, so two seed workers predicting side by
+    # side hold neither.
+    del labels, factor
     scale = np.sqrt(cov.diag)[None, :]
     means = []
     for r, teacher in enumerate(teachers):
@@ -582,16 +613,16 @@ def _predict(dataset: Dataset, x_test: np.ndarray, kernel: KernelFunction, w: np
 def empirical_risk_bytes(n: int, d: int, n_test: int, n_repl: int) -> int:
     """Bytes that ``empirical_risk`` holds at its peak for n training points
     in d dimensions, ``n_test`` test points and ``n_repl`` replicates: the
-    largest of the strip build of K, the fit (K, the data, its Cholesky
-    copy, and four n x n_repl arrays for the labels, the weights and the
-    block solve's residual) and the predictions (the data, the weights and
-    a prediction's block buffers, for either route; K and its factor are
-    freed by then), plus, for the test points, three arrays of their size
-    and six n_test-vectors (a replicate draws its points while the last
-    replicate's are held)."""
+    largest of the strip build of K, the fit (the data, K factored in place
+    with two n-vectors of diagonals, and four n x n_repl arrays for the
+    labels, the weights, the ``dsymm`` residual product and its update) and
+    the predictions (the data, the weights and a prediction's block
+    buffers, for either route; K is freed by then), plus, for the test
+    points, three arrays of their size and six n_test-vectors (a replicate
+    draws its points while the last replicate's are held)."""
     rows = min(n_test, RISK_BLOCK_ROWS)
     block = max(RISK_BLOCK_TEMPS * rows, rows + 2 * min(rows, GAP_STRIP_ROWS)) * n
-    fit = 8 * (n * d + max(2 * n * n + 4 * n * n_repl, n * n_repl + block))
+    fit = 8 * (n * d + max(n * n + 2 * n + 4 * n * n_repl, n * n_repl + block))
     return max(strip_build_bytes(n, d), fit) + 8 * 3 * n_test * (d + 2)
 
 

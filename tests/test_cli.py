@@ -63,10 +63,12 @@ def test_meta_records_environment(tmp_path, monkeypatch, experiment, seeds, work
     assert main(args) == 0
     meta = json.loads((out / "results.meta.json").read_text())
     env = meta["environment"]
-    assert set(env) == {"python", "numpy", "scipy", "eigen_driver", "cpu_count", "OPENBLAS_NUM_THREADS",
-                        "OMP_NUM_THREADS", "MKL_NUM_THREADS", "seed_workers"}
+    assert set(env) == {"python", "numpy", "scipy", "eigen_driver", "lapack_threads", "cpu_count",
+                        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "seed_workers"}
     assert (env["numpy"], env["scipy"]) == (numpy.__version__, scipy.__version__)
     assert env["eigen_driver"] == _lapack.EIGEN_DRIVER and env["eigen_driver"] in ("dsyevd_2stage", "dsyevd")
+    # scipy's wheels bundle an OpenBLAS, which reports its thread count.
+    assert env["lapack_threads"] == _lapack.lapack_threads() and env["lapack_threads"] >= 1
     assert env["OMP_NUM_THREADS"] == "3" and env["MKL_NUM_THREADS"] is None
     assert env["seed_workers"] == workers
     assert "environment" not in _read(out)
@@ -737,7 +739,7 @@ def test_esd_and_train_error_refuse_tasks_beyond_available_memory(tmp_path, monk
     monkeypatch.setattr(cli, "_mem_available", lambda: 2**20)
     # The desk shape, d=60: n = 1800 and two tasks at once.
     assert main([experiment, "--d", "60", "--seeds", "2", "--out", str(tmp_path / "x")] + flags.split()) == 3
-    need = 2 * cli._dense_task_bytes(1800, 60) // 2**20
+    need = 2 * kernels.strip_build_bytes(1800, 60) // 2**20
     err = capsys.readouterr().err
     assert "capacity error: the largest concurrent tasks need about %d MB, and 1 MB of memory is available" % need in err
     assert "Traceback" not in err
@@ -746,8 +748,7 @@ def test_esd_and_train_error_refuse_tasks_beyond_available_memory(tmp_path, monk
 def test_esd_and_train_error_estimates_bound_the_traced_peak():
     import tracemalloc
 
-    import qrlab.cli as cli
-    from qrlab import datagen, krr, spectra
+    from qrlab import datagen, kernels, krr, spectra
     from qrlab.kernels import KernelFunction, kernel_matrix
 
     d, n = 40, 800
@@ -756,8 +757,8 @@ def test_esd_and_train_error_estimates_bound_the_traced_peak():
     data = datagen.sample_dataset(n, d, cov, datagen.MomentMatchedSampler.gaussian(), 0)
     teacher = krr.TeacherModel.draw("pure_quadratic", cov, np.random.default_rng(0))
     # One esd seed task, then one train-error seed task, as their runners do
-    # them. esd solves K in place, so its peak is K and its strips; the
-    # estimate is the train-error bound, which adds the Cholesky copy.
+    # them. esd solves K in place and the ridge fit factors it in place, so
+    # each peaks at K and its strips, which the strip-build estimate bounds.
     tracemalloc.start()
     try:
         k_mat = kernel_matrix(data, kernel)
@@ -768,12 +769,12 @@ def test_esd_and_train_error_estimates_bound_the_traced_peak():
         esd_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         y = krr.make_labels(data, teacher, 0.5, 0)
-        krr.training_error(kernel_matrix(data, kernel), y, 1.0)
+        krr._training_fit(kernel_matrix(data, kernel), y, 1.0)
         train_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert esd_peak <= cli._dense_task_bytes(n, d)
-    assert 2 * 8 * n * n <= train_peak <= cli._dense_task_bytes(n, d)
+    assert 8 * n * n <= esd_peak <= kernels.strip_build_bytes(n, d)
+    assert 8 * n * n <= train_peak <= kernels.strip_build_bytes(n, d)
 
 
 def test_risk_names_the_kernels_it_can_run(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """The in-place kernel and teacher evaluations, the strip-built kernel and
 gap matrices, the blocked risk prediction, the surrogate coefficients on float64 scalars,
-the Lanczos spectral-norm gap, the one-sum companion solver and the GIL-free
-BLAS/LAPACK layer against their plain forms."""
+the Lanczos spectral-norm gap, the one-sum companion solver, the GIL-free
+BLAS/LAPACK layer and the in-place ridge factor against their plain forms."""
 
 import ctypes
 import math
@@ -357,11 +357,12 @@ def test_empirical_risk_peak_is_the_kernel_build():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # K is built in place and freed with its Cholesky copy before the
-        # predictions, so the peak is the fit: K, the copy and the labels
-        # (2.04 n x n arrays; 2.50 while the predictions ran beside K and
+        # K is built in place, factored in place and freed before the
+        # predictions, so the peak is K beside its last build strips (1.14
+        # n x n arrays for quartic, 1.07 for cosh; 2.04 while the fit held a
+        # Cholesky copy of K, 2.50 while the predictions ran beside K and
         # its factor, 3.0 while f was applied to the whole Gram matrix).
-        assert peak <= 2.1 * 8 * n * n, kernel.name
+        assert peak <= 1.2 * 8 * n * n, kernel.name
         assert peak <= empirical_risk_bytes(n, d, n_test, n_repl), kernel.name
 
 
@@ -677,6 +678,60 @@ def test_ridge_factor_on_a_non_pd_system_fails_as_scipy_does(n, seed, shift):
     assert err.value.lambda_min == float(np.linalg.eigvalsh(k + 0.25 * np.eye(n))[0])
 
 
+def _layout(k, layout):
+    """k as a C-order, F-order or strided array of the same values."""
+    if layout == "strided":
+        base = np.zeros((2 * len(k), 2 * len(k)))
+        base[::2, ::2] = k
+        return base[::2, ::2]
+    return np.array(k, order=layout)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    rhs=st.sampled_from([0, 1, 3]),
+    layout=st.sampled_from(["C", "F", "strided"]),
+)
+@example(n=1, seed=0, rhs=0, layout="C")
+@example(n=7, seed=0, rhs=3, layout="strided")
+def test_ridge_factor_in_place_is_bit_equal_to_scipy(n, seed, rhs, layout):
+    # One label n-vector (rhs 0) or an n x rhs block. A C-order K is factored
+    # in place; any other layout on one copy, which leaves the caller's K.
+    import scipy.linalg
+
+    k = _spd_matrix(n, seed) - 0.5 * np.eye(n)
+    y = np.random.default_rng(seed + 1).normal(size=(n, rhs) if rhs else n)
+    want = scipy.linalg.cho_solve(
+        scipy.linalg.cho_factor(k + 0.5 * np.eye(n), lower=True, check_finite=False), y, check_finite=False
+    )
+    given_k = _layout(k, layout)
+    # Every 1 x 1 array is C-contiguous.
+    in_place = given_k.flags.c_contiguous
+    assert in_place == (layout == "C" or n == 1)
+    w, ratio = RidgeFactor(given_k, 0.5).solve(y)
+    assert np.array_equal(w, want) and w.shape == y.shape and ratio <= 1.0
+    # The strict lower triangle is K's in every case; a K factored in place
+    # holds the factor on and above its diagonal.
+    assert np.array_equal(np.tril(given_k, -1), np.tril(k, -1))
+    assert np.array_equal(given_k, k) != in_place
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 80), seed=st.integers(0, 2**32 - 1), rhs=st.sampled_from([0, 1, 4]))
+def test_symm_reads_the_upper_triangle_alone(n, seed, rhs):
+    rng = np.random.default_rng(seed)
+    a = np.asfortranarray(_symmetric(rng.normal(size=(n, n))))
+    b = np.asfortranarray(rng.normal(size=(n, rhs) if rhs else n))
+    got = _lapack.symm(a, b)
+    want = a @ b
+    assert got.shape == b.shape
+    assert np.linalg.norm(got - want) <= 1e-13 * max(np.linalg.norm(want), 1e-300)
+    a[np.tril_indices(n, -1)] = np.nan
+    assert np.array_equal(_lapack.symm(a, b), got)
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
 def test_symv_reads_the_upper_triangle_alone(n, seed):
@@ -711,6 +766,26 @@ EIGEN_ROUTINES = {"resolved": (_lapack.EIGEN_DRIVER, _lapack._dsyevd), "fallback
 def test_eigen_routine_falls_back_to_one_stage_dsyevd():
     assert _lapack.EIGEN_DRIVER in ("dsyevd_2stage", "dsyevd")
     assert EIGEN_ROUTINES["fallback"][0] == "dsyevd"
+
+
+def test_lapack_threads_reads_the_library(monkeypatch):
+    # OpenBLAS sets its thread count from the environment as it loads.
+    script = "from qrlab import _lapack; print(_lapack.lapack_threads())"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "1"
+    assert _lapack.lapack_threads() >= 1
+
+    class NoSymbols:
+        def __init__(self, path):
+            pass
+
+        def __getattr__(self, name):
+            raise AttributeError(name)
+
+    monkeypatch.setattr(_lapack.ctypes, "CDLL", NoSymbols)
+    monkeypatch.setattr(_lapack, "_openblas_threads", _lapack._library_symbol("openblas_get_num_threads"))
+    assert _lapack.lapack_threads() is None
 
 
 def _eigen_test_matrix(kind, n, seed):
@@ -791,6 +866,16 @@ def test_lapack_layer_rejects_the_wrong_layout():
             lambda: _lapack.symv(spd, np.ones((6, 1))),
             lambda: _lapack.symv(spd, np.ones(5)),
         ],
+        "symm: a": [
+            lambda: _lapack.symm(np.ascontiguousarray(factor), vec),
+            lambda: _lapack.symm(factor[:, :5], vec[:5]),
+        ],
+        "symm: b": [
+            lambda: _lapack.symm(factor, np.ones((6, 2))),
+            lambda: _lapack.symm(factor, np.ones(12)[::2]),
+            lambda: _lapack.symm(factor, np.ones(5)),
+            lambda: _lapack.symm(factor, np.ones((6, 1, 1))),
+        ],
         "syevd: a": [
             lambda: _lapack.syevd(spd[::2, ::2]),
             lambda: _lapack.syevd(np.array(spd, dtype=np.float32)),
@@ -845,6 +930,14 @@ def test_lapack_cholesky_releases_the_gil():
         return _overlapping_spans(lambda i: _lapack.potrf(copies[i]))
 
     assert any(attempt() for _ in range(3))
+
+
+def test_lapack_symm_releases_the_gil():
+    # The ridge solve's residual product, on its own 800 x 800 matrix and
+    # 400 columns per thread.
+    a = np.asfortranarray(_spd_matrix(800, 0))
+    b = np.asfortranarray(np.random.default_rng(1).normal(size=(800, 400)))
+    assert any(_overlapping_spans(lambda i: _lapack.symm(a, b)) for _ in range(3))
 
 
 def test_lapack_eigensolve_releases_the_gil():

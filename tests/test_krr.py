@@ -141,6 +141,20 @@ def test_krr_fit_singular_system_reports_lambda_min():
     assert err.value.lambda_min == pytest.approx(-1.0, abs=1e-10)
 
 
+def test_failed_factorization_leaves_k_and_reports_its_lambda_min():
+    # The smallest eigenvalue of K + lambda I is negative, so dpotrf fails
+    # part way, after writing over part of K's upper triangle and diagonal.
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.normal(size=(30, 30)))
+    k = (q * np.r_[-0.5, np.linspace(1.0, 3.0, 29)]) @ q.T
+    k = (k + k.T) / 2.0
+    given = k.copy()
+    with pytest.raises(SingularSystemError) as err:
+        RidgeFactor(k, 0.25)
+    assert err.value.lambda_min == float(np.linalg.eigvalsh(given + 0.25 * np.eye(30))[0])
+    assert np.array_equal(np.tril(k), np.tril(given))
+
+
 def _spd(n=50, seed=3):
     m = np.random.default_rng(seed).normal(size=(n, n))
     return m @ m.T / n + np.eye(n)
@@ -152,6 +166,41 @@ def test_ridge_factor_rejects_non_finite_matrix(bad):
     k[4, 17] = k[17, 4] = bad
     with pytest.raises(NumericalFailureError, match="ridge factorization"):
         RidgeFactor(k, 1.0)
+
+
+@pytest.mark.parametrize("k, lam, message", [
+    (np.eye(3), -1.0, "lambda must be nonnegative"),
+    (np.zeros((3, 4)), 1.0, "K must be a square matrix"),
+    (np.ones(3), 1.0, "K must be a square matrix"),
+], ids=["negative-lambda", "rectangular", "vector"])
+def test_ridge_factor_rejects_bad_arguments(k, lam, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        RidgeFactor(k, lam)
+
+
+@pytest.mark.parametrize("triangle", ["upper", "lower"])
+def test_ridge_solve_rejects_an_asymmetric_matrix(triangle):
+    # The factor reads one triangle of K and the residual product the other,
+    # so a difference between them above rounding fails the residual check.
+    k = _spd()
+    i, j = (4, 17) if triangle == "upper" else (17, 4)
+    k[i, j] += 1e-3
+    y = np.random.default_rng(5).normal(size=50)
+    with pytest.raises(NumericalFailureError, match="ridge solve residual"):
+        RidgeFactor(k, 1.0).solve(y)
+
+
+def test_krr_fit_and_training_error_leave_the_callers_matrix():
+    k = _spd()
+    given = k.copy()
+    y = np.random.default_rng(7).normal(size=50)
+    krr_fit(k, y, 0.5)
+    assert np.array_equal(k, given)
+    training_error(k, y, 0.5)
+    assert np.array_equal(k, given)
+    f_order = np.asfortranarray(k)
+    training_error(f_order, y, 0.5)
+    assert np.array_equal(f_order, given)
 
 
 def test_ridge_solve_rejects_nan_labels():
@@ -184,7 +233,8 @@ def test_fit_and_training_error_keep_one_label_vector_one_dimensional():
     y = np.random.default_rng(6).normal(size=50)
     w = krr_fit(k, y, 0.5)
     assert w.shape == (50,)
-    assert np.array_equal(w, RidgeFactor(k, 0.5).solve(y).weights)
+    # RidgeFactor overwrites its K; k is used again below.
+    assert np.array_equal(w, RidgeFactor(k.copy(), 0.5).solve(y).weights)
     assert type(training_error(k, y, 0.5)) is float
     assert training_error(k, y, 0.5) == float(0.25 / 50 * (w @ w))
 
