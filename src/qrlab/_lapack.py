@@ -17,12 +17,12 @@ one-stage ``dsyevd`` of ``cython_lapack`` takes its place. ``EIGEN_DRIVER``
 names the routine that was resolved. ``lapack_threads`` reads the thread
 count of that library, looked up by name in the same way.
 
-The Cholesky helpers and ``symm`` share one storage convention: the
-factor lives in the lower triangle of an F-order array, and ``symm`` reads
-the upper one alone. So the F-order view ``K.T`` of a C-order symmetric K
-can be factored in place and still give K W from its strict upper
-triangle, which ``potrf`` leaves as it was, once K's diagonal is put back
-for the call (``krr.RidgeFactor``).
+The Cholesky helpers and ``symv`` read opposite triangles of one array:
+``potrf`` factors the F-order view ``K.T`` of a C-order symmetric K in
+place, writing its factor over K's upper triangle and diagonal, and
+``symv`` reads K's strict lower triangle and diagonal alone. So K's
+untouched triangle still gives K's products, once the caller corrects for
+the factor's diagonal (``krr.RidgeFactor``).
 
 Each helper asserts the memory layout it needs (InvalidArgumentError
 otherwise) and never copies: the caller makes the one copy it means to.
@@ -81,13 +81,11 @@ def _eigen_routine():
 
 
 _dsymv = _routine(scipy.linalg.cython_blas, "dsymv", 10)
-_dsymm = _routine(scipy.linalg.cython_blas, "dsymm", 12)
 _dpotrf = _routine(scipy.linalg.cython_lapack, "dpotrf", 5)
 _dpotrs = _routine(scipy.linalg.cython_lapack, "dpotrs", 8)
 EIGEN_DRIVER, _dsyevd = _eigen_routine()
 _openblas_threads = _library_symbol("openblas_get_num_threads")
 _EIGENVALUES_ONLY = ctypes.c_char(b"N")
-_LEFT = ctypes.c_char(b"L")
 _LOWER = ctypes.c_char(b"L")
 _UPPER = ctypes.c_char(b"U")
 _ONE = ctypes.c_int(1)
@@ -144,9 +142,10 @@ def potrs(c: np.ndarray, b: np.ndarray) -> None:
 
 
 def symv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x for a symmetric C-order ``a``, read from its upper triangle alone
-    (BLAS ``dsymv``; the strict lower triangle is never read), into a fresh
-    n-vector. ``x`` must be a contiguous float64 n-vector."""
+    """a @ x for a symmetric C-order ``a``, read from its strict lower
+    triangle and its diagonal alone (BLAS ``dsymv``; the strict upper
+    triangle, where ``potrf`` writes the factor of ``a.T``, is never read),
+    into a fresh n-vector. ``x`` must be a contiguous float64 n-vector."""
     n = _square(a, "C", "symv: a")
     _check(x, (1,), "C", "symv: x")
     if x.size != n:
@@ -155,27 +154,10 @@ def symv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     # buffer held.
     out = np.zeros(n)
     order, lead = ctypes.c_int(n), ctypes.c_int(max(1, n))
-    # Read column-major, a C-order matrix is its transpose: its upper
-    # triangle is the lower triangle there.
-    _dsymv(_at(_LOWER), _at(order), _at(_ALPHA), a.ctypes.data, _at(lead), x.ctypes.data, _at(_ONE),
+    # Read column-major, a C-order matrix is its transpose: its lower
+    # triangle is the upper triangle there.
+    _dsymv(_at(_UPPER), _at(order), _at(_ALPHA), a.ctypes.data, _at(lead), x.ctypes.data, _at(_ONE),
            _at(_BETA), out.ctypes.data, _at(_ONE))
-    return out
-
-
-def symm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for a symmetric F-order ``a``, read from its upper triangle
-    alone (BLAS ``dsymm``, side L, uplo U; the strict lower triangle, where
-    ``potrf`` writes its factor, is never read), into a fresh array of b's
-    shape. ``b`` is an n-vector or an F-order n x r block."""
-    n = _square(a, "F", "symm: a")
-    _check(b, (1, 2), "F", "symm: b")
-    if b.shape[0] != n:
-        raise InvalidArgumentError("symm: b has %d rows, a is %d x %d" % (b.shape[0], n, n))
-    # Zeroed although beta = 0, as in symv.
-    out = np.zeros(b.shape, order="F")
-    rows, cols, lead = ctypes.c_int(n), ctypes.c_int(b.shape[1] if b.ndim == 2 else 1), ctypes.c_int(max(1, n))
-    _dsymm(_at(_LEFT), _at(_UPPER), _at(rows), _at(cols), _at(_ALPHA), a.ctypes.data, _at(lead),
-           b.ctypes.data, _at(lead), _at(_BETA), out.ctypes.data, _at(lead))
     return out
 
 

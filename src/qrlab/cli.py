@@ -56,11 +56,11 @@ Exit codes: 0 success, 1 configuration error, 2 assumption violation,
 3 numerical failure or capacity error. Every experiment that reads a kernel
 exits 3 before any n x n work when a surrogate coefficient (a0, a1, a2,
 a_star) overflows; lambda-star with --a-star-override does not compute
-a_star. approx-norm holds one n x n array per task, and esd, train-error
-and risk about two; each exits 3 with a capacity error before any n x n
-work when its largest tasks, one per seed worker, would need more than the
-MemAvailable of /proc/meminfo. Warnings print as one "warning: ..." line
-on stderr.
+a_star. A task of approx-norm, esd, train-error or risk holds one n x n
+array, besides blocks of a few rows; each exits 3 with a capacity error
+before any n x n work when its largest tasks, one per seed worker, would
+need more than the MemAvailable of /proc/meminfo. Warnings print as one
+"warning: ..." line on stderr.
 """
 
 from __future__ import annotations

@@ -399,13 +399,13 @@ def spectral_norm_gap(diff: np.ndarray) -> float:
     exactly symmetric, averaged with its transpose when symmetric within
     1e-10 relative to its largest entry, and rejected (InvalidArgumentError)
     otherwise; this is the one symmetry check, since the solve itself reads
-    D's upper triangle alone (see ``_lanczos_gap``). The Ritz pair
+    D's lower triangle alone (see ``_lanczos_gap``). The Ritz pair
     (theta, v) is certified by its eigen-residual
     |D v - theta v| <= 1e-8 max(1, |theta|). An all-zero D gives exactly
     0.0. Non-finite entries in D, an ARPACK failure or a residual above the
     bound raise NumericalFailureError.
     """
-    diff, _ = _checked_symmetric(diff, "spectral norm gap: K - K2")
+    diff = _checked_symmetric(diff, "spectral norm gap: K - K2")
     return _lanczos_gap(np.ascontiguousarray(diff)).gap
 
 
@@ -414,10 +414,11 @@ def _lanczos_gap(diff: np.ndarray, start: np.ndarray | None = None) -> _GapSolve
     solver statistics, warm-started from ``start`` when given.
 
     D is not checked for symmetry: every product with it, in the Lanczos
-    iteration and in the certificate, is BLAS ``dsymv`` on its upper
-    triangle (without the GIL, see ``_lapack``), so the operator is the
-    symmetric matrix that triangle defines. ``gap_matrix`` builds D exactly
-    symmetric; ``spectral_norm_gap`` checks any other input. Only the
+    iteration and in the certificate, is BLAS ``dsymv`` on its lower
+    triangle and diagonal (without the GIL, see ``_lapack``), so the
+    operator is the symmetric matrix that triangle defines. ``gap_matrix``
+    mirrors the upper triangle it builds into the lower one, so that matrix
+    is D exactly; ``spectral_norm_gap`` checks any other input. Only the
     extremes are checked here: non-finite entries raise
     NumericalFailureError, and an all-zero D or n = 1 returns max |D_ij|.
 

@@ -187,15 +187,16 @@ class RidgeFactor:
     C-order K is itself; LAPACK ``dpotrf`` writes the factor over its upper
     triangle and diagonal (the lower triangle of the F-order view ``K.T``)
     and leaves the strict lower triangle as it was. Each solve checks its
-    residual against K from that untouched triangle, so a K whose two
-    triangles differ beyond rounding fails the check. A K that is not a
-    writable C-contiguous float64 array is factored on a copy; pass a copy to
-    keep K. On failure K's lower triangle and diagonal are as given.
+    residual against K from that untouched triangle and K's diagonal, kept
+    as an n-vector, so a K whose two triangles differ beyond rounding fails
+    the check. A K that is not a writable C-contiguous float64 array is
+    factored on a copy; pass a copy to keep K. On failure K's lower triangle
+    and diagonal are as given.
 
-    Factored and solved by LAPACK ``dpotrf``/``dpotrs`` without the GIL (see
-    ``_lapack``), so seed workers fit their ridge systems side by side. A
-    solve puts K's diagonal back into the shared array for its residual
-    product, so one factor must not be solved from two threads at once.
+    Factored, solved and checked by LAPACK ``dpotrf``/``dpotrs`` and BLAS
+    ``dsymv`` without the GIL (see ``_lapack``), so seed workers fit their
+    ridge systems side by side. A solve writes nothing but its weights, so
+    one factor can be solved from several threads at once.
     """
 
     def __init__(self, k_mat: np.ndarray, lam: float):
@@ -229,25 +230,25 @@ class RidgeFactor:
     def solve(self, y: np.ndarray) -> RidgeSolve:
         """Weights (K + lambda I)^{-1} y for a label n-vector y, or for each
         column of an n x r label block at once: one pair of triangular solves
-        and one residual product K W for the whole block. Each column must
-        meet its own residual bound (NumericalFailureError otherwise); the
-        largest residual over its bound is returned with the weights."""
-        factor = self._k.T
+        for the whole block and one residual product K w per column. Each
+        column must meet its own residual bound (NumericalFailureError
+        otherwise); the largest residual over its bound is returned with the
+        weights."""
         # The copy that dpotrs overwrites with the weights.
         w = np.array(y, dtype=np.float64, order="F")
-        _lapack.potrs(factor, w)
-        # K W from K's untouched triangle, the upper one of ``factor``, with
-        # K's own diagonal in place for that one call.
-        factor_diag = self._k.diagonal().copy()
-        self._set_diagonal(self._diag)
-        try:
-            residual = _lapack.symm(factor, w)
-        finally:
-            self._set_diagonal(factor_diag)
-        residual += self._lam * w
-        residual -= y
-        residual = np.atleast_1d(np.linalg.norm(residual, axis=0))
-        bound = RIDGE_RESIDUAL_RTOL * np.maximum(np.atleast_1d(np.linalg.norm(y, axis=0)), 1e-300)
+        _lapack.potrs(self._k.T, w)
+        # (K + lambda I) w - y, column by column. symv reads K's untouched
+        # strict lower triangle and the factor's diagonal, so the difference
+        # of K + lambda I's diagonal from the factor's is added on.
+        columns = w.reshape(len(w), -1, order="F")
+        residual = np.empty(columns.shape)
+        for j, column in enumerate(columns.T):
+            residual[:, j] = _lapack.symv(self._k, column)
+        residual += (self._diag + self._lam - self._k.diagonal())[:, None] * columns
+        labels = np.reshape(y, columns.shape)
+        residual -= labels
+        residual = np.linalg.norm(residual, axis=0)
+        bound = RIDGE_RESIDUAL_RTOL * np.maximum(np.linalg.norm(labels, axis=0), 1e-300)
         # Negated so that a NaN residual (non-finite labels) fails too.
         failed = np.flatnonzero(~(residual <= bound))
         if failed.size:
@@ -615,7 +616,7 @@ def empirical_risk_bytes(n: int, d: int, n_test: int, n_repl: int) -> int:
     in d dimensions, ``n_test`` test points and ``n_repl`` replicates: the
     largest of the strip build of K, the fit (the data, K factored in place
     with two n-vectors of diagonals, and four n x n_repl arrays for the
-    labels, the weights, the ``dsymm`` residual product and its update) and
+    labels, the weights, the residual and its diagonal update) and
     the predictions (the data, the weights and a prediction's block
     buffers, for either route; K is freed by then), plus, for the test
     points, three arrays of their size and six n_test-vectors (a replicate

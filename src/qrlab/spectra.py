@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from . import _lapack
 from .errors import InvalidArgumentError, NumericalFailureError
@@ -128,27 +129,10 @@ class StieltjesEval:
     residual: float
 
 
-# Square tiles of the exact-symmetry check. Comparing a tile with its mirror
-# keeps both reads in cache; a whole-matrix comparison walks the transpose
-# down columns, and at a row stride of 16 KiB (n = 2048) those reads alias in
-# cache. One BLAS thread, 2-CPU Xeon, best of 7, exp kernel matrix:
-# scipy.linalg.issymmetric 6.1 ms at n=1800 and 35 ms at n=2048; 128-row
-# tiles 6.4 and 13 ms; 64-row tiles 10 and 12 ms.
-SYMMETRY_TILE = 128
-
-
-def _exactly_symmetric(m: np.ndarray) -> bool:
-    """m == m.T entrywise, compared tile by tile on and above the diagonal."""
-    n, t = len(m), SYMMETRY_TILE
-    return all(
-        np.array_equal(m[i:i + t, j:j + t], m[j:j + t, i:i + t].T) for i in range(0, n, t) for j in range(i, n, t)
-    )
-
-
-def _checked_symmetric(m, what: str) -> tuple[np.ndarray, float]:
-    """(symmetric float64 matrix, its largest |entry|) for a finite square input
-    that is symmetric within 1e-10 relative to its largest entry. Exactly
-    symmetric input comes back as it is; a smaller asymmetry is averaged out."""
+def _checked_symmetric(m, what: str) -> np.ndarray:
+    """A symmetric float64 matrix for a finite square input that is symmetric
+    within 1e-10 relative to its largest entry. Exactly symmetric input comes
+    back as it is; a smaller asymmetry is averaged out."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidArgumentError("%s must be a square matrix" % what)
@@ -156,13 +140,12 @@ def _checked_symmetric(m, what: str) -> tuple[np.ndarray, float]:
     peak = max(abs(float(m.max())), abs(float(m.min())))
     if not math.isfinite(peak):
         raise NumericalFailureError("%s has non-finite entries" % what)
-    if _exactly_symmetric(m):
-        return m, peak
+    if scipy.linalg.issymmetric(m):
+        return m
     asym = float(np.abs(m - m.T).max())
     if asym > 1e-10 * max(1.0, peak):
         raise InvalidArgumentError("%s is not symmetric: max|M - M^T| = %g" % (what, asym))
-    sym = (m + m.T) / 2.0
-    return sym, max(abs(float(sym.max())), abs(float(sym.min())))
+    return (m + m.T) / 2.0
 
 
 def esd(matrix: np.ndarray) -> np.ndarray:
@@ -174,7 +157,7 @@ def esd(matrix: np.ndarray) -> np.ndarray:
     exactly symmetric, writable, C- or F-contiguous float64 ``matrix`` is
     overwritten; pass a copy to keep it. Any other input is solved on a copy.
     """
-    sym, _ = _checked_symmetric(matrix, "esd: matrix")
+    sym = _checked_symmetric(matrix, "esd: matrix")
     if not (sym.flags.writeable and (sym.flags.c_contiguous or sym.flags.f_contiguous)):
         sym = np.array(sym)
     return _lapack.syevd(sym)

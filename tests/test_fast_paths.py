@@ -718,30 +718,55 @@ def test_ridge_factor_in_place_is_bit_equal_to_scipy(n, seed, rhs, layout):
     assert np.array_equal(given_k, k) != in_place
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 80), seed=st.integers(0, 2**32 - 1), rhs=st.sampled_from([0, 1, 4]))
-def test_symm_reads_the_upper_triangle_alone(n, seed, rhs):
-    rng = np.random.default_rng(seed)
-    a = np.asfortranarray(_symmetric(rng.normal(size=(n, n))))
-    b = np.asfortranarray(rng.normal(size=(n, rhs) if rhs else n))
-    got = _lapack.symm(a, b)
-    want = a @ b
-    assert got.shape == b.shape
-    assert np.linalg.norm(got - want) <= 1e-13 * max(np.linalg.norm(want), 1e-300)
-    a[np.tril_indices(n, -1)] = np.nan
-    assert np.array_equal(_lapack.symm(a, b), got)
+def test_ridge_solve_writes_nothing():
+    # K is factored in place, so it is the factor's own buffer; frozen after
+    # that, every solve (a label vector and a block, from one thread and from
+    # several at once) must leave it alone and give cho_solve's bits.
+    import scipy.linalg
+
+    n = 300
+    k = _spd_matrix(n, 2)
+    cho = scipy.linalg.cho_factor(k + 0.5 * np.eye(n), lower=True, check_finite=False)
+    factor = RidgeFactor(k, 0.5)
+    k.flags.writeable = False
+    rng = np.random.default_rng(3)
+    labels = [rng.normal(size=n), rng.normal(size=(n, 4))]
+    alone = [factor.solve(y).weights for y in labels]
+    for w, y in zip(alone, labels):
+        assert np.array_equal(w, scipy.linalg.cho_solve(cho, y, check_finite=False))
+    # More threads than cores, switching often.
+    barrier = threading.Barrier(4, timeout=60.0)
+    side_by_side = [None] * 4
+
+    def solve(i):
+        barrier.wait()
+        side_by_side[i] = [factor.solve(y).weights for y in labels * 5]
+
+    threads = [threading.Thread(target=solve, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and None not in side_by_side
+    for weights in side_by_side:
+        assert all(np.array_equal(w, want) for w, want in zip(weights, alone * 5))
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
-def test_symv_reads_the_upper_triangle_alone(n, seed):
+def test_symv_reads_the_lower_triangle_alone(n, seed):
     rng = np.random.default_rng(seed)
     a = _symmetric(rng.normal(size=(n, n)))
     v = rng.normal(size=n)
     got = _lapack.symv(a, v)
     want = a @ v
     assert np.linalg.norm(got - want) <= 1e-13 * max(np.linalg.norm(want), 1e-300)
-    a[np.tril_indices(n, -1)] = np.nan
+    a[np.triu_indices(n, 1)] = np.nan
     assert np.array_equal(_lapack.symv(a, v), got)
 
 
@@ -866,16 +891,6 @@ def test_lapack_layer_rejects_the_wrong_layout():
             lambda: _lapack.symv(spd, np.ones((6, 1))),
             lambda: _lapack.symv(spd, np.ones(5)),
         ],
-        "symm: a": [
-            lambda: _lapack.symm(np.ascontiguousarray(factor), vec),
-            lambda: _lapack.symm(factor[:, :5], vec[:5]),
-        ],
-        "symm: b": [
-            lambda: _lapack.symm(factor, np.ones((6, 2))),
-            lambda: _lapack.symm(factor, np.ones(12)[::2]),
-            lambda: _lapack.symm(factor, np.ones(5)),
-            lambda: _lapack.symm(factor, np.ones((6, 1, 1))),
-        ],
         "syevd: a": [
             lambda: _lapack.syevd(spd[::2, ::2]),
             lambda: _lapack.syevd(np.array(spd, dtype=np.float32)),
@@ -932,12 +947,15 @@ def test_lapack_cholesky_releases_the_gil():
     assert any(attempt() for _ in range(3))
 
 
-def test_lapack_symm_releases_the_gil():
-    # The ridge solve's residual product, on its own 800 x 800 matrix and
-    # 400 columns per thread.
-    a = np.asfortranarray(_spd_matrix(800, 0))
-    b = np.asfortranarray(np.random.default_rng(1).normal(size=(800, 400)))
-    assert any(_overlapping_spans(lambda i: _lapack.symm(a, b)) for _ in range(3))
+def test_lapack_symv_releases_the_gil():
+    # The ridge residual and Lanczos product, one call per thread on a shared
+    # 4000 x 4000 matrix: about 5.5 ms, longer than the default 5 ms switch
+    # interval. One call, because symv's np.zeros releases the GIL around its
+    # calloc: each call is a point where a product that held the GIL could
+    # still let the two spans overlap.
+    a = np.full((4000, 4000), 0.5)
+    x = np.ones((2, 4000))
+    assert any(_overlapping_spans(lambda i: _lapack.symv(a, x[i])) for _ in range(3))
 
 
 def test_lapack_eigensolve_releases_the_gil():
