@@ -554,13 +554,12 @@ def _run_lambda_star(cfg: ExperimentConfig):
     ls = pred.solution
     record = {
         "lambda_star": ls.value,
-        "lambda_star_stieltjes": ls.alt_value,
         "residual": ls.residual,
         "V": pred.V,
         "B": pred.B,
         "total": pred.total,
     }
-    print("lambda_star = %.10f (stieltjes route %.10f)" % (ls.value, ls.alt_value))
+    print("lambda_star = %.12g" % ls.value)
     return [record], record, {}, {}
 
 

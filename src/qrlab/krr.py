@@ -2,8 +2,9 @@
 
 The asymptotic side evaluates the quadratic-regime limits: the training
 error integral against the deformed MP law, the effective regularization
-lambda_* from its scalar self-consistent equation, and the variance/bias
-pair (V, B) built from resolvent moments of the population tensor law.
+lambda_* (the companion fixed point at z = -s, certified on its scalar
+self-consistent equation), and the variance/bias pair (V, B) built from
+resolvent moments of the population tensor law.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ RISK_TEACHERS = ("pure_quadratic", "deterministic_sigma")
 # condition number 1e12 the residual is ~4e-6 |y|, with refinement or without).
 RIDGE_RESIDUAL_RTOL = 1e-8
 LAMBDA_STAR_TOL = 1e-12  # lambda_star_solve: root residual, relative to the largest term
-LAMBDA_STAR_AGREEMENT = 1e-10  # lambda_star_solve: relative agreement of the Stieltjes route
 # Test rows per block of empirical_risk's prediction. One BLAS thread, 2-CPU
 # Xeon, 4000 test rows against n=1800 at d=60, best of 7: with blocks of
 # 250, 500, 1000, 2000 and 4000 rows, power sums (quartic:1,6,1) took 46,
@@ -350,7 +350,6 @@ def asymptotic_training_error(
 @dataclass(frozen=True)
 class LambdaStarResult:
     value: float
-    alt_value: float
     residual: float
 
 
@@ -363,12 +362,14 @@ def lambda_star_solve(
 ) -> LambdaStarResult:
     """Unique positive root of the self-consistent equation
 
-        1/alpha - 4 (a_star + lambda) / (f''(0) t) = integral x/(x+t) dnu(x).
+        1/alpha - s/(alpha t) = integral x/(x+t) dnu(x),  s = 4 alpha (a_star + lambda)/f''(0).
 
-    The left side minus right side is strictly increasing in t, so a
-    bracketing search plus Newton converges to ``LAMBDA_STAR_TOL``. The
-    independent route t = 1 / mt(-s) at s = 4 alpha (a_star + lambda)/f''(0)
-    must agree to ``LAMBDA_STAR_AGREEMENT``. The equation holds for
+    Times alpha t it is the companion fixed point at z = -s, so the root is
+    t = 1/mt(-s). One Newton step on the equation, whose left side minus
+    right side increases in t, polishes that root; the step is kept only
+    when t stays positive and the residual shrinks. The residual must then
+    be at most ``LAMBDA_STAR_TOL`` times the equation's largest term, 1/alpha
+    or s/(alpha t) (NumericalFailureError otherwise). The equation holds for
     f''(0) > 0 and a_star + lambda > 0; anything else raises
     AssumptionViolationError.
     """
@@ -378,49 +379,22 @@ def lambda_star_solve(
     def equation(t: float) -> float:
         return 1.0 / alpha - s / (alpha * t) - float(np.sum(w * x / (x + t)))
 
-    def derivative(t: float) -> float:
-        return s / (alpha * t * t) + float(np.sum(w * x / (x + t) ** 2))
-
     try:
-        lo, hi = 1e-12 * (1.0 + s), max(1.0, s, nu.support_max)
-        while equation(hi) < 0:
-            hi *= 2.0
-            if hi > 1e18:
-                raise AssumptionViolationError(
-                    "no sign change found for the effective regularization",
-                    detail={"bracket": (lo, hi)},
-                )
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if equation(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-8 * hi:
-                break
-        t = 0.5 * (lo + hi)
-        # The residual is resolvable only relative to the equation's largest
-        # term, 1/alpha or s/(alpha t): both are below 1 when alpha > 1.
+        t = 1.0 / float(companion_stieltjes(-s, alpha, nu).m_tilde.real)
+        residual = equation(t)
+        step = t - residual / (s / (alpha * t * t) + float(np.sum(w * x / (x + t) ** 2)))
+        if step > 0:
+            step_residual = equation(step)
+            if abs(step_residual) < abs(residual):
+                t, residual = step, step_residual
+        residual = abs(residual)
         tol_eff = LAMBDA_STAR_TOL * max(1.0 / alpha, s / (alpha * t))
-        for _ in range(100):
-            r = equation(t)
-            if abs(r) <= tol_eff:
-                break
-            t_new = t - r / derivative(t)
-            if not (lo / 2 <= t_new <= 2 * hi) or t_new <= 0:
-                t_new = 0.5 * (lo + hi)
-            t = t_new
-        residual = abs(equation(t))
     except (OverflowError, ZeroDivisionError) as exc:  # e.g. alpha * t * t underflows to 0
         raise NumericalFailureError("effective regularization root left the float range (%s)" % exc) from exc
-    if residual > tol_eff:
+    # Negated so that a NaN residual fails too.
+    if not residual <= tol_eff:
         raise NumericalFailureError("effective regularization root residual %g" % residual, residual=residual)
-    alt = 1.0 / float(companion_stieltjes(-s, alpha, nu).m_tilde.real)
-    if abs(alt - t) > LAMBDA_STAR_AGREEMENT * max(1.0, abs(t)):
-        raise NumericalFailureError(
-            "root and Stieltjes routes disagree: %r vs %r" % (t, alt), residual=abs(alt - t)
-        )
-    return LambdaStarResult(value=float(t), alt_value=float(alt), residual=residual)
+    return LambdaStarResult(value=float(t), residual=residual)
 
 
 def limit_inputs(
@@ -639,7 +613,7 @@ def deterministic_equivalents(
     With M = a2 Xbar' Xbar + (a + lambda) I and S2 the tensor covariance
     diagonal, returns (empirical, predicted) for
       first:  a2 Tr(M^{-1} S2)            -> f''(0) lambda_* / (4 alpha (a_star+lambda)) - 1
-      second: a2 (a+lambda) Tr(M^{-2} S2) -> same minus 1/(1 - alpha J2)
+      second: a2 (a+lambda) Tr(M^{-2} S2) -> same minus 1/(1 - alpha J2) = 1 + V
       bias:   (2/d^2) Tr(M^{-2} S2)       -> B(lambda_*)
     """
     cov = dataset.covariance
@@ -661,13 +635,10 @@ def deterministic_equivalents(
     bias_emp = 2.0 / cov.d**2 * float(np.sum((inv * inv).sum(axis=0) * sig2))
 
     a_star = coeffs.a_star
-    nu_c = nu.compressed()
-    pred = risk_limit(alpha, nu_c, a_star, second_deriv, lam, 0.0, "pure_quadratic")
-    t = pred.solution.value
-    j2 = float(np.sum(nu_c.weights * nu_c.atoms**2 / (nu_c.atoms + t) ** 2))
-    head = t / _limit_shift(alpha, a_star, lam, second_deriv)
+    pred = risk_limit(alpha, nu.compressed(), a_star, second_deriv, lam, 0.0, "pure_quadratic")
+    head = pred.solution.value / _limit_shift(alpha, a_star, lam, second_deriv)
     first_pred = head - 1.0
-    second_pred = head - 1.0 / (1.0 - alpha * j2)
+    second_pred = head - (1.0 + pred.V)
     bias_pred = pred.B
     return {
         "first": (first_emp, first_pred),

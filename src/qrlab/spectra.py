@@ -45,8 +45,8 @@ __all__ = [
 
 # Companion fixed point: the step budget of a cold start (all ladder stages),
 # the smaller one of a warm start (a caller that misses it falls back to a cold
-# start), and the residual tolerance at z relative to max(1, |z|) (and to 1/mt
-# on the negative axis).
+# start), and the residual tolerance at z relative to max(1, |z|) (on the
+# negative axis, to max(|z|, 1/mt) at every scale).
 STIELTJES_MAX_STEPS = 500
 STIELTJES_WARM_STEPS = 100
 STIELTJES_TOL = 1e-12
@@ -220,8 +220,9 @@ def companion_stieltjes(z: complex, alpha: float, nu: DiscreteLaw, initial: comp
     Newton step when it shrinks the residual, until the residual is within
     ``min(1e-9, 1e-6 |stage|) * max(1, |stage|)`` on the ladder and
     ``STIELTJES_TOL * max(1, |z|)`` at z (the residual lives in z units); on
-    the negative axis the tolerance at z is ``STIELTJES_TOL * max(1, |z|, 1/mt)``,
-    since there 1/mt = alpha * int x/(1+x*mt) dnu + |z| is the largest term.
+    the negative axis the tolerance at z is ``STIELTJES_TOL * max(|z|, 1/mt)``,
+    relative at every scale, since there 1/mt = alpha * int x/(1+x*mt) dnu + |z|
+    is the largest term.
     Every residual evaluation counts against one budget: ``STIELTJES_MAX_STEPS``
     cold, ``STIELTJES_WARM_STEPS`` warm. The derivative comes in closed form:
     mt' = 1 / (1/mt^2 - alpha * int x^2/(1+x*mt)^2 dnu).
@@ -264,7 +265,7 @@ def companion_stieltjes(z: complex, alpha: float, nu: DiscreteLaw, initial: comp
                 used += 1
                 r = stage + 1.0 / m - alpha * f1
                 resid = abs(r)
-                if resid <= (max(tol, STIELTJES_TOL * abs(1.0 / m)) if relative else tol):
+                if resid <= (STIELTJES_TOL * max(abs(stage), abs(1.0 / m)) if relative else tol):
                     break
                 # Newton step, accepted only when it actually shrinks the residual
                 # (it can diverge far from the root, e.g. near the support edge);

@@ -43,6 +43,7 @@ from qrlab.spectra import (
     esd,
     ks_distance,
 )
+from test_krr import _brentq_lambda_star
 
 GAUSS = MomentMatchedSampler.gaussian()
 
@@ -179,6 +180,7 @@ def test_criterion_05_stieltjes_exactness():
 
 
 def test_criterion_06_lambda_star_dual_route():
+    # The second route is scipy's brentq on the scalar equation.
     t0 = time.time()
     closed = lambda_star_solve(1.0, DiscreteLaw.delta(2.0), 0.0, 0.5, 1.0)
     closed_ok = abs(closed.value - (1.0 + math.sqrt(5.0))) <= 1e-10
@@ -186,12 +188,13 @@ def test_criterion_06_lambda_star_dual_route():
     worst = 0.0
     for _ in range(10):
         nu = DiscreteLaw.from_values(rng.uniform(0.2, 4.0, int(rng.integers(1, 5))))
-        res = lambda_star_solve(
-            rng.uniform(0.2, 3.0), nu, rng.uniform(0.01, 1.0), rng.uniform(0.0, 2.0), rng.uniform(0.2, 3.0)
-        )
-        worst = max(worst, abs(res.value - res.alt_value) / max(1.0, res.value))
+        alpha, a_star = rng.uniform(0.2, 3.0), rng.uniform(0.01, 1.0)
+        lam, fpp = rng.uniform(0.0, 2.0), rng.uniform(0.2, 3.0)
+        res = lambda_star_solve(alpha, nu, a_star, lam, fpp)
+        root = _brentq_lambda_star(alpha, nu, 4.0 * alpha * (a_star + lam) / fpp)
+        worst = max(worst, abs(res.value - root) / max(1.0, res.value))
     ok = closed_ok and worst <= 1e-10
-    _report(6, ok, "closed form dev %.2e, worst dual-route gap %.2e<=1e-10" % (
+    _report(6, ok, "closed form dev %.2e, worst gap to brentq %.2e<=1e-10" % (
         abs(closed.value - (1.0 + math.sqrt(5.0))), worst), t0)
 
 

@@ -580,9 +580,10 @@ def _two_sum_companion(z, alpha, nu, initial=None):
     used = 0
 
     def final_tol(m):
-        # On the negative axis, also relative to the largest term 1/m.
-        tol = STIELTJES_TOL * max(1.0, abs(z))
-        return max(tol, STIELTJES_TOL * abs(1.0 / m)) if on_axis else tol
+        # On the negative axis, relative to the largest term 1/m at every scale.
+        if on_axis:
+            return STIELTJES_TOL * max(abs(z), abs(1.0 / m))
+        return STIELTJES_TOL * max(1.0, abs(z))
 
     for stage in stages:
         stage_tol = min(1e-9, 1e-6 * abs(stage)) * max(1.0, abs(stage))
@@ -618,6 +619,8 @@ WARM_START = st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).filt
     z=st.one_of(UPPER_HALF_PLANE, NEGATIVE_AXIS),
     initial=st.one_of(st.none(), WARM_START),
 )
+# On the negative axis with 1/mt below 1: the stopping rule relative at every scale.
+@example(atoms=[0.0, 1.0], raw_weights=[0.5] * 12, alpha=0.5, z=complex(-1e-3, 0.0), initial=None)
 def test_companion_matches_two_sum_loop(atoms, raw_weights, alpha, z, initial):
     w = np.array(raw_weights[: len(atoms)])
     nu = DiscreteLaw(np.array(atoms), w / w.sum())
@@ -905,57 +908,82 @@ def test_lapack_layer_rejects_the_wrong_layout():
                 call()
 
 
-def _overlapping_spans(work):
-    """[start, end] of ``work(i)`` on two threads released together, under a
-    switch interval so long that a thread gives up the GIL only when it
-    blocks or a C call releases it: the two spans overlap only if ``work``
-    releases the GIL."""
-    barrier = threading.Barrier(2, timeout=60.0)
-    spans = [None, None]
+GIL_BIN_S = 5e-5
+# On two CPUs, the calls of the tests below read 0.003-0.12 on the share
+# below when bound so that they hold the GIL, and 0.64-1 as they are.
+GIL_SHARE_CUT = 0.3
 
-    def one(i):
-        barrier.wait()
-        start = time.perf_counter()
-        work(i)
-        spans[i] = (start, time.perf_counter())
 
-    threads = [threading.Thread(target=one, args=(i,)) for i in range(2)]
+def _python_share(work, calls):
+    """Share of the wall time of ``work(0)``, ..., ``work(calls - 1)`` during
+    which a thread running a pure-Python loop advanced: the time is cut into
+    bins of ``GIL_BIN_S``, and a bin counts when the loop marked it.
+
+    Under a switch interval of 1e-4 s, a call that holds the GIL stops the
+    loop for the whole call, and the loop runs only between calls; a call
+    that releases it lets the loop run beside it. scipy's OpenBLAS runs on
+    one thread meanwhile, so that a BLAS thread spinning on the other CPU
+    cannot keep the calling thread from taking the GIL back."""
+    marks = bytearray(int(120 / GIL_BIN_S))
+    origin = time.perf_counter()
+    running = True
+
+    def tick():
+        while running:
+            marks[min(int((time.perf_counter() - origin) / GIL_BIN_S), len(marks) - 1)] = 1
+
+    threads = _lapack.lapack_threads()
+    set_threads = _lapack._library_symbol("openblas_set_num_threads")
+    set_threads = ctypes.CFUNCTYPE(None, ctypes.c_int)(set_threads) if threads and set_threads else None
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(10.0)
+    ticker = threading.Thread(target=tick)
+    sys.setswitchinterval(1e-4)
+    if set_threads:
+        set_threads(1)
     try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60.0)
+        ticker.start()
+        start = time.perf_counter()
+        for i in range(calls):
+            work(i)
+        end = time.perf_counter()
     finally:
+        running = False
+        ticker.join(timeout=60.0)
         sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads) and None not in spans
-    (s0, e0), (s1, e1) = spans
-    return min(e0, e1) > max(s0, s1)
+        if set_threads:
+            set_threads(threads)
+    assert not ticker.is_alive()
+    first, last = int((start - origin) / GIL_BIN_S), int((end - origin) / GIL_BIN_S)
+    return sum(marks[first:last]) / max(1, last - first)
 
 
 def test_lapack_cholesky_releases_the_gil():
-    # Each thread factors its own 1200 x 1200 matrix. Through scipy's f2py
-    # cho_factor the same harness gives spans that never overlap; a second
-    # and third attempt only guard against a thread the OS did not schedule.
+    # Two 1200 x 1200 factorizations; a second and third attempt only guard
+    # against a loop thread the OS did not schedule.
     spd = _spd_matrix(1200, 0)
 
     def attempt():
         copies = [np.array(spd, order="F") for _ in range(2)]
-        return _overlapping_spans(lambda i: _lapack.potrf(copies[i]))
+        return _python_share(lambda i: _lapack.potrf(copies[i]), 2)
 
-    assert any(attempt() for _ in range(3))
+    assert any(attempt() >= GIL_SHARE_CUT for _ in range(3))
 
 
-def test_lapack_symv_releases_the_gil():
-    # The ridge residual and Lanczos product, one call per thread on a shared
-    # 4000 x 4000 matrix: about 5.5 ms, longer than the default 5 ms switch
-    # interval. One call, because symv's np.zeros releases the GIL around its
-    # calloc: each call is a point where a product that held the GIL could
-    # still let the two spans overlap.
+def test_lapack_symv_releases_the_gil(monkeypatch):
+    # 20 products on a 4000 x 4000 matrix, about 5 ms each, each with the
+    # np.zeros of its output, which releases the GIL around its calloc. The
+    # control binds the same dsymv pointer through PYFUNCTYPE, which holds
+    # the GIL for the call: it must read as holding in every attempt.
     a = np.full((4000, 4000), 0.5)
-    x = np.ones((2, 4000))
-    assert any(_overlapping_spans(lambda i: _lapack.symv(a, x[i])) for _ in range(3))
+    x = np.ones(4000)
+
+    def attempt():
+        return _python_share(lambda i: _lapack.symv(a, x), 20)
+
+    assert any(attempt() >= GIL_SHARE_CUT for _ in range(3))
+    address = ctypes.cast(_lapack._dsymv, ctypes.c_void_p).value
+    monkeypatch.setattr(_lapack, "_dsymv", ctypes.PYFUNCTYPE(None, *[ctypes.c_void_p] * 10)(address))
+    assert all(attempt() < GIL_SHARE_CUT for _ in range(3))
 
 
 def test_lapack_eigensolve_releases_the_gil():
@@ -963,9 +991,9 @@ def test_lapack_eigensolve_releases_the_gil():
 
     def attempt():
         copies = [spd.copy() for _ in range(2)]
-        return _overlapping_spans(lambda i: _lapack.syevd(copies[i]))
+        return _python_share(lambda i: _lapack.syevd(copies[i]), 2)
 
-    assert any(attempt() for _ in range(3))
+    assert any(attempt() >= GIL_SHARE_CUT for _ in range(3))
 
 
 def test_seed_workers_never_call_scipy_f2py_blas_or_lapack(tmp_path, monkeypatch):

@@ -1,10 +1,13 @@
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from qrlab import krr
 from qrlab.datagen import CovarianceSpec, MomentMatchedSampler, sample_dataset
 from qrlab.errors import (
     AssumptionViolationError,
@@ -33,6 +36,24 @@ from qrlab.seeding import TEACHER, substream
 from qrlab.spectra import DiscreteLaw, companion_stieltjes, deformed_mp_law
 
 PHI_PLUS = 1.0 + math.sqrt(5.0)
+
+
+def _brentq_lambda_star(alpha, nu, s):
+    """The root of 1/alpha - s/(alpha t) = int x/(x+t) dnu by scipy's brentq,
+    to a few ulp (the absolute xtol is negligible, so rtol alone stops it).
+    The root exceeds s; the bracket starts at s/2, where the equation is
+    below -1/alpha (at s itself 1/alpha - s/(alpha s) can round above 0 for
+    a tiny alpha), and its upper end doubles from s until the equation is
+    not negative. Independent of qrlab's solvers."""
+    x, w = nu.atoms, nu.weights
+
+    def equation(t):
+        return 1.0 / alpha - s / (alpha * t) - float(np.sum(w * x / (x + t)))
+
+    hi = s
+    while equation(hi) < 0:
+        hi *= 2.0
+    return brentq(equation, s / 2, hi, xtol=np.finfo(float).tiny, rtol=4 * np.finfo(float).eps)
 
 
 def _dataset(n=30, d=6, seed=0, cov=None):
@@ -263,7 +284,6 @@ def test_training_error_routes_agree():
 def test_lambda_star_closed_form():
     res = lambda_star_solve(1.0, DiscreteLaw.delta(2.0), 0.0, 0.5, 1.0)
     assert res.value == pytest.approx(PHI_PLUS, abs=1e-10)
-    assert res.alt_value == pytest.approx(PHI_PLUS, abs=1e-10)
     assert res.residual <= 1e-12
 
 
@@ -283,7 +303,8 @@ def test_lambda_star_dual_routes_random_draws():
         lam = rng.uniform(0.0, 2.0)
         fpp = rng.uniform(0.2, 3.0)
         res = lambda_star_solve(alpha, nu, a_star, lam, fpp)
-        assert abs(res.value - res.alt_value) <= 1e-10 * max(1.0, res.value)
+        root = _brentq_lambda_star(alpha, nu, 4.0 * alpha * (a_star + lam) / fpp)
+        assert abs(res.value - root) <= 1e-10 * max(1.0, res.value)
 
 
 @settings(max_examples=60, deadline=None)
@@ -311,7 +332,44 @@ def test_lambda_star_at_large_alpha_and_wide_population():
     alpha, s = 711.7537509149355, 0.0013016696154710618
     nu = DiscreteLaw.from_values([0.004787792912800229, 0.2877205887386512, 64.07417129618355])
     res = lambda_star_solve(alpha, nu, 0.0, s / (4.0 * alpha), 1.0)
-    assert abs(res.value - res.alt_value) <= 1e-10 * max(1.0, res.value)
+    assert abs(res.value - _brentq_lambda_star(alpha, nu, s)) <= 1e-10 * max(1.0, res.value)
+
+
+def test_lambda_star_root_far_above_the_support():
+    # t = s = 4e20: the root sits far above any bracket a search would cap.
+    res = lambda_star_solve(1.0, DiscreteLaw.delta(2.0), 0.0, 1e20, 1.0)
+    assert res.value == pytest.approx(4e20, rel=1e-12)
+    assert res.residual <= 1e-12
+
+
+@pytest.mark.parametrize("alpha, atom, a_star, lam", [
+    (1e-10, 2.0, 1 / 24, 1.0),
+    (1e-20, 2.0, 1 / 24, 1.0),
+    (1.0, 1e-9, 0.0, 1e-9),
+    (1.0, 1e-30, 0.0, 1e-30),
+    (0.5, 2.0, 0.0, 1e-9),
+    (0.5, 2.0, 0.0, 1e-20),
+], ids=["alpha-1e-10", "alpha-1e-20", "scale-1e-9", "scale-1e-30", "lambda-1e-9", "lambda-1e-20"])
+def test_lambda_star_root_below_unit_scale(alpha, atom, a_star, lam):
+    # The equation is invariant under scaling the atoms, lambda and t
+    # together, so a root far below 1 is resolved to the same relative
+    # accuracy: the companion solve on the negative axis stops relative to
+    # its largest term at every scale.
+    nu = DiscreteLaw.delta(atom)
+    res = lambda_star_solve(alpha, nu, a_star, lam, 1.0)
+    root = _brentq_lambda_star(alpha, nu, 4.0 * alpha * (a_star + lam))
+    assert abs(res.value - root) <= 1e-12 * root
+
+
+def test_lambda_star_refuses_a_newton_step_to_the_negative_root(monkeypatch):
+    # alpha = 1, nu = delta(2), s = 1: 1 - 1/t = 2/(2+t) has the roots t = 2
+    # and t = -1, and the Newton step from t = 2 + 2 sqrt(2) lands on -1
+    # exactly, where the residual vanishes. From that start the step is
+    # refused, and the start fails its certificate.
+    start = types.SimpleNamespace(m_tilde=complex(1.0 / (2.0 + 2.0 * math.sqrt(2.0))))
+    monkeypatch.setattr(krr, "companion_stieltjes", lambda *args: start)
+    with pytest.raises(NumericalFailureError, match="residual 0.5"):
+        lambda_star_solve(1.0, DiscreteLaw.delta(2.0), 0.0, 0.25, 1.0)
 
 
 @pytest.mark.parametrize("second_deriv, a_star, lam, message", [
