@@ -24,29 +24,30 @@ canonical config and hash. Objects also take the JSON-only keys
 train-error only, other experiments reject them). Unknown keys in a spec
 are a configuration error. The sample count is derived as
 n = round(d^2/(2 alpha)); an n whose n x n float64 array this platform
-cannot address is a configuration error. Only approx-norm takes a ladder of
-d values; the other experiments take one, and oracle-check one seed. A
-trailing comma makes a one-seed list (--seeds 3, is seed 3; --seeds 3 is
-the count of seeds 0, 1, 2). Per-seed work fans
-out to a thread pool capped by QRLAB_THREADS (an integer >= 1; default the
-CPU count): approx-norm checks every rung before it pools the (d, seed)
-tasks, and esd pools its limit law's grid segments beside the seeds'
-spectra, the top segment first and the others last, one segment at a time.
-Every run writes results.json (deterministic given config,
-seeds and the BLAS thread count; its config and sha256 config hash cover
-the experiment's name and the keys it reads, less out), results.csv (one
-row per record of results.json, headed by the first record's keys), and a
-results.meta.json sidecar holding the wall-clock data (runtime_ms per seed
-task, or of the whole run for experiments off the pool; law_build_ms for
-esd and mp-law, summed over the law's segments), the solver statistics
-under solvers (approx-norm: per task, Lanczos matvec counts and certified
-residuals; esd and mp-law: per law segment, companion solves, their
-iterations, and the cold restarts with the steps the failed warm starts
-spent; train-error and risk: per seed, the ridge solve's largest residual
-over its bound, ridge_residual_ratio, at most 1) and the environment (library
-versions, CPU count, BLAS thread variables, seed workers). esd and mp-law
-also write an SVG density overlay (with the first seed's eigenvalue
-histogram for esd) and law.csv, and esd eigs.csv.
+cannot address is a configuration error. approx-norm, esd, train-error and
+risk take a ladder of d values (--d 24,40), mp-law and lambda-star one d,
+oracle-check one seed. A trailing comma makes a one-seed list (--seeds 3, is
+seed 3; --seeds 3 is the count of seeds 0, 1, 2). The seeded experiments
+check every rung, then pool all (d, seed) tasks d-major on threads capped by
+QRLAB_THREADS (an integer >= 1; default the CPU count); esd pools its laws'
+grid segments beside them, each rung's top segment first and the others
+last, one at a time. A ladder's summary key k becomes k_by_d, by str(d), as
+approx-norm's median_*_by_d are at every length. Every run writes
+results.json (deterministic given config, seeds and the BLAS thread count;
+its config and sha256 config hash cover the experiment's name and the keys
+it reads, less out), results.csv (one row per record of results.json,
+headed by the first record's keys), and a results.meta.json sidecar holding
+the wall-clock data (runtime_ms per task, or of the whole run for
+experiments off the pool; law_build_ms for esd and mp-law, summed over the
+laws' segments), the solver statistics under solvers (approx-norm: per
+task, Lanczos matvec counts and certified residuals; esd and mp-law: per
+law segment, rung by rung, companion solves, their iterations, and the cold
+restarts with the steps the failed warm starts spent; train-error and risk:
+per task, the ridge solve's largest residual over its bound,
+ridge_residual_ratio, at most 1; lambda-star and risk: per rung, the
+lambda_* solve) and the environment (library versions, CPU count, BLAS
+thread variables, seed workers). esd and mp-law also write an SVG density
+overlay and law.csv, and esd eigs.csv; esd's describe the first rung.
 
 Seed discipline: each record's master seed is split into fixed consumer
 substreams (data=1, teacher=2, noise=3, test=4) so adding a consumer never
@@ -77,7 +78,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,9 @@ def _checked(load, test, what):
         return out
 
     return checked
+
+
+_count = _checked(_int, lambda n: n >= 1, "a positive count")
 
 
 def _list(load):
@@ -224,24 +228,24 @@ class ExperimentConfig:
     experiment: str
     d: list[int] = _field(
         [24], _list(_checked(_int, lambda n: n >= 1, "a positive dimension")),
-        "dimension, or comma list for approx-norm ladders",
+        "dimension, or comma list for a ladder (experiments with seeds)",
     )
     alpha: float = _field(1.0, _checked(_float, lambda a: a > 0, "positive"))
     kernel: dict = _field("exp", _spec("kernel"), _spec_grammar("kernel"))
     cov: dict = _field("identity", _spec("cov"), _spec_grammar("cov"))
     sampler: dict = _field("gaussian", _spec("sampler"), _spec_grammar("sampler"))
     lam: float = _field(1.0, _float, key="lambda")
-    sigma_eps: float = _field(0.5, _float)
+    sigma_eps: float = _field(0.5, _checked(_float, lambda s: s >= 0, "nonnegative"))
     teacher: dict = _field(krr.RISK_TEACHERS[0], _spec("teacher"), _spec_grammar("teacher"))
     seeds: list[int] = _field([0], _seeds, "count, or comma list of seeds")
     out: str = _field("qrlab-out", str, hashed=False)
-    n_test: int = _field(2000, _int)
-    n_repl: int = _field(8, _int)
+    n_test: int = _field(2000, _count)
+    n_repl: int = _field(8, _count)
     c2: float = _field(1.0, _float)
     a_star_override: float | None = _field(None, lambda v: None if v is None else _float(v))
     asymptotic_nu: bool = _field(False, _bool)
     compare_naive: bool = _field(False, _bool)
-    mc_draws: int = _field(1_000_000, _int)
+    mc_draws: int = _field(1_000_000, _count)
 
     def n_for(self, d: int) -> int:
         """n = round(d^2/(2 alpha)), refused unless this platform can address
@@ -383,25 +387,79 @@ def _check_capacity(task_bytes: list[int]) -> None:
         )
 
 
+def _run_tasks(cfg: ExperimentConfig, task_bytes, rung, task, law=None):
+    """Every (d, seed) task of a seeded experiment, d-major, on the seed pool.
+
+    Before any n x n work: each rung's n, one capacity check over all tasks
+    (``task_bytes(n, d)`` each), then each rung's inputs, ``rung(cov)``.
+    ``task(inputs, data, seed)`` returns its record's fields and its solver
+    entry; d, n and seed (the entry: d and seed) go in front. With ``law``,
+    each rung also gets the limit law of the population law ``law(inputs)``.
+    Returns the inputs and the laws by d, the records and the stats."""
+    sampler = _build("sampler", cfg.sampler)
+    ns = {d: cfg.n_for(d) for d in cfg.d}
+    tasks = [(d, seed) for d in cfg.d for seed in cfg.seeds]
+    _check_capacity([task_bytes(ns[d], d) for d, _ in tasks])
+    covs = {d: _build("cov", cfg.cov, d) for d in cfg.d}
+    rungs = {d: rung(cov) for d, cov in covs.items()}
+    nus = {d: law(inputs) for d, inputs in rungs.items()} if law else {}
+    # The laws' grid segments are pool tasks: each rung's top segment first,
+    # then the (d, seed) tasks, then the other segments, one at a time. Two
+    # segments (Python loops) on two threads hold the GIL in turns: esd-law's
+    # took 0.79-0.86 s side by side, 0.42-0.49 s in turn (2 CPUs, 1 BLAS thread).
+    segments = [[(d, s) for s in spectra.law_segments(cfg.alpha, nu)] for d, nu in nus.items()]
+    before, after = [s[0] for s in segments], [x for s in segments for x in s[1:]]
+    one_segment_at_a_time = threading.Lock()
+
+    def one(item):
+        d, job = item  # a seed or a law segment
+        if isinstance(job, spectra.LawSegment):
+            with one_segment_at_a_time:
+                return job()
+        return task(rungs[d], datagen.sample_dataset(ns[d], d, covs[d], sampler, job), job)
+
+    results, stats = _map_seeds(one, [*before, *tasks, *after])
+    ours = slice(len(before), len(before) + len(tasks))
+    ms, done = stats["runtime_ms"], list(zip(tasks, results[ours]))
+    stats["runtime_ms"] = ms[ours]
+    stats["solvers"] = [{"d": d, "seed": seed, **solver} for (d, seed), (_, solver) in done]
+    if law:
+        stats["law_build_ms"] = sum(ms[:ours.start]) + sum(ms[ours.stop:])
+    records = [{"d": d, "n": ns[d], "seed": seed, **fields} for (d, seed), (fields, _) in done]
+    sweeps = list(zip(before + after, results[:ours.start] + results[ours.stop:]))
+    laws = {d: spectra.deformed_mp_law(cfg.alpha, nu, [s for (e, _), s in sweeps if e == d]) for d, nu in nus.items()}
+    return rungs, laws, records, stats
+
+
+def _summary(cfg: ExperimentConfig, records, rungs, per_rung, line=None, by_d=False):
+    """``per_rung(records, inputs)`` of each rung, printed as ``line`` (a
+    %-format of its keys and ``seeds``): for one d that summary, unless
+    ``by_d``; else each key becomes ``<key>_by_d``, {str(d): value}."""
+    per_d = {d: per_rung([r for r in records if r["d"] == d], inputs) for d, inputs in rungs.items()}
+    ladder = len(cfg.d) > 1
+    for d, s in per_d.items() if line else ():
+        print(("d=%d: " % d if ladder else "") + line % {**s, "seeds": len(cfg.seeds)})
+    if not (ladder or by_d):
+        return per_d[cfg.d[0]]
+    return {"%s_by_d" % key: {str(d): s[key] for d, s in per_d.items()} for key in per_d[cfg.d[0]]}
+
+
+def _versus(records, predicted: float) -> dict:
+    """The records' mean empirical value against the prediction."""
+    mean = float(np.mean([r["empirical"] for r in records]))
+    return {"mean_empirical": mean, "predicted": predicted,
+            "relative_gap": abs(mean - predicted) / abs(predicted) if predicted else None}
+
+
 def _run_approx_norm(cfg: ExperimentConfig):
     kernel = _build("kernel", cfg.kernel)
-    sampler = _build("sampler", cfg.sampler)
-    # The naive surrogate is built only under --compare-naive. Every rung is
-    # built and checked, and the pool's memory estimated, before the first
-    # n x n matrix exists.
-    rungs = {}
-    for d in cfg.d:
-        cov = _build("cov", cfg.cov, d)
-        coeffs = kernels.quad_coeffs(kernel, cov)
-        naive = kernels.quad_coeffs(kernel, cov, corrected=False) if cfg.compare_naive else None
-        rungs[d] = (cfg.n_for(d), cov, coeffs, naive)
-    tasks = [(d, seed) for d in cfg.d for seed in cfg.seeds]
-    _check_capacity([kernels.strip_build_bytes(rungs[d][0], d) for d, _ in tasks])
 
-    def one(task):
-        d, seed = task
-        n, cov, coeffs, naive = rungs[d]
-        data = datagen.sample_dataset(n, d, cov, sampler, seed)
+    def rung(cov):  # the naive surrogate only under --compare-naive
+        coeffs = kernels.quad_coeffs(kernel, cov)
+        return coeffs, kernels.quad_coeffs(kernel, cov, corrected=False) if cfg.compare_naive else None
+
+    def task(inputs, data, seed):
+        coeffs, naive = inputs
         # One n x n array per task: D = K - K2, then shifted in place to the
         # naive surrogate's difference, whose solve starts from the corrected
         # solve's Ritz vector.
@@ -410,83 +468,45 @@ def _run_approx_norm(cfg: ExperimentConfig):
         if naive is not None:
             kernels.shift_gap_matrix(diff, data, coeffs, naive)
             solves["gap_naive"] = kernels._lanczos_gap(diff, start=solves["gap"].vector)
-        rec = {"d": d, "n": data.n, "seed": seed}
-        solver = {"d": d, "seed": seed}
-        for key, solve in solves.items():
-            rec[key] = solve.gap
-            solver[key] = {"matvecs": solve.matvecs, "residual": solve.residual, "bound": solve.bound}
-        return rec, solver
+        return ({key: s.gap for key, s in solves.items()},
+                {key: {"matvecs": s.matvecs, "residual": s.residual, "bound": s.bound} for key, s in solves.items()})
 
-    results, stats = _map_seeds(one, tasks)
-    records = [rec for rec, _ in results]
-    stats["solvers"] = [solver for _, solver in results]
+    rungs, _, records, stats = _run_tasks(cfg, kernels.strip_build_bytes, rung, task)
     keys = ("gap", "gap_naive") if cfg.compare_naive else ("gap",)
-
-    def medians(key):
-        return {str(d): float(np.median([r[key] for r in records if r["d"] == d])) for d in cfg.d}
-
-    return records, {"median_%s_by_d" % key: medians(key) for key in keys}, stats, {}
+    summary = _summary(cfg, records, rungs, lambda recs, _: {
+        "median_" + key: float(np.median([r[key] for r in recs])) for key in keys}, by_d=True)
+    return records, summary, stats, {}
 
 
 def _run_esd(cfg: ExperimentConfig):
-    d = cfg.d[0]
-    n = cfg.n_for(d)
-    cov = _build("cov", cfg.cov, d)
     kernel = _build("kernel", cfg.kernel)
-    sampler = _build("sampler", cfg.sampler)
-    # Both checks (f''(0) and the surrogate coefficients) fail the run here,
-    # before the law and K. The spectral law holds for either sign of f''(0).
-    second = kernel.derivs0[2]
-    if second == 0:
+    # The spectral law holds for either sign of f''(0).
+    if kernel.derivs0[2] == 0:
         raise AssumptionViolationError("f''(0) must be nonzero for the spectral limit")
-    a_star, nu = krr.limit_inputs(kernel, cov)
-    factor = 4.0 * cfg.alpha / second
-    # A seed task peaks in the strip build of K: it then solves K in place
-    # (``_lapack.syevd``), beside the data and LAPACK's workspace (about
-    # 1.5 MB at n = 1800, less than the strip temporaries).
-    _check_capacity([kernels.strip_build_bytes(n, d)] * len(cfg.seeds))
+    factor = 4.0 * cfg.alpha / kernel.derivs0[2]
 
-    # The law does not depend on the seeds. Its grid segments are pool tasks:
-    # the top segment first, then the seeds, then the other segments last,
-    # and one lock keeps two segments from ever running at once. A segment is
-    # a Python loop, and two of them on two threads hold the GIL in turns:
-    # the esd-law benchmark's two segments took 0.79-0.86 s side by side
-    # against 0.42-0.49 s one after the other (2-CPU machine, one BLAS thread).
-    segments = spectra.law_segments(cfg.alpha, nu)
-    one_segment_at_a_time = threading.Lock()
-
-    def one(task):
-        if isinstance(task, spectra.LawSegment):
-            with one_segment_at_a_time:
-                return task()
-        data = datagen.sample_dataset(n, d, cov, sampler, task)
-        # Recentred and scaled in place: (4 alpha / f''(0)) (K - a_star I).
+    def task(inputs, data, seed):
+        # (4 alpha / f''(0)) (K - a_star I), in place; the task peaks in K's
+        # strip build, then solves K in place (``_lapack.syevd``).
         k_mat = kernels.kernel_matrix(data, kernel)
-        k_mat[np.diag_indices(n)] -= a_star
+        k_mat[np.diag_indices(data.n)] -= inputs[0]
         k_mat *= factor
-        return spectra.esd(k_mat)
+        return {"eigs": spectra.esd(k_mat)}, {}
 
-    seeds = len(cfg.seeds)
-    results, pool = _map_seeds(one, [segments[0], *cfg.seeds, *segments[1:]])
-    spectrum = results[1:1 + seeds]
-    law = spectra.deformed_mp_law(cfg.alpha, nu, [results[0], *results[1 + seeds:]])
-    records = [{"d": d, "n": n, "seed": seed, "ks": spectra.ks_distance(eigs, law)}
-               for seed, eigs in zip(cfg.seeds, spectrum)]
-    # The first seed's spectrum goes into the overlay and eigs.csv.
+    rungs, laws, records, stats = _run_tasks(
+        cfg, kernels.strip_build_bytes, lambda cov: krr.limit_inputs(kernel, cov), task, law=lambda inputs: inputs[1])
+    stats["solvers"] = [s for law in laws.values() for s in law.solvers]
+    # The files describe the first rung: its law and its first seed's spectrum.
+    d, eigs = cfg.d[0], records[0]["eigs"]
+    for r in records:
+        r["ks"] = spectra.ks_distance(r.pop("eigs"), laws[r["d"]])
     files = {
-        "overlay.svg": plots.svg_histogram_overlay(spectrum[0], law, title="recentered kernel spectrum, d=%d" % d),
-        "law.csv": spectra.law_to_csv(law),
-        "eigs.csv": "eigenvalue\n" + "".join("%r\n" % float(v) for v in spectrum[0]),
+        "overlay.svg": plots.svg_histogram_overlay(eigs, laws[d], title="recentered kernel spectrum, d=%d" % d),
+        "law.csv": spectra.law_to_csv(laws[d]),
+        "eigs.csv": "eigenvalue\n" + "".join("%r\n" % float(v) for v in eigs),
     }
-    summary = {"median_ks": float(np.median([r["ks"] for r in records]))}
-    print("KS median over %d seeds: %.4f" % (len(records), summary["median_ks"]))
-    runtime_ms = pool["runtime_ms"]
-    stats = {
-        "runtime_ms": runtime_ms[1:1 + seeds],
-        "law_build_ms": runtime_ms[0] + sum(runtime_ms[1 + seeds:]),
-        "solvers": list(law.solvers),
-        "seed_workers": pool["seed_workers"],
-    }
+    summary = _summary(cfg, records, rungs, lambda recs, _: {"median_ks": float(np.median([r["ks"] for r in recs]))},
+                       "KS median over %(seeds)d seeds: %(median_ks).4f")
     return records, summary, stats, files
 
 
@@ -511,38 +531,23 @@ def _run_mp_law(cfg: ExperimentConfig):
 
 
 def _run_train_error(cfg: ExperimentConfig):
-    d = cfg.d[0]
-    n = cfg.n_for(d)
-    cov = _build("cov", cfg.cov, d)
     kernel = _build("kernel", cfg.kernel)
-    sampler = _build("sampler", cfg.sampler)
-    teacher_kind = cfg.teacher["kind"]
-    c0 = cfg.teacher.get("c0", 0.0)
-    c1 = cfg.teacher.get("c1", 0.0)
-    # A seed task peaks in the strip build of K, which the ridge fit then
-    # factors in place (``krr.RidgeFactor``).
-    _check_capacity([kernels.strip_build_bytes(n, d)] * len(cfg.seeds))
-    predicted = krr.asymptotic_training_error(kernel, cov, cfg.alpha, cfg.lam, cfg.c2, cfg.sigma_eps)
+    c0, c1 = cfg.teacher.get("c0", 0.0), cfg.teacher.get("c1", 0.0)
 
-    def one(seed):
-        data = datagen.sample_dataset(n, d, cov, sampler, seed)
-        teacher = krr.TeacherModel.draw(teacher_kind, cov, substream(seed, TEACHER, 0), c0, c1, cfg.c2)
+    def rung(cov):
+        return krr.asymptotic_training_error(kernel, cov, cfg.alpha, cfg.lam, cfg.c2, cfg.sigma_eps)
+
+    def task(predicted, data, seed):
+        draw = substream(seed, TEACHER, 0)
+        teacher = krr.TeacherModel.draw(cfg.teacher["kind"], data.covariance, draw, c0, c1, cfg.c2)
         y = krr.make_labels(data, teacher, cfg.sigma_eps, seed)
+        # The ridge fit factors K in place, so a task peaks in K's strip build.
         emp, ratio = krr._training_fit(kernels.kernel_matrix(data, kernel), y, cfg.lam)
-        record = {"seed": seed, "empirical": emp, "predicted": predicted}
-        return record, {"seed": seed, "ridge_residual_ratio": ratio}
+        return {"empirical": emp, "predicted": predicted}, {"ridge_residual_ratio": ratio}
 
-    results, stats = _map_seeds(one, cfg.seeds)
-    records = [rec for rec, _ in results]
-    stats["solvers"] = [solver for _, solver in results]
-    mean = float(np.mean([r["empirical"] for r in records]))
-    summary = {
-        "mean_empirical": mean,
-        "predicted": predicted,
-        "relative_gap": abs(mean - predicted) / abs(predicted) if predicted else None,
-    }
-    print("train error: mean empirical %.6g vs predicted %.6g" % (mean, predicted))
-    return records, summary, stats, {}
+    rungs, _, records, stats = _run_tasks(cfg, kernels.strip_build_bytes, rung, task)
+    line = "train error: mean empirical %(mean_empirical).6g vs predicted %(predicted).6g"
+    return records, _summary(cfg, records, rungs, _versus, line), stats, {}
 
 
 def _run_lambda_star(cfg: ExperimentConfig):
@@ -560,43 +565,31 @@ def _run_lambda_star(cfg: ExperimentConfig):
         "total": pred.total,
     }
     print("lambda_star = %.12g" % ls.value)
-    return [record], record, {}, {}
+    return [record], record, {"solvers": [{"d": d, "lambda_star": asdict(ls)}]}, {}
 
 
 def _run_risk(cfg: ExperimentConfig):
-    d = cfg.d[0]
-    n = cfg.n_for(d)
-    cov = _build("cov", cfg.cov, d)
     kernel = _build("kernel", cfg.kernel)
-    sampler = _build("sampler", cfg.sampler)
     teacher_kind = cfg.teacher["kind"]
-    _check_capacity([krr.empirical_risk_bytes(n, d, cfg.n_test, cfg.n_repl)] * len(cfg.seeds))
-    pred = krr.asymptotic_risk(kernel, cov, cfg.alpha, cfg.lam, cfg.sigma_eps, teacher_kind)
 
-    def one(seed):
-        data = datagen.sample_dataset(n, d, cov, sampler, seed)
-        mean, stderr, ratio = krr.empirical_risk(
-            data, kernel, teacher_kind, cfg.lam, cfg.sigma_eps, cfg.n_test, cfg.n_repl, seed
-        )
-        record = {"seed": seed, "empirical": mean, "stderr": stderr, "predicted": pred.total}
-        return record, {"seed": seed, "ridge_residual_ratio": ratio}
+    def rung(cov):
+        return krr.asymptotic_risk(kernel, cov, cfg.alpha, cfg.lam, cfg.sigma_eps, teacher_kind)
 
-    results, stats = _map_seeds(one, cfg.seeds)
-    records = [rec for rec, _ in results]
-    stats["solvers"] = [solver for _, solver in results]
-    per_seed = [r["empirical"] for r in records]
-    mean = float(np.mean(per_seed))
-    summary = {
-        "mean_empirical": mean,
-        "empirical_dispersion": float(np.std(per_seed, ddof=1)) if len(per_seed) > 1 else 0.0,
-        "predicted": pred.total,
-        "lambda_star": pred.solution.value,
-        "V": pred.V,
-        "B": pred.B,
-        "relative_gap": abs(mean - pred.total) / abs(pred.total) if pred.total else None,
-    }
-    print("risk: mean empirical %.6g vs predicted %.6g" % (mean, pred.total))
-    return records, summary, stats, {}
+    def task(pred, data, seed):
+        mean, stderr, ratio = krr.empirical_risk(data, kernel, teacher_kind, cfg.lam, cfg.sigma_eps, cfg.n_test,
+                                                 cfg.n_repl, seed)
+        return {"empirical": mean, "stderr": stderr, "predicted": pred.total}, {"ridge_residual_ratio": ratio}
+
+    def per_rung(recs, pred):
+        spread = float(np.std([r["empirical"] for r in recs], ddof=1)) if len(recs) > 1 else 0.0
+        return {**_versus(recs, pred.total), "empirical_dispersion": spread,
+                "lambda_star": pred.solution.value, "V": pred.V, "B": pred.B}
+
+    rungs, _, records, stats = _run_tasks(
+        cfg, lambda n, d: krr.empirical_risk_bytes(n, d, cfg.n_test, cfg.n_repl), rung, task)
+    stats["solvers"] += [{"d": d, "lambda_star": asdict(pred.solution)} for d, pred in rungs.items()]
+    line = "risk: mean empirical %(mean_empirical).6g vs predicted %(predicted).6g"
+    return records, _summary(cfg, records, rungs, per_rung, line), stats, {}
 
 
 def _run_oracle_check(cfg: ExperimentConfig):
@@ -634,7 +627,7 @@ def run(cfg: ExperimentConfig) -> int:
         runner = _EXPERIMENT_TABLE[cfg.experiment][0]
     except KeyError:
         raise InvalidArgumentError("unknown experiment %r" % cfg.experiment) from None
-    if cfg.experiment != "approx-norm" and len(cfg.d) > 1:
+    if cfg.experiment in ("mp-law", "lambda-star") and len(cfg.d) > 1:
         raise InvalidArgumentError("%s takes one d, got the ladder %s" % (cfg.experiment, ",".join(map(str, cfg.d))))
     if cfg.experiment == "oracle-check" and len(cfg.seeds) > 1:
         raise InvalidArgumentError("oracle-check takes one seed, got %s" % ",".join(map(str, cfg.seeds)))

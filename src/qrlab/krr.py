@@ -349,8 +349,12 @@ def asymptotic_training_error(
 
 @dataclass(frozen=True)
 class LambdaStarResult:
+    """The root, its residual, the companion solve's iterations, and whether the Newton step was kept."""
+
     value: float
     residual: float
+    iterations: int
+    newton_kept: bool
 
 
 def lambda_star_solve(
@@ -380,13 +384,14 @@ def lambda_star_solve(
         return 1.0 / alpha - s / (alpha * t) - float(np.sum(w * x / (x + t)))
 
     try:
-        t = 1.0 / float(companion_stieltjes(-s, alpha, nu).m_tilde.real)
+        companion = companion_stieltjes(-s, alpha, nu)
+        t = 1.0 / float(companion.m_tilde.real)
         residual = equation(t)
         step = t - residual / (s / (alpha * t * t) + float(np.sum(w * x / (x + t) ** 2)))
-        if step > 0:
-            step_residual = equation(step)
-            if abs(step_residual) < abs(residual):
-                t, residual = step, step_residual
+        step_residual = equation(step) if step > 0 else math.inf
+        kept = abs(step_residual) < abs(residual)
+        if kept:
+            t, residual = step, step_residual
         residual = abs(residual)
         tol_eff = LAMBDA_STAR_TOL * max(1.0 / alpha, s / (alpha * t))
     except (OverflowError, ZeroDivisionError) as exc:  # e.g. alpha * t * t underflows to 0
@@ -394,7 +399,7 @@ def lambda_star_solve(
     # Negated so that a NaN residual fails too.
     if not residual <= tol_eff:
         raise NumericalFailureError("effective regularization root residual %g" % residual, residual=residual)
-    return LambdaStarResult(value=float(t), residual=residual)
+    return LambdaStarResult(value=float(t), residual=residual, iterations=companion.iterations, newton_kept=kept)
 
 
 def limit_inputs(

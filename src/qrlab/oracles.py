@@ -212,7 +212,7 @@ def quadform_moment_mc(
     while done < draws:
         m = min(1_000_000, draws - done)
         g = rng.standard_normal((m, d))
-        q = np.einsum("ij,jk,ik->i", g, a_mat, g) ** s
+        q = ((g @ a_mat) * g).sum(1) ** s
         total += float(q.sum())
         total_sq += float((q * q).sum())
         done += m
@@ -396,8 +396,8 @@ def oracle_check(mc_draws: int = 10_000_000, seed: int = 0) -> list[OracleResult
     b_sym = (b_sym + b_sym.T) / 2.0
     cross = quadform_cross_moment(a_sym, b_sym)
     g = rng.standard_normal((min(mc_draws, 2_000_000), 3))
-    qa = np.einsum("ij,jk,ik->i", g, a_sym, g)
-    qb = np.einsum("ij,jk,ik->i", g, b_sym, g)
+    qa = ((g @ a_sym) * g).sum(1)
+    qb = ((g @ b_sym) * g).sum(1)
     prod = qa * qb
     se = float(prod.std() / math.sqrt(prod.size))
     ok = abs(cross - float(prod.mean())) <= 5.0 * se

@@ -43,10 +43,10 @@ __all__ = [
     "law_to_csv",
 ]
 
-# Companion fixed point: the step budget of a cold start (all ladder stages),
-# the smaller one of a warm start (a caller that misses it falls back to a cold
-# start), and the residual tolerance at z relative to max(1, |z|) (on the
-# negative axis, to max(|z|, 1/mt) at every scale).
+# Companion fixed point: the step budget of each stage of a cold start's
+# ladder, the smaller one of a warm start (a caller that misses it falls back
+# to a cold start), and the residual tolerance at z relative to max(1, |z|)
+# (on the negative axis, to max(|z|, 1/mt) at every scale).
 STIELTJES_MAX_STEPS = 500
 STIELTJES_WARM_STEPS = 100
 STIELTJES_TOL = 1e-12
@@ -223,9 +223,9 @@ def companion_stieltjes(z: complex, alpha: float, nu: DiscreteLaw, initial: comp
     the negative axis the tolerance at z is ``STIELTJES_TOL * max(|z|, 1/mt)``,
     relative at every scale, since there 1/mt = alpha * int x/(1+x*mt) dnu + |z|
     is the largest term.
-    Every residual evaluation counts against one budget: ``STIELTJES_MAX_STEPS``
-    cold, ``STIELTJES_WARM_STEPS`` warm. The derivative comes in closed form:
-    mt' = 1 / (1/mt^2 - alpha * int x^2/(1+x*mt)^2 dnu).
+    Each stage may take ``STIELTJES_MAX_STEPS`` residual evaluations (cold) or
+    ``STIELTJES_WARM_STEPS`` (warm); ``iterations`` sums them. The derivative
+    comes in closed form: mt' = 1 / (1/mt^2 - alpha * int x^2/(1+x*mt)^2 dnu).
     """
     z = _check_point(z)
     if alpha < 0:
@@ -256,8 +256,9 @@ def companion_stieltjes(z: complex, alpha: float, nu: DiscreteLaw, initial: comp
         for stage in stages:
             tol = (STIELTJES_TOL if stage == z else min(1e-9, 1e-6 * abs(stage))) * max(1.0, abs(stage))
             relative = on_axis and stage == z
+            stage_end = used + budget
             while True:
-                if used == budget:
+                if used == stage_end:
                     raise NumericalFailureError(
                         "companion fixed point did not converge at z=%r (residual %.3g)" % (z, resid),
                         residual=resid, iterations=used,

@@ -304,10 +304,13 @@ def test_meta_records_each_ridge_solve(tmp_path, args):
     out = tmp_path / "o"
     assert main(args + ["--d", "8", "--seeds", "2,0,1", "--out", str(out)]) == 0
     solvers = json.loads((out / "results.meta.json").read_text())["solvers"]
-    # One entry per seed, in the order of the records and of runtime_ms.
-    assert [s["seed"] for s in solvers] == [2, 0, 1]
-    for solver in solvers:
-        assert set(solver) == {"seed", "ridge_residual_ratio"}
+    ridge = [s for s in solvers if "seed" in s]
+    # One entry per seed, in the order of the records and of runtime_ms; risk
+    # adds one lambda_* entry per rung after them.
+    assert [s["seed"] for s in ridge] == [2, 0, 1]
+    assert solvers[:3] == ridge and len(solvers) == 3 + (args[0] == "risk")
+    for solver in ridge:
+        assert set(solver) == {"d", "seed", "ridge_residual_ratio"}
         assert type(solver["ridge_residual_ratio"]) is float
         assert 0.0 <= solver["ridge_residual_ratio"] <= 1.0
     assert "solvers" not in _read(out)
@@ -440,8 +443,7 @@ def _write_config(tmp_path, config, name="cfg.json"):
     ("esd", [], {"cov": {"kind": "uniform", "lo": 1}}),
     ("esd", [], {"lam": 3}),
     ("esd", [], {"kernel": {"type": "exp", "junk": 5}}),
-    # Single-d experiments reject a ladder instead of using its first rung.
-    ("esd", ["--d", "10,20"], None),
+    # Experiments without seeds reject a ladder instead of using its first rung.
     ("mp-law", ["--d", "10,20"], None),
     # One spelling per subcommand and flag: no underscore alias, no flag prefix.
     ("mp_law", [], None),
@@ -457,15 +459,25 @@ def _write_config(tmp_path, config, name="cfg.json"):
     # float64 array this platform cannot address.
     ("approx-norm", ["--alpha", "1e-310"], None),
     ("esd", ["--alpha", "1e-300"], None),
+    # Counts below 1 and a negative noise level, before any work.
+    ("oracle-check", ["--mc-draws", "0"], None),
+    ("oracle-check", ["--mc-draws", "-5"], None),
+    ("risk", ["--n-test", "0"], None),
+    ("risk", [], {"n_repl": 0}),
+    ("lambda-star", ["--sigma-eps", "-0.5"], None),
+    ("risk", ["--kernel", "quartic:1,1,1", "--sigma-eps", "-0.5"], None),
 ], ids=["kernel-value", "custom-poly-empty", "cov-arity", "sampler-empty", "seeds-text", "d-text",
         "json-kernel-params", "json-cov-params", "json-unknown-key", "json-unknown-spec-key",
-        "esd-d-ladder", "mp-law-d-ladder", "underscore-subcommand", "flag-prefix", "risk-teacher-c0",
+        "mp-law-d-ladder", "underscore-subcommand", "flag-prefix", "risk-teacher-c0",
         "lambda-star-teacher-c1", "alpha-inf", "sigma-eps-nan", "json-lambda-nan",
-        "n-infinite", "n-unaddressable"])
+        "n-infinite", "n-unaddressable", "mc-draws-zero", "mc-draws-negative", "n-test-zero", "json-n-repl-zero",
+        "lambda-star-sigma-eps-negative", "risk-sigma-eps-negative"])
 def test_malformed_config_is_configuration_error(tmp_path, capsys, command, args, config):
     if config is not None:
         args = args + _write_config(tmp_path, config)
-    code = main([command, "--d", "6"] + args + ["--out", str(tmp_path / "x")])
+    # oracle-check reads no d.
+    lead = [] if command == "oracle-check" else ["--d", "6"]
+    code = main([command] + lead + args + ["--out", str(tmp_path / "x")])
     assert code == 1
     err = capsys.readouterr().err
     assert "configuration error" in err
@@ -872,3 +884,83 @@ def test_a_star_override_skips_the_computed_offset(tmp_path):
     # The computed a_star overflows on this covariance (see above).
     assert main(["lambda-star", "--d", "4", "--kernel", "exp", "--cov", "two_point:0,1800,0.5",
                  "--a-star-override", "1", "--out", str(tmp_path / "x")]) == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["esd", "--kernel", "quartic:1,1,1", "--cov", "uniform:0.5,1.5"],
+    ["train-error", "--kernel", "quartic:1,1,1"],
+    ["risk", "--kernel", "quartic:1,1,1", "--n-test", "50", "--n-repl", "2"],
+], ids=["esd", "train-error", "risk"])
+def test_ladder_rungs_equal_single_d_runs(tmp_path, monkeypatch, args):
+    monkeypatch.setenv("QRLAB_THREADS", "2")
+    seeds = ["--seeds", "2,0"]
+    ladder = tmp_path / "ladder"
+    assert main(args + seeds + ["--d", "8,10", "--out", str(ladder)]) == 0
+    payload = _read(ladder)
+    meta = json.loads((ladder / "results.meta.json").read_text())
+    assert len(meta["runtime_ms"]) == 4
+    for d in (8, 10):
+        single = tmp_path / str(d)
+        assert main(args + seeds + ["--d", str(d), "--out", str(single)]) == 0
+        one = _read(single)
+        # Field for field, the rung's records are the single-d run's.
+        assert [r for r in payload["records"] if r["d"] == d] == one["records"]
+        assert all(r["n"] == d * d // 2 for r in one["records"])
+        assert set(payload["summary"]) == {key + "_by_d" for key in one["summary"]}
+        for key, value in one["summary"].items():
+            assert payload["summary"][key + "_by_d"][str(d)] == value
+        if args[0] == "esd":
+            # The files describe the first rung.
+            for name in ("law.csv", "eigs.csv", "overlay.svg") if d == 8 else ():
+                assert (ladder / name).read_bytes() == (single / name).read_bytes()
+            single_solvers = json.loads((single / "results.meta.json").read_text())["solvers"]
+            start = 0 if d == 8 else len(single_solvers)
+            assert meta["solvers"][start:start + len(single_solvers)] == single_solvers
+    if args[0] != "esd":
+        ridge = [(s["d"], s["seed"]) for s in meta["solvers"] if "seed" in s]
+        assert ridge == [(8, 2), (8, 0), (10, 2), (10, 0)]
+
+
+def test_esd_ladder_pools_each_rungs_top_segment_first(tmp_path, monkeypatch):
+    import qrlab.cli as cli
+    from qrlab import spectra
+
+    map_seeds = cli._map_seeds
+    order = []
+
+    def recording(fn, items):
+        order.extend((d, "segment" if isinstance(x, spectra.LawSegment) else x) for d, x in items)
+        return map_seeds(fn, items)
+
+    monkeypatch.setattr(cli, "_map_seeds", recording)
+    assert main(["esd", "--d", "8,10", "--seeds", "2", "--out", str(tmp_path / "o")]) == 0
+    rest = [(d, "segment") for d in (8, 10) for _ in range(spectra.LAW_SEGMENTS - 1)]
+    assert order == [(8, "segment"), (10, "segment"), (8, 0), (8, 1), (10, 0), (10, 1), *rest]
+
+
+@pytest.mark.parametrize("experiment", ["lambda-star", "risk"])
+def test_meta_records_each_lambda_star_solve(tmp_path, experiment):
+    out = tmp_path / "o"
+    args = [experiment, "--kernel", "quartic:1,1,1", "--out", str(out)]
+    if experiment == "risk":
+        args += ["--d", "8,10", "--seeds", "2", "--n-test", "50", "--n-repl", "2"]
+    assert main(args) == 0
+    solvers = json.loads((out / "results.meta.json").read_text())["solvers"]
+    entries = [s for s in solvers if "lambda_star" in s]
+    # One per rung, after risk's per-task entries.
+    assert [s["d"] for s in entries] == ([8, 10] if experiment == "risk" else [24])
+    assert solvers[len(solvers) - len(entries):] == entries
+    payload = _read(out)
+    for entry in entries:
+        assert set(entry) == {"d", "lambda_star"}
+        solve = entry["lambda_star"]
+        assert set(solve) == {"value", "residual", "iterations", "newton_kept"}
+        assert type(solve["iterations"]) is int and solve["iterations"] >= 1
+        assert type(solve["newton_kept"]) is bool
+        assert type(solve["residual"]) is float and solve["residual"] >= 0.0
+        if experiment == "lambda-star":
+            assert solve["value"] == payload["summary"]["lambda_star"]
+            assert solve["residual"] == payload["summary"]["residual"]
+        else:
+            assert solve["value"] == payload["summary"]["lambda_star_by_d"][str(entry["d"])]
+    assert "solvers" not in payload

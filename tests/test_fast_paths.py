@@ -524,8 +524,8 @@ def _two_sum_companion(z, alpha, nu, initial=None):
     again at every Newton candidate, one call per continuation stage: the
     plain form of ``companion_stieltjes``, same steps and same floating-point
     operations (one reciprocal 1/(1 + a m) per iterate, then complex dot
-    products with the weighted atoms). A warm start from ``initial`` runs the
-    stage z alone on the smaller budget."""
+    products with the weighted atoms), with a budget per stage. A warm start
+    from ``initial`` runs the stage z alone on the smaller budget."""
     wa = (nu.weights * nu.atoms).astype(complex)
     wa2 = (nu.weights * nu.atoms**2).astype(complex)
 
@@ -587,9 +587,9 @@ def _two_sum_companion(z, alpha, nu, initial=None):
 
     for stage in stages:
         stage_tol = min(1e-9, 1e-6 * abs(stage)) * max(1.0, abs(stage))
-        m, its, resid, converged = solve(stage, m, budget - used, final_tol if stage == z else lambda m: stage_tol)
+        m, its, resid, converged = solve(stage, m, budget, final_tol if stage == z else lambda m: stage_tol)
         used += its
-        if not converged or (used >= budget and stage != z):
+        if not converged:
             raise NumericalFailureError("did not converge")
     if not on_axis and m.imag < -1e-10:
         raise NumericalFailureError("Nevanlinna violation")

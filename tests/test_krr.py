@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from qrlab import krr
+from qrlab import krr, spectra
 from qrlab.datagen import CovarianceSpec, MomentMatchedSampler, sample_dataset
 from qrlab.errors import (
     AssumptionViolationError,
@@ -358,6 +358,21 @@ def test_lambda_star_root_below_unit_scale(alpha, atom, a_star, lam):
     nu = DiscreteLaw.delta(atom)
     res = lambda_star_solve(alpha, nu, a_star, lam, 1.0)
     root = _brentq_lambda_star(alpha, nu, 4.0 * alpha * (a_star + lam))
+    assert abs(res.value - root) <= 1e-12 * root
+
+
+@pytest.mark.parametrize("alpha", [1e-50, 1e-100])
+def test_lambda_star_solves_far_below_unit_scale(alpha):
+    # The law of `lambda-star --d 8`. The companion cold start walks down from
+    # the support scale to |z| = s in factors of 4, about 80 and 160 stages
+    # here, more steps in all than one stage's budget: each stage has its own.
+    kernel = KernelFunction.exp()
+    a_star, nu = limit_inputs(kernel, CovarianceSpec.identity(8))
+    res = lambda_star_solve(alpha, nu, a_star, 1.0, kernel.derivs0[2])
+    s = 4.0 * alpha * (a_star + 1.0)
+    assert res.iterations > spectra.STIELTJES_MAX_STEPS
+    assert res.residual <= krr.LAMBDA_STAR_TOL * max(1.0 / alpha, s / (alpha * res.value))
+    root = _brentq_lambda_star(alpha, nu, s)
     assert abs(res.value - root) <= 1e-12 * root
 
 
