@@ -34,6 +34,7 @@ from .krr import (
     asymptotic_risk,
     asymptotic_training_error,
     empirical_risk,
+    empirical_training_error,
     krr_fit,
     make_labels,
     training_error,

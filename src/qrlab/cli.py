@@ -25,9 +25,10 @@ train-error only, other experiments reject them). Unknown keys in a spec
 are a configuration error. The sample count is derived as
 n = round(d^2/(2 alpha)); an n whose n x n float64 array this platform
 cannot address is a configuration error. approx-norm, esd, train-error and
-risk take a ladder of d values (--d 24,40), mp-law and lambda-star one d,
-oracle-check one seed. A trailing comma makes a one-seed list (--seeds 3, is
-seed 3; --seeds 3 is the count of seeds 0, 1, 2). The seeded experiments
+risk take a ladder of distinct d values (--d 24,40), mp-law and lambda-star
+one d, oracle-check one seed. Listed seeds are distinct; a trailing comma
+makes a one-seed list (--seeds 3, is seed 3; --seeds 3 is the count of seeds
+0, 1, 2). train-error and risk take lambda >= 0. The seeded experiments
 check every rung, then pool all (d, seed) tasks d-major on threads capped by
 QRLAB_THREADS (an integer >= 1; default the CPU count); esd pools its laws'
 grid segments beside them, each rung's top segment first and the others
@@ -85,7 +86,6 @@ import numpy as np
 import scipy
 
 from . import _lapack, datagen, kernels, krr, oracles, plots, spectra
-from .seeding import TEACHER, substream
 from .errors import (
     AssumptionViolationError,
     CapacityError,
@@ -146,9 +146,10 @@ def _list(load):
 
 
 def _seeds(v) -> list[int]:
-    """A list of seeds (a JSON list or comma text), else a seed count."""
+    """A list of distinct seeds (a JSON list or comma text), else a seed count."""
     if isinstance(v, list) or (isinstance(v, str) and "," in v):
-        return _list(_checked(_int, lambda s: s >= 0, "a nonnegative seed"))(v)
+        seeds = _list(_checked(_int, lambda s: s >= 0, "a nonnegative seed"))
+        return _checked(seeds, lambda ss: len(set(ss)) == len(ss), "distinct seeds")(v)
     return list(range(_checked(_int, lambda n: n >= 1, "a positive seed count")(v)))
 
 
@@ -227,7 +228,8 @@ def _field(default, load, help=None, key=None, hashed=True):
 class ExperimentConfig:
     experiment: str
     d: list[int] = _field(
-        [24], _list(_checked(_int, lambda n: n >= 1, "a positive dimension")),
+        [24], _checked(_list(_checked(_int, lambda n: n >= 1, "a positive dimension")),
+                       lambda ds: len(set(ds)) == len(ds), "distinct dimensions"),
         "dimension, or comma list for a ladder (experiments with seeds)",
     )
     alpha: float = _field(1.0, _checked(_float, lambda a: a > 0, "positive"))
@@ -532,20 +534,15 @@ def _run_mp_law(cfg: ExperimentConfig):
 
 def _run_train_error(cfg: ExperimentConfig):
     kernel = _build("kernel", cfg.kernel)
-    c0, c1 = cfg.teacher.get("c0", 0.0), cfg.teacher.get("c1", 0.0)
+    kind, c0, c1 = cfg.teacher["kind"], cfg.teacher.get("c0", 0.0), cfg.teacher.get("c1", 0.0)
 
-    def rung(cov):
-        return krr.asymptotic_training_error(kernel, cov, cfg.alpha, cfg.lam, cfg.c2, cfg.sigma_eps)
-
-    def task(predicted, data, seed):
-        draw = substream(seed, TEACHER, 0)
-        teacher = krr.TeacherModel.draw(cfg.teacher["kind"], data.covariance, draw, c0, c1, cfg.c2)
-        y = krr.make_labels(data, teacher, cfg.sigma_eps, seed)
-        # The ridge fit factors K in place, so a task peaks in K's strip build.
-        emp, ratio = krr._training_fit(kernels.kernel_matrix(data, kernel), y, cfg.lam)
+    def task(predicted, data, seed):  # replicate 0 of risk's ridge fit
+        emp, ratio = krr.empirical_training_error(data, kernel, kind, cfg.lam, cfg.sigma_eps, seed, c0, c1, cfg.c2)
         return {"empirical": emp, "predicted": predicted}, {"ridge_residual_ratio": ratio}
 
-    rungs, _, records, stats = _run_tasks(cfg, kernels.strip_build_bytes, rung, task)
+    rungs, _, records, stats = _run_tasks(
+        cfg, kernels.strip_build_bytes,
+        lambda cov: krr.asymptotic_training_error(kernel, cov, cfg.alpha, cfg.lam, cfg.c2, cfg.sigma_eps), task)
     line = "train error: mean empirical %(mean_empirical).6g vs predicted %(predicted).6g"
     return records, _summary(cfg, records, rungs, _versus, line), stats, {}
 
@@ -631,6 +628,8 @@ def run(cfg: ExperimentConfig) -> int:
         raise InvalidArgumentError("%s takes one d, got the ladder %s" % (cfg.experiment, ",".join(map(str, cfg.d))))
     if cfg.experiment == "oracle-check" and len(cfg.seeds) > 1:
         raise InvalidArgumentError("oracle-check takes one seed, got %s" % ",".join(map(str, cfg.seeds)))
+    if cfg.experiment in ("train-error", "risk") and cfg.lam < 0:
+        raise InvalidArgumentError("lambda must be nonnegative for %s, got %r" % (cfg.experiment, cfg.lam))
     if cfg.experiment != "train-error" and {"c0", "c1"} & set(cfg.teacher):
         raise InvalidArgumentError("teacher c0/c1 apply only to train-error, not to %s" % cfg.experiment)
     _thread_limit()  # a bad QRLAB_THREADS fails before any work starts

@@ -62,6 +62,7 @@ __all__ = [
     "risk_limit",
     "asymptotic_risk",
     "empirical_risk",
+    "empirical_training_error",
     "deterministic_equivalents",
 ]
 
@@ -268,19 +269,11 @@ def krr_fit(k_mat: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
 
 
 def training_error(k_mat: np.ndarray, y: np.ndarray, lam: float) -> float:
-    """Mean squared training residual of the ridge fit,
-    (lambda^2/n) y'(K+lambda I)^{-2} y = (lambda^2/n) |w|^2 for the
-    representer weights w. Factored on a copy of K, so the caller's K is
-    left as it was."""
-    return _training_fit(np.array(k_mat, dtype=np.float64, order="C"), y, lam)[0]
-
-
-def _training_fit(k_mat: np.ndarray, y: np.ndarray, lam: float) -> tuple[float, float]:
-    """``training_error`` with the ridge solve's residual over its bound,
-    factored in place: ``k_mat`` is overwritten (see ``RidgeFactor``)."""
-    y = np.asarray(y, dtype=np.float64)
-    w, ratio = RidgeFactor(k_mat, lam).solve(y)
-    return float(lam**2 / y.size * (w @ w)), ratio
+    """Mean squared training residual of the ridge fit, (lambda^2/n) |w|^2 =
+    (lambda^2/n) y'(K+lambda I)^{-2} y for the weights w of ``krr_fit``,
+    which leaves the caller's K as it was."""
+    w = krr_fit(k_mat, y, lam)
+    return float(lam**2 / w.size * (w @ w))
 
 
 def _check_risk_kernel(kernel: KernelFunction) -> None:
@@ -495,6 +488,30 @@ def asymptotic_risk(
     return risk_limit(alpha, nu, a_star, kernel.derivs0[2], lam, sigma_eps, teacher_kind)
 
 
+def _fit_replicates(dataset: Dataset, kernel: KernelFunction, teacher_kind: str, lam: float, sigma_eps: float,
+                    seed: int, n_repl: int, c0=0.0, c1=0.0, c2=1.0) -> tuple[list[TeacherModel], np.ndarray, float]:
+    """One seed's ridge fit for replicates r < n_repl: replicate r's teacher
+    and labels, each from its own substreams, solved as one block on K, which
+    is built, factored in place and freed here. Returns the teachers, the
+    n x n_repl weights and the solve's largest residual over its bound."""
+    if teacher_kind not in RISK_TEACHERS:
+        raise InvalidArgumentError("teacher_kind must be one of %r" % (RISK_TEACHERS,))
+    factor = RidgeFactor(kernel_matrix(dataset, kernel), lam)
+    teachers = [TeacherModel.draw(teacher_kind, dataset.covariance, substream(seed, TEACHER, r), c0, c1, c2)
+                for r in range(n_repl)]
+    labels = np.stack([make_labels(dataset, t, sigma_eps, seed, replicate=r) for r, t in enumerate(teachers)], axis=1)
+    return teachers, *factor.solve(labels)
+
+
+def empirical_training_error(dataset: Dataset, kernel: KernelFunction, teacher_kind: str, lam: float,
+                             sigma_eps: float, seed: int, c0=0.0, c1=0.0, c2=1.0) -> tuple[float, float]:
+    """Training error (lambda^2/n) |w|^2 of one seed's ridge fit and the solve's largest residual
+    over its bound. The fit is replicate 0 of ``empirical_risk``'s, with the teacher's offset ``c0``,
+    linear term ``c1`` and quadratic scale ``c2``; it factors K in place (``training_error`` copies K)."""
+    _, weights, ratio = _fit_replicates(dataset, kernel, teacher_kind, lam, sigma_eps, seed, 1, c0, c1, c2)
+    return float(lam**2 / dataset.n * (weights[:, 0] @ weights[:, 0])), ratio
+
+
 def empirical_risk(
     dataset: Dataset,
     kernel: KernelFunction,
@@ -513,25 +530,14 @@ def empirical_risk(
     ``n_test`` Gaussian test points; the replicate means are averaged and
     their spread gives the standard error. Every replicate draws from its
     own substreams, so all label vectors are drawn first and fitted by one
-    block solve. The test points are predicted in blocks of
-    ``RISK_BLOCK_ROWS`` rows (see ``_predict``), so the cross kernel against
-    the training set is never held whole.
+    block solve, which frees K before the first prediction. The test points
+    are predicted in blocks of ``RISK_BLOCK_ROWS`` rows (see ``_predict``),
+    so the cross kernel against the training set is never held whole.
     """
-    if teacher_kind not in RISK_TEACHERS:
-        raise InvalidArgumentError("teacher_kind must be one of %r" % (RISK_TEACHERS,))
     if n_repl < 1 or n_test < 1:
         raise InvalidArgumentError("need n_repl >= 1 and n_test >= 1")
-    sampler = MomentMatchedSampler.gaussian()
-    cov = dataset.covariance
-    # K is handed to its factor, which overwrites it: one n x n array.
-    factor = RidgeFactor(kernel_matrix(dataset, kernel), lam)
-    teachers = [TeacherModel.draw(teacher_kind, cov, substream(seed, TEACHER, r)) for r in range(n_repl)]
-    labels = np.stack([make_labels(dataset, t, sigma_eps, seed, replicate=r) for r, t in enumerate(teachers)], axis=1)
-    weights, ridge_ratio = factor.solve(labels)
-    # The predictions need neither K nor its factor, which is K's storage:
-    # freed before the first block, so two seed workers predicting side by
-    # side hold neither.
-    del labels, factor
+    teachers, weights, ridge_ratio = _fit_replicates(dataset, kernel, teacher_kind, lam, sigma_eps, seed, n_repl)
+    sampler, cov = MomentMatchedSampler.gaussian(), dataset.covariance
     scale = np.sqrt(cov.diag)[None, :]
     means = []
     for r, teacher in enumerate(teachers):

@@ -466,12 +466,15 @@ def _write_config(tmp_path, config, name="cfg.json"):
     ("risk", [], {"n_repl": 0}),
     ("lambda-star", ["--sigma-eps", "-0.5"], None),
     ("risk", ["--kernel", "quartic:1,1,1", "--sigma-eps", "-0.5"], None),
+    # A repeated d or seed would run the same tasks twice and average them.
+    ("train-error", ["--d", "8,8", "--kernel", "quartic:1,1,1"], None),
+    ("esd", ["--seeds", "0,0"], None),
 ], ids=["kernel-value", "custom-poly-empty", "cov-arity", "sampler-empty", "seeds-text", "d-text",
         "json-kernel-params", "json-cov-params", "json-unknown-key", "json-unknown-spec-key",
         "mp-law-d-ladder", "underscore-subcommand", "flag-prefix", "risk-teacher-c0",
         "lambda-star-teacher-c1", "alpha-inf", "sigma-eps-nan", "json-lambda-nan",
         "n-infinite", "n-unaddressable", "mc-draws-zero", "mc-draws-negative", "n-test-zero", "json-n-repl-zero",
-        "lambda-star-sigma-eps-negative", "risk-sigma-eps-negative"])
+        "lambda-star-sigma-eps-negative", "risk-sigma-eps-negative", "d-repeated", "seeds-repeated"])
 def test_malformed_config_is_configuration_error(tmp_path, capsys, command, args, config):
     if config is not None:
         args = args + _write_config(tmp_path, config)
@@ -651,9 +654,19 @@ def test_law_meta_records_each_segment_solve(tmp_path, experiment):
     ("lambda-star", "--d 4 --kernel exp --cov two_point:0,1800,0.5", 3, "non-finite"),
     # alpha * t * t underflows to 0 in the Newton step.
     ("lambda-star", "--d 8 --alpha 1e-300", 3, "numerical failure"),
+    # A negative ridge: a_star = 1/24 here, so at -0.01 the prediction's
+    # a_star + lambda > 0 holds, at -1 it does not; both are refused first.
+    ("train-error", "--d 8 --kernel quartic:1,1,1 --lambda -0.01 --seeds 1", 1, "lambda must be nonnegative"),
+    ("risk", "--d 8 --kernel quartic:1,1,1 --lambda -0.01 --seeds 1 --n-test 50 --n-repl 2", 1,
+     "lambda must be nonnegative"),
+    ("train-error", "--d 8 --kernel quartic:1,1,1 --lambda -1 --seeds 1", 1, "lambda must be nonnegative"),
+    ("risk", "--d 8 --kernel quartic:1,1,1 --lambda -1 --seeds 1 --n-test 50 --n-repl 2", 1,
+     "lambda must be nonnegative"),
 ], ids=["esd-overflow", "approx-norm-overflow", "esd-flat-kernel", "approx-norm-later-rung-overflow",
         "esd-trace-overflow", "approx-norm-trace-overflow", "train-error-trace-overflow", "risk-trace-overflow",
-        "train-error-a-star-overflow", "lambda-star-a-star-overflow", "lambda-star-tiny-alpha"])
+        "train-error-a-star-overflow", "lambda-star-a-star-overflow", "lambda-star-tiny-alpha",
+        "train-error-lambda-negative", "risk-lambda-negative", "train-error-lambda-below-a-star",
+        "risk-lambda-below-a-star"])
 def test_esd_and_gap_fail_before_the_n_by_n_work(tmp_path, monkeypatch, capsys, recwarn,
                                                  experiment, flags, code, message):
     import qrlab.kernels as kernels
@@ -672,6 +685,12 @@ def test_esd_and_gap_fail_before_the_n_by_n_work(tmp_path, monkeypatch, capsys, 
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_lambda_star_takes_a_negative_lambda_above_minus_a_star(tmp_path):
+    # a_star = 1/24 for quartic:1,1,1 at d=8: only a_star + lambda > 0 is asked.
+    assert main(["lambda-star", "--d", "8", "--kernel", "quartic:1,1,1", "--lambda", "-0.01",
+                 "--out", str(tmp_path / "ls")]) == 0
 
 
 def test_capacity_check_sums_the_largest_task_per_worker(monkeypatch):
@@ -767,7 +786,6 @@ def test_esd_and_train_error_estimates_bound_the_traced_peak():
     cov = datagen.CovarianceSpec.identity(d)
     kernel = KernelFunction.quartic(1.0, 1.0, 1.0)
     data = datagen.sample_dataset(n, d, cov, datagen.MomentMatchedSampler.gaussian(), 0)
-    teacher = krr.TeacherModel.draw("pure_quadratic", cov, np.random.default_rng(0))
     # One esd seed task, then one train-error seed task, as their runners do
     # them. esd solves K in place and the ridge fit factors it in place, so
     # each peaks at K and its strips, which the strip-build estimate bounds.
@@ -780,8 +798,7 @@ def test_esd_and_train_error_estimates_bound_the_traced_peak():
         del k_mat
         esd_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        y = krr.make_labels(data, teacher, 0.5, 0)
-        krr._training_fit(kernel_matrix(data, kernel), y, 1.0)
+        krr.empirical_training_error(data, kernel, "pure_quadratic", 1.0, 0.5, 0)
         train_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -23,6 +23,7 @@ from qrlab.krr import (
     asymptotic_training_error,
     deterministic_equivalents,
     empirical_risk,
+    empirical_training_error,
     krr_fit,
     lambda_star_solve,
     limit_inputs,
@@ -506,6 +507,21 @@ def test_empirical_risk_guards():
     kern = KernelFunction.quartic(1, 1, 1)
     with pytest.raises(InvalidArgumentError):
         empirical_risk(data, kern, "general", 1.0, 0.5, 10, 2, 0)
+
+
+@pytest.mark.parametrize("kind", krr.RISK_TEACHERS)
+def test_empirical_training_error_is_replicate_zero_of_the_risk_fit(kind):
+    data = _dataset(n=40, d=8, seed=3, cov=CovarianceSpec.uniform(8, 0.5, 1.5))
+    kern = KernelFunction.quartic(1, 1, 1)
+    lam, sigma_eps, seed = 0.3, 0.5, 5
+    for c0, c1, c2 in [(0.7, -0.4, 1.5), (0.0, 0.0, 1.0)]:
+        # Replicate 0's teacher and labels, fitted on a copy of K.
+        teacher = TeacherModel.draw(kind, data.covariance, substream(seed, TEACHER, 0), c0, c1, c2)
+        y0 = make_labels(data, teacher, sigma_eps, seed)
+        emp, ratio = empirical_training_error(data, kern, kind, lam, sigma_eps, seed, c0, c1, c2)
+        assert emp == training_error(kernel_matrix(data, kern), y0, lam)
+    # With c0 = c1 = 0 and c2 = 1 the fit is empirical_risk's at one replicate.
+    assert ratio == empirical_risk(data, kern, kind, lam, sigma_eps, 20, 1, seed)[2]
 
 
 def test_surrogate_transfer_training_error_gap_decays():
