@@ -54,6 +54,7 @@ Seed discipline: each record's master seed is split into fixed consumer
 substreams (data=1, teacher=2, noise=3, test=4) so adding a consumer never
 shifts another consumer's stream.
 
+A run prints after its files are written; a closed stdout still exits 0.
 Exit codes: 0 success, 1 configuration error, 2 assumption violation,
 3 numerical failure or capacity error. Every experiment that reads a kernel
 exits 3 before any n x n work when a surrogate coefficient (a0, a1, a2,
@@ -434,16 +435,16 @@ def _run_tasks(cfg: ExperimentConfig, task_bytes, rung, task, law=None):
 
 
 def _summary(cfg: ExperimentConfig, records, rungs, per_rung, line=None, by_d=False):
-    """``per_rung(records, inputs)`` of each rung, printed as ``line`` (a
-    %-format of its keys and ``seeds``): for one d that summary, unless
-    ``by_d``; else each key becomes ``<key>_by_d``, {str(d): value}."""
+    """``per_rung(records, inputs)`` of each rung and its stdout lines, one per
+    rung as ``line`` (a %-format of its keys and ``seeds``): for one d that
+    summary, unless ``by_d``; else each key becomes ``<key>_by_d``, {str(d): value}."""
     per_d = {d: per_rung([r for r in records if r["d"] == d], inputs) for d, inputs in rungs.items()}
     ladder = len(cfg.d) > 1
-    for d, s in per_d.items() if line else ():
-        print(("d=%d: " % d if ladder else "") + line % {**s, "seeds": len(cfg.seeds)})
+    lines = [("d=%d: " % d if ladder else "") + line % {**s, "seeds": len(cfg.seeds)}
+             for d, s in per_d.items()] if line else []
     if not (ladder or by_d):
-        return per_d[cfg.d[0]]
-    return {"%s_by_d" % key: {str(d): s[key] for d, s in per_d.items()} for key in per_d[cfg.d[0]]}
+        return per_d[cfg.d[0]], lines
+    return {"%s_by_d" % key: {str(d): s[key] for d, s in per_d.items()} for key in per_d[cfg.d[0]]}, lines
 
 
 def _versus(records, predicted: float) -> dict:
@@ -477,7 +478,7 @@ def _run_approx_norm(cfg: ExperimentConfig):
     keys = ("gap", "gap_naive") if cfg.compare_naive else ("gap",)
     summary = _summary(cfg, records, rungs, lambda recs, _: {
         "median_" + key: float(np.median([r[key] for r in recs])) for key in keys}, by_d=True)
-    return records, summary, stats, {}
+    return records, *summary, stats, {}
 
 
 def _run_esd(cfg: ExperimentConfig):
@@ -509,7 +510,7 @@ def _run_esd(cfg: ExperimentConfig):
     }
     summary = _summary(cfg, records, rungs, lambda recs, _: {"median_ks": float(np.median([r["ks"] for r in recs]))},
                        "KS median over %(seeds)d seeds: %(median_ks).4f")
-    return records, summary, stats, files
+    return records, *summary, stats, files
 
 
 def _run_mp_law(cfg: ExperimentConfig):
@@ -529,12 +530,14 @@ def _run_mp_law(cfg: ExperimentConfig):
         "total_mass": law.total_mass(),
         "grid_points": int(law.grid.size),
     }]
-    return records, records[0], {"law_build_ms": law_build_ms, "solvers": list(law.solvers)}, files
+    return records, records[0], [], {"law_build_ms": law_build_ms, "solvers": list(law.solvers)}, files
 
 
 def _run_train_error(cfg: ExperimentConfig):
     kernel = _build("kernel", cfg.kernel)
     kind, c0, c1 = cfg.teacher["kind"], cfg.teacher.get("c0", 0.0), cfg.teacher.get("c1", 0.0)
+    # The deterministic teacher's (c2/d) x'Sigma x concentrates on a constant the fit absorbs: no signal term.
+    limit_c2 = 0.0 if kind == "deterministic_sigma" else cfg.c2
 
     def task(predicted, data, seed):  # replicate 0 of risk's ridge fit
         emp, ratio = krr.empirical_training_error(data, kernel, kind, cfg.lam, cfg.sigma_eps, seed, c0, c1, cfg.c2)
@@ -542,9 +545,9 @@ def _run_train_error(cfg: ExperimentConfig):
 
     rungs, _, records, stats = _run_tasks(
         cfg, kernels.strip_build_bytes,
-        lambda cov: krr.asymptotic_training_error(kernel, cov, cfg.alpha, cfg.lam, cfg.c2, cfg.sigma_eps), task)
+        lambda cov: krr.asymptotic_training_error(kernel, cov, cfg.alpha, cfg.lam, limit_c2, cfg.sigma_eps), task)
     line = "train error: mean empirical %(mean_empirical).6g vs predicted %(predicted).6g"
-    return records, _summary(cfg, records, rungs, _versus, line), stats, {}
+    return records, *_summary(cfg, records, rungs, _versus, line), stats, {}
 
 
 def _run_lambda_star(cfg: ExperimentConfig):
@@ -561,8 +564,7 @@ def _run_lambda_star(cfg: ExperimentConfig):
         "B": pred.B,
         "total": pred.total,
     }
-    print("lambda_star = %.12g" % ls.value)
-    return [record], record, {"solvers": [{"d": d, "lambda_star": asdict(ls)}]}, {}
+    return [record], record, ["lambda_star = %.12g" % ls.value], {"solvers": [{"d": d, "lambda_star": asdict(ls)}]}, {}
 
 
 def _run_risk(cfg: ExperimentConfig):
@@ -586,19 +588,19 @@ def _run_risk(cfg: ExperimentConfig):
         cfg, lambda n, d: krr.empirical_risk_bytes(n, d, cfg.n_test, cfg.n_repl), rung, task)
     stats["solvers"] += [{"d": d, "lambda_star": asdict(pred.solution)} for d, pred in rungs.items()]
     line = "risk: mean empirical %(mean_empirical).6g vs predicted %(predicted).6g"
-    return records, _summary(cfg, records, rungs, per_rung, line), stats, {}
+    return records, *_summary(cfg, records, rungs, per_rung, line), stats, {}
 
 
 def _run_oracle_check(cfg: ExperimentConfig):
     results = oracles.oracle_check(mc_draws=cfg.mc_draws, seed=cfg.seeds[0])
     records = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
     width = max(len(r.name) for r in results)
-    for r in results:
-        print("%-*s  %s  %s" % (width, r.name, "PASS" if r.passed else "FAIL", r.detail))
+    lines = ["%-*s  %s  %s" % (width, r.name, "PASS" if r.passed else "FAIL", r.detail) for r in results]
     summary = {"passed": all(r.passed for r in results), "checks": len(results)}
     if not summary["passed"]:
+        _emit(lines)  # the table explains the failure; no files are written
         raise NumericalFailureError("oracle suite reported failures")
-    return records, summary, {}, {}
+    return records, summary, lines, {}, {}
 
 
 # Each experiment's runner and the config keys it reads. A subcommand takes
@@ -619,7 +621,8 @@ _EXPERIMENT_TABLE = {
 
 
 def run(cfg: ExperimentConfig) -> int:
-    """Execute one experiment; returns the process exit code."""
+    """Execute one experiment; returns the process exit code. A runner returns
+    its records, summary, stdout lines, stats and files; the lines print last."""
     try:
         runner = _EXPERIMENT_TABLE[cfg.experiment][0]
     except KeyError:
@@ -634,12 +637,21 @@ def run(cfg: ExperimentConfig) -> int:
         raise InvalidArgumentError("teacher c0/c1 apply only to train-error, not to %s" % cfg.experiment)
     _thread_limit()  # a bad QRLAB_THREADS fails before any work starts
     t0 = time.perf_counter()
-    records, summary, stats, files = runner(cfg)
+    records, summary, lines, stats, files = runner(cfg)
     # Runners off the seed pool are timed as a whole.
     stats.setdefault("runtime_ms", [(time.perf_counter() - t0) * 1000.0])
     out = _write_outputs(cfg, records, summary, stats, files)
-    print("wrote %s" % (out / "results.json"))
+    _emit([*lines, "wrote %s" % (out / "results.json")])
     return 0
+
+
+def _emit(lines) -> None:
+    """Print ``lines`` on stdout. A closed stdout (``| head``) drops them, and
+    /dev/null takes its place so that the interpreter's last flush succeeds."""
+    try:
+        print("".join(line + "\n" for line in lines), end="", flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 class _Parser(argparse.ArgumentParser):

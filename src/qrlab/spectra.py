@@ -8,9 +8,11 @@ transform ``mt`` solving the scalar fixed point
     z = -1/mt + alpha * integral x / (1 + x*mt) dnu(x),
 
 valid for z in the upper half plane or on the negative real axis. The
-density is recovered by Stieltjes inversion, densities/integrals of the law
-come from ``mt`` and its derivative, and the point mass at zero (present
-when ``alpha < 1``) is handled analytically.
+density is recovered by Stieltjes inversion in one place, the sweep of a
+``LawSegment``: ``deformed_mp_law`` assembles its grid's segments, and
+densities at any points come from ``LawSegment(alpha, nu.compressed(), x)()``.
+Integrals of the law come from ``mt`` and its derivative, and the point mass
+at zero (present when ``alpha < 1``) is handled analytically.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ __all__ = [
     "mp_support",
     "mp_density",
     "companion_stieltjes",
-    "deformed_mp_density",
     "law_segments",
     "deformed_mp_law",
     "law_integrals",
@@ -354,65 +355,8 @@ class SpectralLaw:
         return out
 
 
-def _law_eta(alpha: float, nu: DiscreteLaw) -> float:
-    return LAW_ETA_SCALE * _support_scale(alpha, nu)
-
-
-def _sweep(alpha: float, nu: DiscreteLaw, eta: float, xs: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Densities at the points ``xs`` and the sweep's solver statistics.
-
-    The sweep runs from the largest point (cold start) down, warm-starting
-    each solve from the last root. Near band edges a warm start can sit on
-    the wrong side of the square-root branch point; a failed warm solve is
-    repeated from a cold start, whose continuation ladder tracks the root
-    down in eta instead.
-    """
-    atom0 = max(1.0 - alpha, 0.0)
-    dens = np.empty_like(xs)
-    stats = {"calls": 0, "iterations": 0, "iterations_max": 0, "cold_restarts": 0, "failed_warm_steps": 0}
-    warm = None
-    for idx in np.argsort(xs)[::-1]:
-        z = complex(xs[idx], eta)
-        stats["calls"] += 1
-        try:
-            ev = companion_stieltjes(z, alpha, nu, initial=warm)
-        except NumericalFailureError as exc:
-            if warm is None:
-                raise
-            stats["calls"] += 1
-            stats["cold_restarts"] += 1
-            stats["failed_warm_steps"] += exc.iterations
-            ev = companion_stieltjes(z, alpha, nu, initial=None)
-        stats["iterations"] += ev.iterations
-        stats["iterations_max"] = max(stats["iterations_max"], ev.iterations)
-        warm = ev.m_tilde
-        val = ev.m_tilde.imag / math.pi
-        if atom0 > 0:
-            val -= atom0 * eta / (xs[idx] ** 2 + eta**2) / math.pi
-        dens[idx] = max(val, 0.0)
-    return dens, stats
-
-
-def deformed_mp_density(alpha: float, nu: DiscreteLaw, x) -> np.ndarray | float:
-    """Continuous part of the deformed MP law at points ``x``.
-
-    Stieltjes inversion density = Im mt(x + i LAW_ETA_SCALE s) / pi, with the
-    smeared contribution of the analytic atom at zero subtracted when alpha < 1.
-    The points are solved in one sweep from the largest down (outside the
-    support, where -1/z is an accurate start) toward the hard edge.
-    """
-    if alpha <= 0:
-        raise InvalidArgumentError("alpha must be positive")
-    nu_c = nu.compressed()
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    dens, _ = _sweep(alpha, nu_c, _law_eta(alpha, nu_c), xs)
-    if np.isscalar(x):
-        return float(dens[0])
-    return dens
-
-
 class LawSweep(NamedTuple):
-    """One swept grid segment: its points (ascending), their densities, and
+    """One sweep: its points (in the segment's order), their densities, and
     its solver statistics: ``calls`` to companion_stieltjes (the failed warm
     attempts included), the sum and maximum of the converged solves'
     ``iterations``, the ``cold_restarts`` after a failed warm attempt and the
@@ -426,22 +370,56 @@ class LawSweep(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class LawSegment:
-    """One contiguous segment of the inversion grid of ``deformed_mp_law``;
-    calling it sweeps its points downward from a cold start at its top."""
+    """Points of the deformed MP law for ``alpha > 0`` and a compressed ``nu``:
+    a segment of the inversion grid of ``deformed_mp_law``, or any points.
+
+    Calling it sweeps the points from the largest (cold start) down,
+    warm-starting each solve from the last root. Near band edges a warm start
+    can sit on the wrong side of the square-root branch point; a failed warm
+    solve is repeated from a cold start, whose continuation ladder tracks the
+    root down in eta instead. The density is Im mt(x + i eta) / pi at
+    eta = LAW_ETA_SCALE s, less the smeared atom at zero when alpha < 1.
+    """
 
     alpha: float
     nu: DiscreteLaw
     x: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float64))
+        if self.alpha <= 0:
+            raise InvalidArgumentError("alpha must be positive")
+
     def __call__(self) -> LawSweep:
-        try:
-            dens, stats = _sweep(self.alpha, self.nu, _law_eta(self.alpha, self.nu), self.x)
-        except NumericalFailureError as exc:
-            raise NumericalFailureError(
-                "density inversion failed: %s" % exc, residual=exc.residual, iterations=exc.iterations
-            ) from exc
-        where = {"points": int(self.x.size), "x_min": float(self.x[0]), "x_max": float(self.x[-1])}
-        return LawSweep(self.x, dens, {**where, **stats})
+        alpha, nu, xs = self.alpha, self.nu, self.x
+        eta = LAW_ETA_SCALE * _support_scale(alpha, nu)
+        atom0 = max(1.0 - alpha, 0.0)
+        dens = np.empty_like(xs)
+        stats = {"points": int(xs.size), "x_min": float(xs.min()), "x_max": float(xs.max()), "calls": 0,
+                 "iterations": 0, "iterations_max": 0, "cold_restarts": 0, "failed_warm_steps": 0}
+        warm = None
+        for idx in np.argsort(xs)[::-1]:
+            z = complex(xs[idx], eta)
+            for start in (warm, None):
+                stats["calls"] += 1
+                try:
+                    ev = companion_stieltjes(z, alpha, nu, initial=start)
+                    break
+                except NumericalFailureError as exc:
+                    if start is None:
+                        raise NumericalFailureError(
+                            "density inversion failed: %s" % exc, residual=exc.residual, iterations=exc.iterations
+                        ) from exc
+                    stats["cold_restarts"] += 1
+                    stats["failed_warm_steps"] += exc.iterations
+            stats["iterations"] += ev.iterations
+            stats["iterations_max"] = max(stats["iterations_max"], ev.iterations)
+            warm = ev.m_tilde
+            val = ev.m_tilde.imag / math.pi
+            if atom0 > 0:
+                val -= atom0 * eta / (xs[idx] ** 2 + eta**2) / math.pi
+            dens[idx] = max(val, 0.0)
+        return LawSweep(xs, dens, stats)
 
 
 def law_segments(alpha: float, nu: DiscreteLaw) -> list[LawSegment]:

@@ -981,3 +981,59 @@ def test_meta_records_each_lambda_star_solve(tmp_path, experiment):
         else:
             assert solve["value"] == payload["summary"]["lambda_star_by_d"][str(entry["d"])]
     assert "solvers" not in payload
+
+
+def test_closed_stdout_keeps_the_run(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    # The reader of stdout is gone before the run prints: the files are
+    # written first, and the run still exits 0, without a traceback.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qrlab.cli", "esd", "--d", "8", "--seeds", "1",
+                               "--out", str(tmp_path / "x")], stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0, proc.stderr
+    assert _read(tmp_path / "x")["summary"]["median_ks"] >= 0
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["esd", "--d", "8,10", "--seeds", "1"],
+    ["train-error", "--d", "8", "--kernel", "quartic:1,1,1", "--seeds", "1"],
+    ["lambda-star", "--d", "8"],
+], ids=["esd", "train-error", "lambda-star"])
+def test_files_are_written_before_stdout(tmp_path, monkeypatch, capsys, args):
+    import qrlab.cli as cli
+
+    write = cli._write_outputs
+    printed = []
+
+    def checked(*a, **kw):
+        printed.append(capsys.readouterr().out)
+        return write(*a, **kw)
+
+    monkeypatch.setattr(cli, "_write_outputs", checked)
+    assert main(args + ["--out", str(tmp_path / "x")]) == 0
+    assert printed == [""]
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) >= 2 and out[-1] == "wrote %s" % (tmp_path / "x" / "results.json")
+
+
+@pytest.mark.parametrize("lam", [0.3, 3.0])
+def test_deterministic_teacher_train_error_limit_is_noise_only(tmp_path, lam):
+    # (c2/d) x' Sigma x concentrates on a constant that the fit absorbs, so
+    # the limit has no signal term; at d=40 the finite-d gap is about 0.16.
+    args = ["train-error", "--d", "40", "--kernel", "quartic:1,1,1", "--teacher", "deterministic_sigma",
+            "--lambda", str(lam), "--seeds", "0,1"]
+    assert main(args + ["--sigma-eps", "0.5", "--out", str(tmp_path / "noisy")]) == 0
+    assert _read(tmp_path / "noisy")["summary"]["relative_gap"] < 0.2
+    assert main(args + ["--sigma-eps", "0", "--out", str(tmp_path / "clean")]) == 0
+    assert _read(tmp_path / "clean")["summary"]["predicted"] == 0.0

@@ -12,9 +12,9 @@ from qrlab.datagen import CovarianceSpec, MomentMatchedSampler, sample_dataset, 
 from qrlab.errors import InvalidArgumentError, NumericalFailureError
 from qrlab.spectra import (
     DiscreteLaw,
+    LawSegment,
     _checked_symmetric,
     companion_stieltjes,
-    deformed_mp_density,
     deformed_mp_law,
     esd,
     ks_distance,
@@ -226,7 +226,7 @@ def test_companion_mass_normalization():
 
 def test_deformed_law_matches_mp_closed_form():
     xs = np.linspace(0.05, 3.95, 80)
-    dens = deformed_mp_density(1.0, DiscreteLaw.delta(1.0), xs)
+    dens = LawSegment(1.0, DiscreteLaw.delta(1.0), xs)().density
     assert np.abs(dens - mp_density(1.0, xs)).max() <= 2e-3
 
 
@@ -245,8 +245,8 @@ def test_deformed_law_atom_and_mass():
 def test_isotropic_collapse_rescaling(alpha):
     # The delta_2 law at 2x, times 2, is the delta_1 law at x.
     xs = np.linspace(0.05, 0.95, 40) * (1.0 + math.sqrt(alpha)) ** 2
-    via_delta2 = 2.0 * deformed_mp_density(alpha, DiscreteLaw.delta(2.0), 2.0 * xs)
-    via_delta1 = deformed_mp_density(alpha, DiscreteLaw.delta(1.0), xs)
+    via_delta2 = 2.0 * LawSegment(alpha, DiscreteLaw.delta(2.0), 2.0 * xs)().density
+    via_delta1 = LawSegment(alpha, DiscreteLaw.delta(1.0), xs)().density
     assert np.abs(via_delta2 - via_delta1).max() <= 2e-3
 
 
@@ -401,7 +401,7 @@ def test_segmented_law_matches_one_sweep(cov, alpha):
     law = deformed_mp_law(alpha, nu)
     grid = np.concatenate([segment.x for segment in spectra.law_segments(alpha, nu)[::-1]])
     assert grid.size == spectra.LAW_GRID_POINTS and np.all(np.diff(grid) > 0)
-    dens = deformed_mp_density(alpha, nu, grid)
+    dens = LawSegment(alpha, nu.compressed(), grid)().density
     live = np.nonzero(dens > spectra.LAW_DENSITY_FLOOR)[0]
     lo, hi = max(int(live[0]) - 1, 0), min(int(live[-1]) + 2, grid.size)
     np.testing.assert_array_equal(law.grid, grid[lo:hi])
@@ -467,3 +467,33 @@ def test_unconverged_companion_solve_reports_its_steps(monkeypatch, initial, bud
     with pytest.raises(NumericalFailureError, match="did not converge") as info:
         companion_stieltjes(complex(1.0, 1e-8), 1.0, DiscreteLaw.delta(1.0), initial=initial)
     assert info.value.iterations == 3 and info.value.residual > 0
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0])
+def test_law_segment_rejects_nonpositive_alpha(alpha):
+    with pytest.raises(InvalidArgumentError, match="alpha must be positive"):
+        LawSegment(alpha, DiscreteLaw.delta(1.0), np.linspace(0.1, 3.0, 5))
+
+
+def test_law_segment_reports_a_failed_cold_start(monkeypatch):
+    # The top point has no warm start to fall back from: its cold failure is the segment's.
+    monkeypatch.setattr(spectra, "STIELTJES_MAX_STEPS", 1)
+    segment = spectra.law_segments(1.0, DiscreteLaw.delta(1.0))[0]
+    with pytest.raises(NumericalFailureError, match="density inversion failed: .*did not converge") as info:
+        segment()
+    assert info.value.iterations == 1 and info.value.residual > 0
+
+
+def test_law_segment_sweeps_any_order_largest_first():
+    nu = DiscreteLaw.from_values([1.0, 2.0, 3.0])
+    xs = np.linspace(0.05, 8.0, 60)
+    ascending = LawSegment(0.5, nu, xs)()
+    order = np.random.default_rng(0).permutation(xs.size)
+    shuffled = LawSegment(0.5, nu, xs[order])()
+    np.testing.assert_array_equal(shuffled.density, ascending.density[order])
+    assert shuffled.solver == ascending.solver
+    assert (ascending.solver["x_min"], ascending.solver["x_max"]) == (0.05, 8.0)
+    # Points may be any array-like, integers included: they are swept as float64.
+    as_ints = LawSegment(0.5, nu, [1, 2, 3])()
+    np.testing.assert_array_equal(as_ints.density, LawSegment(0.5, nu, np.array([1.0, 2.0, 3.0]))().density)
+    assert as_ints.density.dtype == np.float64 and as_ints.density.min() > 0
