@@ -1,10 +1,8 @@
 """Kernel ridge regression: fits, empirical errors, asymptotic predictors.
 
-The asymptotic side evaluates the quadratic-regime limits: the training
-error integral against the deformed MP law, the effective regularization
-lambda_* (the companion fixed point at z = -s, certified on its scalar
-self-consistent equation), and the variance/bias pair (V, B) built from
-resolvent moments of the population tensor law.
+The asymptotic side evaluates the quadratic-regime limits: the training error and the variance/bias
+pair (V, B) all read one certified root, the effective regularization lambda_* (the companion fixed
+point at z = -s), through J1 = int x/(x+lambda_*)^2 dnu and J2 = int x^2/(x+lambda_*)^2 dnu.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from .kernels import (
     strip_build_bytes,
 )
 from .seeding import NOISE, TEACHER, TEST, substream
-from .spectra import DiscreteLaw, companion_stieltjes, law_integrals
+from .spectra import DiscreteLaw, companion_stieltjes
 
 __all__ = [
     "TeacherModel",
@@ -303,6 +301,27 @@ def _limit_shift(alpha: float, a_star: float, lam: float, second_deriv: float) -
     return 4.0 * alpha * (a_star + lam) / second_deriv
 
 
+def _limit_sums(alpha: float, nu: DiscreteLaw, a_star: float, lam: float, second_deriv: float):
+    """The certified root t = lambda_* of ``lambda_star_solve`` with J1 = int x/(x+t)^2 dnu, J2 = int x^2/(x+t)^2 dnu
+    and the limits' denominator 1 - alpha J2, which must exceed 1e-8 (AssumptionViolationError otherwise)."""
+    ls = lambda_star_solve(alpha, nu, a_star, lam, second_deriv)
+    x, w, t = nu.atoms, nu.weights, ls.value
+    j1 = float(np.sum(w * x / (x + t) ** 2))
+    j2 = float(np.sum(w * x**2 / (x + t) ** 2))
+    denom = 1.0 - alpha * j2
+    if denom <= 1e-8:
+        raise AssumptionViolationError("limit denominator 1 - alpha J2 = %g is not above 1e-8" % denom,
+                                       detail={"alpha_j2": alpha * j2})
+    return ls, j1, j2, denom
+
+
+def _finite(name: str, value: float) -> float:
+    """A limit value; inf or NaN (an overflow) raises NumericalFailureError."""
+    if not math.isfinite(value):
+        raise NumericalFailureError("%s is non-finite" % name)
+    return value
+
+
 def train_error_limit(
     alpha: float,
     nu: DiscreteLaw,
@@ -312,20 +331,19 @@ def train_error_limit(
     c2: float,
     sigma_eps: float,
 ) -> float:
-    """Limiting training error.
-
-    lambda^2 * integral (c2^2 x / alpha + sigma^2) /
-    (f''(0) x / (4 alpha) + a_star + lambda)^2 dmu(x), evaluated through the
-    companion transform at shift s = 4 alpha (a_star + lambda) / f''(0).
-    The limit holds for f''(0) > 0 and a_star + lambda > 0; anything else
-    raises AssumptionViolationError, even at lambda = 0, where it is 0.
-    """
-    s = _limit_shift(alpha, a_star, lam, second_deriv)
+    """Limiting training error lambda^2 int (c2^2 x / alpha + sigma^2) / (f''(0) x / (4 alpha) + a_star + lambda)^2
+    dmu(x) over the deformed MP law mu, read off the certified root lambda_* as the sum of positive terms
+    (4 alpha lambda / f''(0))^2 (c2^2 J1 + sigma^2 / lambda_*^2) / (1 - alpha J2). It holds for f''(0) > 0 and
+    a_star + lambda > 0; anything else raises AssumptionViolationError, even at lambda = 0, where it is 0."""
     if lam == 0:
+        _limit_shift(alpha, a_star, lam, second_deriv)
         return 0.0
-    _, i1, i2 = law_integrals(alpha, nu, s)
-    scale = (4.0 * alpha / second_deriv) ** 2
-    return float(lam**2 * scale * ((c2**2 / alpha) * i1 + sigma_eps**2 * i2))
+    ls, j1, _, denom = _limit_sums(alpha, nu, a_star, lam, second_deriv)
+    # Squares are products: a float's ** raises OverflowError where a product goes to inf.
+    scale = 4.0 * alpha * lam / second_deriv
+    ratio = scale / ls.value
+    signal = c2 * c2 * (scale * scale * j1)
+    return _finite("training error limit", (signal + sigma_eps * sigma_eps * (ratio * ratio)) / denom)
 
 
 def asymptotic_training_error(
@@ -445,32 +463,18 @@ def risk_limit(
 
     with J1 = int x/(x+lambda_*)^2 dnu and J2 = int x^2/(x+lambda_*)^2 dnu.
     The bias enters only for the random quadratic teacher; the deterministic
-    teacher's B is 0.0 and is not formed. A non-finite B raises
-    NumericalFailureError.
+    teacher's B is 0.0 and is not formed. A non-finite B, sigma_eps^2 V or
+    total raises NumericalFailureError.
     """
     if teacher_kind not in RISK_TEACHERS:
         raise InvalidArgumentError("teacher_kind must be one of %r" % (RISK_TEACHERS,))
-    ls = lambda_star_solve(alpha, nu, a_star, lam, second_deriv)
-    t = ls.value
-    x, w = nu.atoms, nu.weights
-    j1 = float(np.sum(w * x / (x + t) ** 2))
-    j2 = float(np.sum(w * x**2 / (x + t) ** 2))
-    denom = 1.0 - alpha * j2
-    if denom <= 1e-8:
-        raise AssumptionViolationError(
-            "variance denominator 1 - alpha J2 = %g is not positive" % denom,
-            detail={"alpha_j2": alpha * j2},
-        )
+    ls, j1, j2, denom = _limit_sums(alpha, nu, a_star, lam, second_deriv)
     v = alpha * j2 / denom
     b = 0.0
     if teacher_kind != "deterministic_sigma":
-        try:
-            b = (t / (a_star + lam)) ** 2 * j1 / denom
-        except OverflowError:
-            b = math.inf
-        if not math.isfinite(b):
-            raise NumericalFailureError("bias B is non-finite: lambda_*/(a_star + lambda) = %g" % (t / (a_star + lam)))
-    return RiskPrediction(solution=ls, V=v, B=b, total=sigma_eps**2 * v + b)
+        ratio = ls.value / (a_star + lam)
+        b = _finite("bias B", ratio * ratio * j1 / denom)
+    return RiskPrediction(solution=ls, V=v, B=b, total=_finite("risk total", sigma_eps * sigma_eps * v + b))
 
 
 def asymptotic_risk(
@@ -640,19 +644,13 @@ def deterministic_equivalents(
         raise SingularSystemError("tensor resolvent is not positive definite")
     inv = np.eye(p, order="F")
     _lapack.potrs(m_mat, inv)
-    sig2 = nu.atoms
-    first_emp = coeffs.a2 * float(np.sum(np.diag(inv) * sig2))
-    second_emp = coeffs.a2 * (coeffs.a_star + lam) * float(np.sum((inv * inv).sum(axis=0) * sig2))
-    bias_emp = 2.0 / cov.d**2 * float(np.sum((inv * inv).sum(axis=0) * sig2))
+    first = float(np.sum(np.diag(inv) * nu.atoms))  # Tr(M^{-1} S2)
+    second = float(np.sum((inv * inv).sum(axis=0) * nu.atoms))  # Tr(M^{-2} S2)
 
-    a_star = coeffs.a_star
-    pred = risk_limit(alpha, nu.compressed(), a_star, second_deriv, lam, 0.0, "pure_quadratic")
-    head = pred.solution.value / _limit_shift(alpha, a_star, lam, second_deriv)
-    first_pred = head - 1.0
-    second_pred = head - (1.0 + pred.V)
-    bias_pred = pred.B
+    pred = risk_limit(alpha, nu.compressed(), coeffs.a_star, second_deriv, lam, 0.0, "pure_quadratic")
+    head = pred.solution.value / _limit_shift(alpha, coeffs.a_star, lam, second_deriv)
     return {
-        "first": (first_emp, first_pred),
-        "second": (second_emp, second_pred),
-        "bias": (bias_emp, bias_pred),
+        "first": (coeffs.a2 * first, head - 1.0),
+        "second": (coeffs.a2 * (coeffs.a_star + lam) * second, head - (1.0 + pred.V)),
+        "bias": (2.0 / cov.d**2 * second, pred.B),
     }

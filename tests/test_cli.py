@@ -654,6 +654,11 @@ def test_law_meta_records_each_segment_solve(tmp_path, experiment):
     ("lambda-star", "--d 4 --kernel exp --cov two_point:0,1800,0.5", 3, "non-finite"),
     # alpha * t * t underflows to 0 in the Newton step.
     ("lambda-star", "--d 8 --alpha 1e-300", 3, "numerical failure"),
+    # sigma_eps^2 or c2^2 overflows in a limit value.
+    ("train-error", "--d 8 --kernel quartic:1,1,1 --sigma-eps 1e160 --seeds 1", 3, "non-finite"),
+    ("train-error", "--d 8 --kernel quartic:1,1,1 --c2 1e160 --seeds 1", 3, "non-finite"),
+    ("lambda-star", "--d 8 --kernel quartic:1,1,1 --sigma-eps 1e160", 3, "non-finite"),
+    ("risk", "--d 8 --kernel quartic:1,1,1 --sigma-eps 1e160 --seeds 1 --n-test 10 --n-repl 2", 3, "non-finite"),
     # A negative ridge: a_star = 1/24 here, so at -0.01 the prediction's
     # a_star + lambda > 0 holds, at -1 it does not; both are refused first.
     ("train-error", "--d 8 --kernel quartic:1,1,1 --lambda -0.01 --seeds 1", 1, "lambda must be nonnegative"),
@@ -665,6 +670,7 @@ def test_law_meta_records_each_segment_solve(tmp_path, experiment):
 ], ids=["esd-overflow", "approx-norm-overflow", "esd-flat-kernel", "approx-norm-later-rung-overflow",
         "esd-trace-overflow", "approx-norm-trace-overflow", "train-error-trace-overflow", "risk-trace-overflow",
         "train-error-a-star-overflow", "lambda-star-a-star-overflow", "lambda-star-tiny-alpha",
+        "train-error-noise-overflow", "train-error-c2-overflow", "lambda-star-noise-overflow", "risk-noise-overflow",
         "train-error-lambda-negative", "risk-lambda-negative", "train-error-lambda-below-a-star",
         "risk-lambda-below-a-star"])
 def test_esd_and_gap_fail_before_the_n_by_n_work(tmp_path, monkeypatch, capsys, recwarn,
@@ -1037,3 +1043,10 @@ def test_deterministic_teacher_train_error_limit_is_noise_only(tmp_path, lam):
     assert _read(tmp_path / "noisy")["summary"]["relative_gap"] < 0.2
     assert main(args + ["--sigma-eps", "0", "--out", str(tmp_path / "clean")]) == 0
     assert _read(tmp_path / "clean")["summary"]["predicted"] == 0.0
+
+
+def test_train_error_limit_at_a_huge_ridge_is_the_label_variance(tmp_path):
+    # At lambda = 1e14 the fit predicts nothing: the limit is c2^2 * 2 + sigma_eps^2 for identity Sigma.
+    assert main(["train-error", "--d", "20", "--kernel", "quartic:1,1,1", "--lambda", "1e14", "--seeds", "0,1",
+                 "--out", str(tmp_path / "x")]) == 0
+    assert _read(tmp_path / "x")["summary"]["predicted"] == pytest.approx(2.25, rel=1e-9)

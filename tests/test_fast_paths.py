@@ -3,6 +3,7 @@ gap matrices, the blocked risk prediction, the surrogate coefficients on float64
 the Lanczos spectral-norm gap, the one-sum companion solver, the GIL-free
 BLAS/LAPACK layer and the in-place ridge factor against their plain forms."""
 
+import contextlib
 import ctypes
 import math
 import os
@@ -914,6 +915,22 @@ GIL_BIN_S = 5e-5
 GIL_SHARE_CUT = 0.3
 
 
+@contextlib.contextmanager
+def one_lapack_thread():
+    """scipy's OpenBLAS runs each call on one thread inside the block, where
+    that library exports ``openblas_set_num_threads``."""
+    threads = _lapack.lapack_threads()
+    set_threads = _lapack._library_symbol("openblas_set_num_threads")
+    set_threads = ctypes.CFUNCTYPE(None, ctypes.c_int)(set_threads) if threads and set_threads else None
+    if set_threads:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        if set_threads:
+            set_threads(threads)
+
+
 def _python_share(work, calls):
     """Share of the wall time of ``work(0)``, ..., ``work(calls - 1)`` during
     which a thread running a pure-Python loop advanced: the time is cut into
@@ -932,26 +949,20 @@ def _python_share(work, calls):
         while running:
             marks[min(int((time.perf_counter() - origin) / GIL_BIN_S), len(marks) - 1)] = 1
 
-    threads = _lapack.lapack_threads()
-    set_threads = _lapack._library_symbol("openblas_set_num_threads")
-    set_threads = ctypes.CFUNCTYPE(None, ctypes.c_int)(set_threads) if threads and set_threads else None
     interval = sys.getswitchinterval()
     ticker = threading.Thread(target=tick)
     sys.setswitchinterval(1e-4)
-    if set_threads:
-        set_threads(1)
     try:
-        ticker.start()
-        start = time.perf_counter()
-        for i in range(calls):
-            work(i)
-        end = time.perf_counter()
+        with one_lapack_thread():
+            ticker.start()
+            start = time.perf_counter()
+            for i in range(calls):
+                work(i)
+            end = time.perf_counter()
     finally:
         running = False
         ticker.join(timeout=60.0)
         sys.setswitchinterval(interval)
-        if set_threads:
-            set_threads(threads)
     assert not ticker.is_alive()
     first, last = int((start - origin) / GIL_BIN_S), int((end - origin) / GIL_BIN_S)
     return sum(marks[first:last]) / max(1, last - first)

@@ -462,6 +462,54 @@ def test_train_error_limit_against_quadrature():
     assert val == pytest.approx(quad, rel=1e-3)
 
 
+def _delta_train_error(alpha, x, a_star, fpp, lam, c2, sig):
+    """The training-error limit on nu = delta_x from the closed-form root of
+    (t - s)(x + t) = alpha x t, taken in its cancellation-free form."""
+    s = 4.0 * alpha * (a_star + lam) / fpp
+    b = x - s - alpha * x
+    root = math.sqrt(b * b + 4.0 * s * x)
+    t = 2.0 * s * x / (b + root) if b > 0 else (root - b) / 2.0
+    scale = 4.0 * alpha * lam / fpp
+    return scale**2 * (c2**2 * x / (x + t) ** 2 + sig**2 / t**2) / (1.0 - alpha * (x / (x + t)) ** 2)
+
+
+@pytest.mark.parametrize("x, a_star, fpp", [(2.0, 0.1, 1.0), (0.7, 1.0 / 24.0, 2.0)])
+def test_train_error_limit_on_a_point_mass_matches_its_closed_form_root(x, a_star, fpp):
+    # Up to lambda = 1e100, where the limit is c2^2 x + sigma^2: no I0 - s I2 cancellation.
+    nu = DiscreteLaw.delta(x)
+    for alpha in (0.1, 1.0, 4.0):
+        for lam in (1e-4, 1.0, 1e8, 1e14, 1e100):
+            for c2 in (0.0, 1.0, 2.0):
+                for sig in (0.0, 0.5):
+                    want = _delta_train_error(alpha, x, a_star, fpp, lam, c2, sig)
+                    got = train_error_limit(alpha, nu, a_star, fpp, lam, c2, sig)
+                    assert got == pytest.approx(want, rel=1e-13, abs=0.0), (alpha, lam, c2, sig)
+
+
+def test_train_error_limit_refuses_a_vanishing_denominator():
+    # At alpha = 1 and a_star + lambda = 1e-18 the root sits at the hard edge: 1 - alpha J2 = 2.8e-9.
+    with pytest.raises(AssumptionViolationError, match="limit denominator 1 - alpha J2"):
+        train_error_limit(1.0, DiscreteLaw.delta(2.0), 0.0, 1.0, 1e-18, 1.0, 0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.floats(0.2, 4.0),
+    lam=st.floats(0.01, 2.0),
+    atoms=st.lists(st.floats(0.1, 5.0), min_size=1, max_size=4),
+    a_star=st.floats(0.0, 1.0),
+    fpp=st.floats(0.5, 2.0),
+    c2=st.floats(0.0, 2.0),
+    sig=st.floats(0.0, 1.0),
+)
+def test_train_error_limit_matches_the_law_integrals_route(alpha, lam, atoms, a_star, fpp, c2, sig):
+    # law_integrals' uncertified route, lambda^2 (4 alpha/f'')^2 ((c2^2/alpha) I1 + sigma^2 I2), as the arbiter.
+    nu = DiscreteLaw.from_values(np.array(atoms))
+    _, i1, i2 = spectra.law_integrals(alpha, nu, 4.0 * alpha * (a_star + lam) / fpp)
+    want = lam**2 * (4.0 * alpha / fpp) ** 2 * ((c2**2 / alpha) * i1 + sig**2 * i2)
+    assert train_error_limit(alpha, nu, a_star, fpp, lam, c2, sig) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
 def test_train_error_limit_monotonicity():
     nu = DiscreteLaw.delta(2.0)
     vals_sigma = [
