@@ -379,14 +379,14 @@ def lambda_star_solve(
 
         1/alpha - s/(alpha t) = integral x/(x+t) dnu(x),  s = 4 alpha (a_star + lambda)/f''(0).
 
-    Times alpha t it is the companion fixed point at z = -s, so the root is
-    t = 1/mt(-s). One Newton step on the equation, whose left side minus
-    right side increases in t, polishes that root; the step is kept only
-    when t stays positive and the residual shrinks. The residual must then
-    be at most ``LAMBDA_STAR_TOL`` times the equation's largest term, 1/alpha
-    or s/(alpha t) (NumericalFailureError otherwise). The equation holds for
-    f''(0) > 0 and a_star + lambda > 0; anything else raises
-    AssumptionViolationError.
+    Times alpha t it is the companion fixed point at z = -s, so the root is t = 1/mt(-s). One Newton step on
+    the equation, whose left side minus right side increases in t, polishes that root; the step is kept only
+    when t stays positive and the residual shrinks. The residual must then be at most ``LAMBDA_STAR_TOL`` times
+    the equation's largest term, 1/alpha or s/(alpha t) (NumericalFailureError otherwise). The equation holds
+    for f''(0) > 0 and a_star + lambda > 0; anything else raises AssumptionViolationError.
+    The certificate bounds the residual, not the root: near the hard edge (alpha = 1, a_star + lambda -> 0) the
+    terms are O(1) at a root t << 1, so rounding moves t by about eps/t relative, and the limits' 1/(1 - alpha J2)
+    ~ 1/t carries that over (the training error is 2.3e-9 relative off at nu = delta_2, lambda = 1e-15, t ~ 9e-8).
     """
     s = _limit_shift(alpha, a_star, lam, second_deriv)
     x, w = nu.atoms, nu.weights

@@ -11,7 +11,7 @@ valid for z in the upper half plane or on the negative real axis. The
 density is recovered by Stieltjes inversion in one place, the sweep of a
 ``LawSegment``: ``deformed_mp_law`` assembles its grid's segments, and
 densities at any points come from ``LawSegment(alpha, nu.compressed(), x)()``.
-Integrals of the law come from ``mt`` and its derivative, and the point mass
+Integrals of the law come from ``mt`` (``law_integrals``), and the point mass
 at zero (present when ``alpha < 1``) is handled analytically.
 """
 
@@ -125,7 +125,6 @@ class StieltjesEval:
     """One converged companion fixed-point solve."""
 
     m_tilde: complex
-    m_tilde_prime: complex
     iterations: int
     residual: float
 
@@ -225,8 +224,7 @@ def companion_stieltjes(z: complex, alpha: float, nu: DiscreteLaw, initial: comp
     relative at every scale, since there 1/mt = alpha * int x/(1+x*mt) dnu + |z|
     is the largest term.
     Each stage may take ``STIELTJES_MAX_STEPS`` residual evaluations (cold) or
-    ``STIELTJES_WARM_STEPS`` (warm); ``iterations`` sums them. The derivative
-    comes in closed form: mt' = 1 / (1/mt^2 - alpha * int x^2/(1+x*mt)^2 dnu).
+    ``STIELTJES_WARM_STEPS`` (warm); ``iterations`` sums them.
     """
     z = _check_point(z)
     if alpha < 0:
@@ -295,9 +293,6 @@ def companion_stieltjes(z: complex, alpha: float, nu: DiscreteLaw, initial: comp
             raise NumericalFailureError(
                 "Nevanlinna violation: Im m = %g < 0 for Im z > 0" % m.imag, residual=resid, iterations=used
             )
-        # inv is the reciprocal at the final m.
-        dprime_den = 1.0 / m**2 - alpha * _second_integral(nu, inv)
-        m_prime = 1.0 / dprime_den if dprime_den != 0 else complex(math.inf)
     except (OverflowError, ZeroDivisionError) as exc:
         # Python complex arithmetic raises where numpy would return inf: m**2
         # overflows once |m| passes ~1e154, and 1/m**2 divides by zero once
@@ -305,7 +300,7 @@ def companion_stieltjes(z: complex, alpha: float, nu: DiscreteLaw, initial: comp
         raise NumericalFailureError(
             "companion fixed point left the float range at z=%r (%s)" % (z, exc), residual=resid, iterations=used
         ) from exc
-    return StieltjesEval(m_tilde=m, m_tilde_prime=m_prime, iterations=used, residual=resid)
+    return StieltjesEval(m_tilde=m, iterations=used, residual=resid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -472,15 +467,20 @@ def law_integrals(alpha: float, nu: DiscreteLaw, s: float) -> tuple[float, float
     Returns (I0, I1, I2) with
         I0 = int dmu/(x+s) = mt(-s),
         I1 = int x dmu/(x+s)^2 = I0 - s*I2,
-        I2 = int dmu/(x+s)^2 = mt'(-s).
+        I2 = int dmu/(x+s)^2 = mt'(-s),
+    the derivative in closed form at the root: mt' = 1 / (1/mt^2 - alpha * int x^2/(1+x*mt)^2 dnu).
     I0 - s*I2 loses relative precision of order eps s I0 / I1 as s grows: at alpha = 1, nu = delta_2,
     s^2 I1 reads 1.99999988 at s = 1e8, 2.0000969 at 1e12 and 0.0 at 1e14 (the limit is 2).
     """
     if s <= 0:
         raise InvalidArgumentError("s must be positive")
-    ev = companion_stieltjes(-float(s), float(alpha), nu)
-    i0 = float(ev.m_tilde.real)
-    i2 = float(ev.m_tilde_prime.real)
+    z, alpha = complex(-float(s)), float(alpha)
+    m = companion_stieltjes(z, alpha, nu).m_tilde
+    try:  # m**2 overflows past |m| ~ 1e154 and underflows below ~1e-162, as in companion_stieltjes
+        m_prime = 1.0 / (1.0 / m**2 - alpha * _second_integral(nu, _first_integral(nu, m)[0]))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NumericalFailureError("companion fixed point left the float range at z=%r (%s)" % (z, exc)) from exc
+    i0, i2 = float(m.real), float(m_prime.real)
     i1 = i0 - s * i2
     if min(i0, i2) < -1e-12 or i1 < -1e-12:
         raise NumericalFailureError("negative resolvent moment: %r" % ((i0, i1, i2),))

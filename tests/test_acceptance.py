@@ -212,26 +212,30 @@ def test_criterion_07_training_error_limit():
     lam, sig, c2 = 1.0, 0.5, 1.0
     beta = np.full(d, 1.0 / math.sqrt(d))
 
-    def run(kern, c0, c1):
+    def run(pool, kern, c0, c1):
         pred = asymptotic_training_error(kern, cov, alpha, lam, c2, sig)
-        vals = []
-        for seed in range(8):
+
+        def seed_error(seed):
             data = sample_dataset(n, d, cov, GAUSS, seed)
             base = TeacherModel.draw("pure_quadratic", cov, substream(seed, TEACHER, 0))
             teacher = base if (c0 == 0 and c1 == 0) else TeacherModel(c0, c1, beta, c2, base.G)
             y = make_labels(data, teacher, sig, seed)
-            vals.append(training_error(kernel_matrix(data, kern), y, lam))
-        return abs(float(np.mean(vals)) - pred) / pred
+            return training_error(kernel_matrix(data, kern), y, lam)
+
+        return abs(float(np.mean(list(pool.map(seed_error, range(8))))) - pred) / pred
 
     quartic = KernelFunction.quartic(1, 1, 1)
-    rel_base = run(quartic, 0.0, 0.0)
-    rel_c0 = run(quartic, 1.0, 0.0)
     # The linear-term invariance requires a kernel whose expansion carries a
     # linear component (f'(0) > 0); a purely even kernel turns the c1 term
     # into effective noise instead of absorbing it.
     expk = KernelFunction.exp()
-    rel_exp = run(expk, 0.0, 0.0)
-    rel_exp_c01 = run(expk, 1.0, 1.0)
+    # The kernel build and the Cholesky solve release the GIL, so the seeds
+    # run two at a time, as in criterion 04.
+    with one_lapack_thread(), ThreadPoolExecutor(max_workers=2) as pool:
+        rel_base = run(pool, quartic, 0.0, 0.0)
+        rel_c0 = run(pool, quartic, 1.0, 0.0)
+        rel_exp = run(pool, expk, 0.0, 0.0)
+        rel_exp_c01 = run(pool, expk, 1.0, 1.0)
     ok = max(rel_base, rel_c0, rel_exp, rel_exp_c01) <= 0.10
     _report(
         7, ok,
@@ -252,13 +256,15 @@ def test_criterion_08_deterministic_teacher_risk():
     kern = KernelFunction.quartic(1.0, 6.0, 1.0)
     lam, sig = 1.0, 0.5
     pred = asymptotic_risk(kern, cov, alpha, lam, sig, "deterministic_sigma")
-    vals, bias_vals = [], []
-    for seed in range(4):
+
+    def seed_risks(seed):
         data = sample_dataset(n, d, cov, GAUSS, seed)
         mean, _, _ = empirical_risk(data, kern, "deterministic_sigma", lam, sig, 4000, 8, seed)
-        vals.append(mean)
         bias, _, _ = empirical_risk(data, kern, "deterministic_sigma", lam, 0.0, 4000, 2, seed)
-        bias_vals.append(bias)
+        return mean, bias
+
+    with one_lapack_thread(), ThreadPoolExecutor(max_workers=2) as pool:
+        vals, bias_vals = zip(*pool.map(seed_risks, range(4)))
     emp = float(np.mean(vals))
     bias = float(np.mean(bias_vals))
     rel = abs(emp - pred.total) / pred.total
@@ -278,11 +284,13 @@ def test_criterion_09_random_teacher_risk():
     kern = KernelFunction.quartic(1.0, 1.0, 1.0)
     lam, sig = 1.0, 0.5
     pred = asymptotic_risk(kern, cov, alpha, lam, sig, "pure_quadratic")
-    vals = []
-    for seed in range(4):
+
+    def seed_risk(seed):
         data = sample_dataset(n, d, cov, GAUSS, seed)
-        mean, _, _ = empirical_risk(data, kern, "pure_quadratic", lam, sig, 4000, 8, seed)
-        vals.append(mean)
+        return empirical_risk(data, kern, "pure_quadratic", lam, sig, 4000, 8, seed)[0]
+
+    with one_lapack_thread(), ThreadPoolExecutor(max_workers=2) as pool:
+        vals = list(pool.map(seed_risk, range(4)))
     emp = float(np.mean(vals))
     rel = abs(emp - pred.total) / pred.total
     _report(

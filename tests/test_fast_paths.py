@@ -594,10 +594,7 @@ def _two_sum_companion(z, alpha, nu, initial=None):
             raise NumericalFailureError("did not converge")
     if not on_axis and m.imag < -1e-10:
         raise NumericalFailureError("Nevanlinna violation")
-    _, f2 = frac_integrals(m)
-    dprime_den = 1.0 / m**2 - alpha * f2
-    m_prime = 1.0 / dprime_den if dprime_den != 0 else complex(math.inf)
-    return m, m_prime, used, resid
+    return m, used, resid
 
 
 def _outcome(solve):
@@ -628,7 +625,7 @@ def test_companion_matches_two_sum_loop(atoms, raw_weights, alpha, z, initial):
 
     def one_sum():
         ev = companion_stieltjes(z, alpha, nu, initial=initial)
-        return ev.m_tilde, ev.m_tilde_prime, ev.iterations, ev.residual
+        return ev.m_tilde, ev.iterations, ev.residual
 
     got = _outcome(one_sum)
     want = _outcome(lambda: _two_sum_companion(z, alpha, nu, initial))

@@ -1,4 +1,5 @@
 import math
+import sys
 import types
 
 import numpy as np
@@ -34,7 +35,7 @@ from qrlab.krr import (
 )
 from qrlab.oracles import training_error_residual
 from qrlab.seeding import TEACHER, substream
-from qrlab.spectra import DiscreteLaw, companion_stieltjes, deformed_mp_law
+from qrlab.spectra import DiscreteLaw, deformed_mp_law
 
 PHI_PLUS = 1.0 + math.sqrt(5.0)
 
@@ -454,8 +455,8 @@ def test_train_error_limit_against_quadrature():
     a_star, fpp = 0.5, 1.0
     val = train_error_limit(alpha, nu, a_star, fpp, lam, c2, sig)
     s = 4.0 * alpha * (a_star + lam) / fpp
-    mprime = companion_stieltjes(-s, alpha, nu).m_tilde_prime.real
-    assert val == pytest.approx(lam**2 * (4.0 * alpha / fpp) ** 2 * mprime, rel=1e-12)
+    _, _, i2 = spectra.law_integrals(alpha, nu, s)
+    assert val == pytest.approx(lam**2 * (4.0 * alpha / fpp) ** 2 * i2, rel=1e-12)
     law = deformed_mp_law(alpha, nu)
     integrand = (c2**2 / alpha * law.grid + sig**2) / (fpp * law.grid / (4 * alpha) + a_star + lam) ** 2
     quad = lam**2 * np.trapezoid(integrand * law.density, law.grid)
@@ -484,6 +485,21 @@ def test_train_error_limit_on_a_point_mass_matches_its_closed_form_root(x, a_sta
                     want = _delta_train_error(alpha, x, a_star, fpp, lam, c2, sig)
                     got = train_error_limit(alpha, nu, a_star, fpp, lam, c2, sig)
                     assert got == pytest.approx(want, rel=1e-13, abs=0.0), (alpha, lam, c2, sig)
+
+
+@pytest.mark.parametrize("lam, want, denominator", [
+    (1e-15, 5.590169943749562503e-09, 8.94427e-08),
+    (1e-12, 1.767766952994211083e-07, 2.82842e-06),
+    (1e-9, 5.590170031790651097e-06, 8.94387e-05),
+])
+def test_train_error_limit_near_the_hard_edge_loses_eps_over_its_denominator(lam, want, denominator):
+    # want is a 60-digit mpmath limit from the delta_2 root at alpha = 1, a_star = 0, and denominator
+    # is 1 - alpha J2 there. lambda_star_solve certifies 1/alpha - s/(alpha t) - int x/(x+t) dnu, a
+    # difference of O(1) terms, while the root sits at t ~ 1e-7 to 1e-4; rounding moves t by about
+    # eps/t relative, and 1/(1 - alpha J2) ~ 1/t carries that into the limit. (_delta_train_error
+    # forms 1 - alpha J2 with cancellation, so it is no reference here.)
+    got = train_error_limit(1.0, DiscreteLaw.delta(2.0), 0.0, 1.0, lam, 1.0, 0.5)
+    assert abs(got - want) <= 10.0 * sys.float_info.epsilon / denominator * want
 
 
 def test_train_error_limit_refuses_a_vanishing_denominator():

@@ -181,8 +181,8 @@ def test_companion_rejects_bad_points():
 
 
 @pytest.mark.parametrize("z, alpha, nu, initial", [
-    # m**2 overflows in the closed-form derivative.
-    (1e-308j, 0.4427, DiscreteLaw.delta(0.0), -2.7497 - 2.8300j),
+    # m**2 overflows in the Newton step: the ladder tracks mt = 1/|z| past 1e154.
+    (-1e-160 + 0j, 1.0, DiscreteLaw.delta(0.0), None),
     # m**2 underflows to zero in the Newton step; needs a negative atom.
     (-8.983555745460331e-120 + 0j, 1.718050048202382,
      DiscreteLaw.from_values([-0.8656121489724296, 0.2583457905858513]), None),
@@ -192,6 +192,25 @@ def test_companion_rejects_bad_points():
 def test_companion_out_of_float_range_is_typed(z, alpha, nu, initial):
     with pytest.raises(NumericalFailureError, match="left the float range"):
         companion_stieltjes(z, alpha, nu, initial=initial)
+
+
+def test_law_integrals_out_of_float_range_is_typed():
+    # The solve stops at its first residual check with mt = 1e-170; the derivative's mt**2 underflows.
+    assert companion_stieltjes(-1e170, 1.0, DiscreteLaw.delta(1.0)).iterations == 1
+    with pytest.raises(NumericalFailureError, match="left the float range"):
+        law_integrals(1.0, DiscreteLaw.delta(1.0), 1e170)
+
+
+def test_a_converged_solve_forms_no_derivative(monkeypatch):
+    # A warm start at the root stops at its first residual check, with no
+    # Newton step; mt' is formed by law_integrals alone.
+    z, nu = complex(0.7, 0.3), DiscreteLaw.from_values([0.5, 1.0, 2.0])
+    root = companion_stieltjes(z, 1.3, nu)
+    calls = []
+    second = spectra._second_integral
+    monkeypatch.setattr(spectra, "_second_integral", lambda *args: calls.append(args) or second(*args))
+    ev = companion_stieltjes(z, 1.3, nu, initial=root.m_tilde)
+    assert (ev.m_tilde, ev.iterations, len(calls)) == (root.m_tilde, 1, 0)
 
 
 def test_companion_identity_against_population_solver():
@@ -283,6 +302,22 @@ def test_law_integrals_algebraic_identity(alpha, s, atoms):
     i0, i1, i2 = law_integrals(alpha, nu, s)
     assert abs(i1 + s * i2 - i0) <= 1e-12 * max(1.0, i0)
     assert min(i0, i1, i2) >= 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=st.floats(0.2, 4.0),
+    s=st.floats(0.05, 20.0),
+    atoms=st.lists(st.floats(0.1, 5.0), min_size=1, max_size=4),
+)
+def test_law_integrals_derivative_matches_a_central_difference(alpha, s, atoms):
+    # I2 = -dI0/ds. The difference's truncation error is about h^2/s^2 = 1e-8
+    # relative; the worst of 3000 random draws was 1.0e-8.
+    nu = DiscreteLaw.from_values(np.array(atoms))
+    h = 1e-4 * s
+    _, _, i2 = law_integrals(alpha, nu, s)
+    central = -(law_integrals(alpha, nu, s + h)[0] - law_integrals(alpha, nu, s - h)[0]) / (2.0 * h)
+    assert i2 == pytest.approx(central, rel=1e-6, abs=0.0)
 
 
 def test_ks_distance_quantile_construction():
