@@ -2,20 +2,21 @@
 
 scipy's f2py wrappers (``scipy.linalg.cho_factor``, ``cho_solve`` and
 ``scipy.linalg.blas``) hold the GIL for the whole call, so two seed workers
-calling them run one after the other. ``scipy.linalg.cython_blas`` and
-``cython_lapack`` export the same routines of scipy's bundled library as C
-function pointers; they are resolved once here and called through ctypes,
-which releases the GIL for the length of a foreign call. The routines and
-the library are the ones the f2py wrappers call, so results are the same
-bits.
+calling them run one after the other. Here every routine is resolved by
+name, under the ``scipy_`` prefix of scipy's wheels or as it is, through one
+handle on the extension ``scipy/linalg/cython_lapack``, found on disk
+without importing ``scipy.linalg``. A lookup through that handle also
+searches the libraries it links, scipy's bundled OpenBLAS among them (so
+do ELF and Mach-O loaders; Windows ``GetProcAddress`` does not). The
+routines are called through ctypes, which releases the GIL for the length
+of a foreign call, and they are the ones the f2py wrappers call, so results
+are the same bits. A routine the library lacks raises ImportError.
 
 The eigenvalue helper ``syevd`` calls LAPACK's two-stage ``dsyevd_2stage``
 (a BLAS-3 reduction to band form, then bulge chasing to tridiagonal form;
-Haidar, Ltaief & Dongarra, SC'11). It is not in ``cython_lapack``, so it is
-looked up by name in the same library; where the library lacks it, the
-one-stage ``dsyevd`` of ``cython_lapack`` takes its place. ``EIGEN_DRIVER``
-names the routine that was resolved. ``lapack_threads`` reads the thread
-count of that library, looked up by name in the same way.
+Haidar, Ltaief & Dongarra, SC'11), else the one-stage ``dsyevd``;
+``EIGEN_DRIVER`` names the routine that was resolved. ``lapack_threads``
+reads the thread count of the same library.
 
 The Cholesky helpers and ``symv`` read opposite triangles of one array:
 ``potrf`` factors the F-order view ``K.T`` of a C-order symmetric K in
@@ -31,59 +32,45 @@ otherwise) and never copies: the caller makes the one copy it means to.
 from __future__ import annotations
 
 import ctypes
+import os
+from importlib.machinery import PathFinder
 
 import numpy as np
-import scipy.linalg.cython_blas
-import scipy.linalg.cython_lapack
+import scipy
 
 from .errors import InvalidArgumentError, NumericalFailureError
 
-_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
-_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi)
-)
-
-
-def _prototype(nargs: int):
-    # Fortran passes every argument by reference.
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)
-
-
-def _routine(module, name: str, nargs: int):
-    """The routine ``name`` of a scipy Cython BLAS/LAPACK module, taking
-    ``nargs`` pointers."""
-    capsule = module.__pyx_capi__[name]
-    return _prototype(nargs)(_capsule_pointer(capsule, _capsule_name(capsule)))
+_spec = PathFinder.find_spec("cython_lapack", [os.path.join(path, "linalg") for path in scipy.__path__])
+if _spec is None:
+    raise ImportError("scipy.linalg.cython_lapack not found under %s" % list(scipy.__path__))
+_LIBRARY = ctypes.CDLL(_spec.origin)
 
 
 def _library_symbol(name: str):
-    """The address of ``name`` in the library behind ``cython_lapack``, under
-    the ``scipy_`` prefix of scipy's wheels or as it is; None where neither
-    is exported."""
-    # A lookup through this handle also searches the libraries it depends on.
-    library = ctypes.CDLL(scipy.linalg.cython_lapack.__file__)
+    """The address of ``name`` in ``_LIBRARY``, under the ``scipy_`` prefix of
+    scipy's wheels or as it is; None where neither is exported."""
     for symbol in ("scipy_" + name, name):
-        try:
-            return ctypes.cast(getattr(library, symbol), ctypes.c_void_p).value
-        except AttributeError:
-            continue
+        if hasattr(_LIBRARY, symbol):
+            return ctypes.cast(getattr(_LIBRARY, symbol), ctypes.c_void_p).value
     return None
 
 
-def _eigen_routine():
-    """(name, routine): ``dsyevd_2stage`` of the library behind
-    ``cython_lapack``, else ``cython_lapack``'s ``dsyevd``. Both take the same
-    11 arguments, and jobz N asks both for eigenvalues alone."""
-    address = _library_symbol("dsyevd_2stage_")
+def _routine(name: str, nargs: int):
+    """The Fortran routine ``name`` of ``_LIBRARY``, taking ``nargs`` pointers
+    (Fortran passes every argument by reference)."""
+    address = _library_symbol(name)
     if address is None:
-        return "dsyevd", _routine(scipy.linalg.cython_lapack, "dsyevd", 11)
-    return "dsyevd_2stage", _prototype(11)(address)
+        raise ImportError("%s exports no %s" % (_LIBRARY._name, name))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
 
 
-_dsymv = _routine(scipy.linalg.cython_blas, "dsymv", 10)
-_dpotrf = _routine(scipy.linalg.cython_lapack, "dpotrf", 5)
-_dpotrs = _routine(scipy.linalg.cython_lapack, "dpotrs", 8)
-EIGEN_DRIVER, _dsyevd = _eigen_routine()
+_dsymv = _routine("dsymv_", 10)
+_dpotrf = _routine("dpotrf_", 5)
+_dpotrs = _routine("dpotrs_", 8)
+# Both drivers take the same 11 arguments, and jobz N asks both for
+# eigenvalues alone.
+EIGEN_DRIVER = "dsyevd" if _library_symbol("dsyevd_2stage_") is None else "dsyevd_2stage"
+_dsyevd = _routine(EIGEN_DRIVER + "_", 11)
 _openblas_threads = _library_symbol("openblas_get_num_threads")
 _EIGENVALUES_ONLY = ctypes.c_char(b"N")
 _LOWER = ctypes.c_char(b"L")

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from . import _lapack
 from .errors import InvalidArgumentError, NumericalFailureError
@@ -129,6 +128,18 @@ class StieltjesEval:
     residual: float
 
 
+# Few strips keep the numpy calls few: each may wait a switch interval for
+# the GIL while a law segment runs on another worker.
+_SYMMETRY_STRIP_ROWS = 256
+
+
+def _exactly_symmetric(m: np.ndarray) -> bool:
+    """Whether the square ``m`` equals its transpose, compared one strip of
+    rows of its upper triangle at a time against the matching columns."""
+    rows = _SYMMETRY_STRIP_ROWS
+    return all(np.array_equal(m[i : i + rows, i:], m[i:, i : i + rows].T) for i in range(0, m.shape[0], rows))
+
+
 def _checked_symmetric(m, what: str) -> np.ndarray:
     """A symmetric float64 matrix for a finite square input that is symmetric
     within 1e-10 relative to its largest entry. Exactly symmetric input comes
@@ -140,7 +151,7 @@ def _checked_symmetric(m, what: str) -> np.ndarray:
     peak = max(abs(float(m.max())), abs(float(m.min())))
     if not math.isfinite(peak):
         raise NumericalFailureError("%s has non-finite entries" % what)
-    if scipy.linalg.issymmetric(m):
+    if _exactly_symmetric(m):
         return m
     asym = float(np.abs(m - m.T).max())
     if asym > 1e-10 * max(1.0, peak):

@@ -1050,3 +1050,33 @@ def test_train_error_limit_at_a_huge_ridge_is_the_label_variance(tmp_path):
     assert main(["train-error", "--d", "20", "--kernel", "quartic:1,1,1", "--lambda", "1e14", "--seeds", "0,1",
                  "--out", str(tmp_path / "x")]) == 0
     assert _read(tmp_path / "x")["summary"]["predicted"] == pytest.approx(2.25, rel=1e-9)
+
+
+def test_runs_never_import_scipy_linalg(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    # In a fresh interpreter: importing scipy.linalg costs about 0.3 s of
+    # start-up, and qrlab reaches scipy's BLAS/LAPACK without it. approx-norm
+    # alone imports it, through ARPACK (scipy.sparse.linalg in
+    # kernels._lanczos_gap), and is left out here.
+    script = """
+import os, sys
+import qrlab.cli
+assert "scipy.linalg" not in sys.modules, "import qrlab.cli"
+runs = [
+    ["esd", "--d", "8", "--seeds", "1"],
+    ["mp-law", "--d", "8"],
+    ["train-error", "--d", "8", "--kernel", "quartic:1,1,1", "--seeds", "1"],
+    ["lambda-star", "--d", "8"],
+    ["risk", "--d", "8", "--kernel", "quartic:1,1,1", "--seeds", "1", "--n-test", "50", "--n-repl", "2"],
+]
+for i, args in enumerate(runs):
+    assert qrlab.cli.main(args + ["--out", os.path.join(sys.argv[1], str(i))]) == 0, args
+    assert "scipy.linalg" not in sys.modules, args
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

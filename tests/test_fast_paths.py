@@ -772,26 +772,32 @@ def test_symv_reads_the_lower_triangle_alone(n, seed):
 
 
 def _fallback_eigen_routine():
-    """What ``_lapack`` resolves on a library that exports no two-stage driver."""
-
-    class NoSymbols:
-        def __init__(self, path):
-            pass
-
-        def __getattr__(self, name):
-            raise AttributeError(name)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_lapack.ctypes, "CDLL", NoSymbols)
-        return _lapack._eigen_routine()
+    """What ``_lapack`` resolves on a library that exports no two-stage
+    driver: the one-stage ``dsyevd`` of the same handle."""
+    return "dsyevd", _lapack._routine("dsyevd_", 11)
 
 
 EIGEN_ROUTINES = {"resolved": (_lapack.EIGEN_DRIVER, _lapack._dsyevd), "fallback": _fallback_eigen_routine()}
 
 
+def _address(routine):
+    return ctypes.cast(routine, ctypes.c_void_p).value
+
+
 def test_eigen_routine_falls_back_to_one_stage_dsyevd():
-    assert _lapack.EIGEN_DRIVER in ("dsyevd_2stage", "dsyevd")
+    two_stage = _lapack._library_symbol("dsyevd_2stage_")
+    assert _lapack.EIGEN_DRIVER == ("dsyevd" if two_stage is None else "dsyevd_2stage")
+    assert _address(_lapack._dsyevd) == _lapack._library_symbol(_lapack.EIGEN_DRIVER + "_")
     assert EIGEN_ROUTINES["fallback"][0] == "dsyevd"
+    assert _address(EIGEN_ROUTINES["fallback"][1]) == _lapack._library_symbol("dsyevd_")
+
+
+def _handle_without_lapack():
+    """A real library handle through which no BLAS, LAPACK or OpenBLAS symbol
+    resolves: the one of the ctypes extension itself."""
+    import _ctypes
+
+    return ctypes.CDLL(_ctypes.__file__)
 
 
 def test_lapack_threads_reads_the_library(monkeypatch):
@@ -801,17 +807,17 @@ def test_lapack_threads_reads_the_library(monkeypatch):
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "1"
     assert _lapack.lapack_threads() >= 1
-
-    class NoSymbols:
-        def __init__(self, path):
-            pass
-
-        def __getattr__(self, name):
-            raise AttributeError(name)
-
-    monkeypatch.setattr(_lapack.ctypes, "CDLL", NoSymbols)
+    monkeypatch.setattr(_lapack, "_LIBRARY", _handle_without_lapack())
     monkeypatch.setattr(_lapack, "_openblas_threads", _lapack._library_symbol("openblas_get_num_threads"))
     assert _lapack.lapack_threads() is None
+
+
+def test_a_missing_routine_is_an_import_error(monkeypatch):
+    handle = _handle_without_lapack()
+    monkeypatch.setattr(_lapack, "_LIBRARY", handle)
+    with pytest.raises(ImportError, match="exports no dpotrf_") as err:
+        _lapack._routine("dpotrf_", 5)
+    assert handle._name in str(err.value)
 
 
 def _eigen_test_matrix(kind, n, seed):
@@ -858,7 +864,7 @@ def test_eigensolver_failure_is_a_numerical_failure(monkeypatch):
     def unconverged(*args):
         ctypes.c_int.from_address(args[10]).value = 2
 
-    monkeypatch.setattr(_lapack, "_dsyevd", _lapack._prototype(11)(unconverged))
+    monkeypatch.setattr(_lapack, "_dsyevd", ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 11)(unconverged))
     with pytest.raises(NumericalFailureError, match="eigensolver failed: .* left 2 off-diagonal elements"):
         esd(np.eye(3))
 
@@ -912,19 +918,41 @@ GIL_BIN_S = 5e-5
 GIL_SHARE_CUT = 0.3
 
 
+def _numpy_openblas_symbol(name):
+    """The address of ``name`` through a handle on numpy's ``_multiarray_umath``
+    extension, which links numpy's bundled OpenBLAS; None where it is not
+    exported."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    try:
+        return ctypes.cast(getattr(ctypes.CDLL(_multiarray_umath.__file__), name), ctypes.c_void_p).value
+    except AttributeError:
+        return None
+
+
 @contextlib.contextmanager
 def one_lapack_thread():
-    """scipy's OpenBLAS runs each call on one thread inside the block, where
-    that library exports ``openblas_set_num_threads``."""
-    threads = _lapack.lapack_threads()
-    set_threads = _lapack._library_symbol("openblas_set_num_threads")
-    set_threads = ctypes.CFUNCTYPE(None, ctypes.c_int)(set_threads) if threads and set_threads else None
-    if set_threads:
+    """scipy's OpenBLAS, which runs the ``_lapack`` routines, and numpy's,
+    which runs the Gram products and predictions, run each call on one
+    thread inside the block. A library that exports no thread-count getter
+    and setter is left as it is."""
+    pins = []
+    scipy_set, scipy_threads = _lapack._library_symbol("openblas_set_num_threads"), _lapack.lapack_threads()
+    if scipy_set and scipy_threads:
+        pins.append((scipy_set, scipy_threads))
+    numpy_get = _numpy_openblas_symbol("scipy_openblas_get_num_threads64_")
+    numpy_set = _numpy_openblas_symbol("scipy_openblas_set_num_threads64_")
+    if numpy_get and numpy_set:
+        pins.append((numpy_set, ctypes.CFUNCTYPE(ctypes.c_int)(numpy_get)()))
+    pins = [(ctypes.CFUNCTYPE(None, ctypes.c_int)(setter), threads) for setter, threads in pins]
+    for set_threads, _ in pins:
         set_threads(1)
     try:
         yield
     finally:
-        if set_threads:
+        for set_threads, threads in pins:
             set_threads(threads)
 
 
@@ -935,9 +963,9 @@ def _python_share(work, calls):
 
     Under a switch interval of 1e-4 s, a call that holds the GIL stops the
     loop for the whole call, and the loop runs only between calls; a call
-    that releases it lets the loop run beside it. scipy's OpenBLAS runs on
-    one thread meanwhile, so that a BLAS thread spinning on the other CPU
-    cannot keep the calling thread from taking the GIL back."""
+    that releases it lets the loop run beside it. Both OpenBLAS libraries
+    run on one thread meanwhile, so that a BLAS thread spinning on the other
+    CPU cannot keep the calling thread from taking the GIL back."""
     marks = bytearray(int(120 / GIL_BIN_S))
     origin = time.perf_counter()
     running = True

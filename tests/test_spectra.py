@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qrlab import spectra
@@ -125,6 +125,33 @@ def test_symmetric_input_check_copies_no_matrix():
         tracemalloc.stop()
     # One 1000 x 1000 float64 array is 8 MB.
     assert sym is m and peak < 4e6
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(0, 600),
+    seed=st.integers(0, 2**32 - 1),
+    entry=st.none() | st.tuples(st.integers(0, 599), st.integers(0, 599)),
+    order=st.sampled_from("CF"),
+)
+@example(n=0, seed=0, entry=None, order="C")
+@example(n=1, seed=0, entry=(0, 0), order="C")
+@example(n=spectra._SYMMETRY_STRIP_ROWS, seed=0, entry=(0, 255), order="C")
+@example(n=spectra._SYMMETRY_STRIP_ROWS + 1, seed=0, entry=(256, 3), order="C")
+@example(n=spectra._SYMMETRY_STRIP_ROWS + 1, seed=0, entry=(3, 256), order="F")
+@example(n=600, seed=0, entry=(599, 598), order="C")
+@example(n=600, seed=0, entry=(520, 599), order="F")
+def test_exact_symmetry_stage_agrees_with_scipy(n, seed, entry, order):
+    # One entry, anywhere, moved by one ulp; the last strip of rows is a
+    # partial one unless the strip height divides n.
+    import scipy.linalg
+
+    m = np.random.default_rng(seed).normal(size=(n, n))
+    m = np.array(m + m.T, order=order)
+    if entry is not None and n:
+        row, col = entry[0] % n, entry[1] % n
+        m[row, col] = np.nextafter(m[row, col], np.inf)
+    assert spectra._exactly_symmetric(m) == scipy.linalg.issymmetric(m)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
