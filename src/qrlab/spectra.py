@@ -45,8 +45,8 @@ __all__ = [
 
 # Companion fixed point: the step budget of each stage of a cold start's
 # ladder, the smaller one of a warm start (a caller that misses it falls back
-# to a cold start), and the residual tolerance at z relative to max(1, |z|)
-# (on the negative axis, to max(|z|, 1/mt) at every scale).
+# to a cold start), and every stage's residual tolerance, relative to the
+# equation's largest term max(|stage|, |1/mt|): no absolute scale.
 STIELTJES_MAX_STEPS = 500
 STIELTJES_WARM_STEPS = 100
 STIELTJES_TOL = 1e-12
@@ -54,10 +54,10 @@ STIELTJES_TOL = 1e-12
 # Deformed-MP inversion grid: LAW_GRID_POINTS points, sqrt-concentrated near
 # zero (where the density can blow up like x^(-1/2)), out to LAW_GRID_PAD times
 # the support scale s = max_atom(nu) (1 + sqrt(alpha))^2, trimmed to where the
-# density exceeds LAW_DENSITY_FLOOR. The bandwidth is eta = LAW_ETA_SCALE * s:
-# a hard edge at zero loses mass of order sqrt(eta) to the negative axis under
-# Cauchy smearing, which must stay far below the 2e-3 normalization budget;
-# 1e-8 * s keeps the loss near 1e-6 (1e-4 * s measurably fails).
+# density exceeds LAW_DENSITY_FLOOR times its peak. The bandwidth is eta =
+# LAW_ETA_SCALE * s: a hard edge at zero loses mass of order sqrt(eta) to the
+# negative axis under Cauchy smearing, which must stay far below the 2e-3
+# normalization budget; 1e-8 * s keeps the loss near 1e-6 (1e-4 * s fails).
 LAW_GRID_POINTS = 4000
 LAW_GRID_PAD = 1.3
 LAW_ETA_SCALE = 1e-8
@@ -141,12 +141,12 @@ def _exactly_symmetric(m: np.ndarray) -> bool:
 
 
 def _checked_symmetric(m, what: str) -> np.ndarray:
-    """A symmetric float64 matrix for a finite square input that is symmetric
-    within 1e-10 relative to its largest entry. Exactly symmetric input comes
-    back as it is; a smaller asymmetry is averaged out."""
+    """A symmetric float64 matrix for a finite, non-empty square input that
+    is symmetric within 1e-10 relative to its largest entry. Exactly
+    symmetric input comes back as it is; a smaller asymmetry is averaged out."""
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidArgumentError("%s must be a square matrix" % what)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise InvalidArgumentError("%s must be a non-empty square matrix" % what)
     # From the extremes: the value of np.abs(m).max(), NaN included, with no n x n copy.
     peak = max(abs(float(m.max())), abs(float(m.min())))
     if not math.isfinite(peak):
@@ -229,11 +229,10 @@ def companion_stieltjes(z: complex, alpha: float, nu: DiscreteLaw, initial: comp
     z, starting from -1/(first stage); a warm start from ``initial`` runs z
     alone. Each stage takes damped fixed-point steps (theta = 0.5), or a
     Newton step when it shrinks the residual, until the residual is within
-    ``min(1e-9, 1e-6 |stage|) * max(1, |stage|)`` on the ladder and
-    ``STIELTJES_TOL * max(1, |z|)`` at z (the residual lives in z units); on
-    the negative axis the tolerance at z is ``STIELTJES_TOL * max(|z|, 1/mt)``,
-    relative at every scale, since there 1/mt = alpha * int x/(1+x*mt) dnu + |z|
-    is the largest term.
+    ``STIELTJES_TOL * max(|stage|, |1/mt|)``, relative to the equation's
+    largest term at every stage. The Newton acceptance and the Nevanlinna
+    guard are relative to |mt| too: for nu and z scaled by a power of two c,
+    every iterate is the unscaled one over c, bit for bit.
     Each stage may take ``STIELTJES_MAX_STEPS`` residual evaluations (cold) or
     ``STIELTJES_WARM_STEPS`` (warm); ``iterations`` sums them.
     """
@@ -264,8 +263,6 @@ def companion_stieltjes(z: complex, alpha: float, nu: DiscreteLaw, initial: comp
     try:
         inv, f1 = _first_integral(nu, m)
         for stage in stages:
-            tol = (STIELTJES_TOL if stage == z else min(1e-9, 1e-6 * abs(stage))) * max(1.0, abs(stage))
-            relative = on_axis and stage == z
             stage_end = used + budget
             while True:
                 if used == stage_end:
@@ -276,7 +273,7 @@ def companion_stieltjes(z: complex, alpha: float, nu: DiscreteLaw, initial: comp
                 used += 1
                 r = stage + 1.0 / m - alpha * f1
                 resid = abs(r)
-                if resid <= (STIELTJES_TOL * max(abs(stage), abs(1.0 / m)) if relative else tol):
+                if resid <= STIELTJES_TOL * max(abs(stage), abs(1.0 / m)):
                     break
                 # Newton step, accepted only when it actually shrinks the residual
                 # (it can diverge far from the root, e.g. near the support edge);
@@ -285,7 +282,7 @@ def companion_stieltjes(z: complex, alpha: float, nu: DiscreteLaw, initial: comp
                 if dr != 0:
                     cand = m - r / dr
                     ok = math.isfinite(cand.real) and math.isfinite(cand.imag) and cand != 0
-                    if ok and (cand.real > 0 if on_axis else cand.imag >= -1e-13):
+                    if ok and (cand.real > 0 if on_axis else cand.imag >= -1e-13 * abs(cand)):
                         cand_inv, cand_f1 = _first_integral(nu, cand)
                         if abs(stage + 1.0 / cand - alpha * cand_f1) < 0.9 * resid:
                             m, inv, f1 = cand, cand_inv, cand_f1
@@ -300,7 +297,7 @@ def companion_stieltjes(z: complex, alpha: float, nu: DiscreteLaw, initial: comp
                     m = complex(max(m.real, 1e-300), 0.0)
                 inv, f1 = _first_integral(nu, m)
 
-        if not on_axis and m.imag < -1e-10:
+        if not on_axis and m.imag < -1e-10 * abs(m):
             raise NumericalFailureError(
                 "Nevanlinna violation: Im m = %g < 0 for Im z > 0" % m.imag, residual=resid, iterations=used
             )
@@ -350,10 +347,10 @@ class SpectralLaw:
         """Law CDF: atom at 0 plus cumulative trapezoid of the density.
 
         Eigenvalues a hair below zero (symmetric-solver round-off) still
-        collect the atom, hence the small negative tolerance.
+        collect the atom, hence a negative tolerance of 1e-8 times the grid top.
         """
         xv = np.asarray(x, dtype=np.float64)
-        tol = 1e-8 * max(1.0, float(self.grid[-1]))
+        tol = 1e-8 * float(self.grid[-1])
         out = self.atom0_mass * (xv >= -tol).astype(np.float64)
         out = out + np.interp(xv, self.grid, self._cumulative, left=0.0, right=self._cumulative[-1])
         if np.isscalar(x):
@@ -423,7 +420,7 @@ class LawSegment:
             warm = ev.m_tilde
             val = ev.m_tilde.imag / math.pi
             if atom0 > 0:
-                val -= atom0 * eta / (xs[idx] ** 2 + eta**2) / math.pi
+                val -= atom0 * eta / (xs[idx] * xs[idx] + eta * eta) / math.pi
             dens[idx] = max(val, 0.0)
         return LawSweep(xs, dens, stats)
 
@@ -448,10 +445,12 @@ def deformed_mp_law(alpha: float, nu: DiscreteLaw, sweeps: list[LawSweep] | None
 
     The returned law carries the analytic atom max(1-alpha, 0) at zero and
     the inverted density on the grid of ``law_segments``, trimmed to where
-    the density exceeds ``LAW_DENSITY_FLOOR``, and each segment's solver
-    statistics in ``solvers`` (top segment first). A caller that schedules
-    the segments itself passes their ``sweeps``, in the order of
-    ``law_segments``; by default they are swept here, one after another.
+    the density exceeds ``LAW_DENSITY_FLOOR`` times its peak, and each
+    segment's solver statistics in ``solvers`` (top segment first). The law
+    holds no absolute scale: for nu scaled by 2^k the grid scales by 2^k and
+    the density by 2^-k, bit for bit. A caller that schedules the segments
+    itself passes their ``sweeps``, in the order of ``law_segments``; by
+    default they are swept here, one after another.
     """
     segments = law_segments(alpha, nu)
     if sweeps is None:
@@ -464,7 +463,7 @@ def deformed_mp_law(alpha: float, nu: DiscreteLaw, sweeps: list[LawSweep] | None
     dens = np.concatenate([sweep.density for sweep in sweeps[::-1]])
     atom0 = max(1.0 - alpha, 0.0)
     # Trim flat tails but keep one padding point on each side.
-    live = np.nonzero(dens > LAW_DENSITY_FLOOR)[0]
+    live = np.nonzero(dens > LAW_DENSITY_FLOOR * dens.max())[0]
     if live.size:
         lo = max(int(live[0]) - 1, 0)
         hi = min(int(live[-1]) + 2, grid.size)

@@ -141,6 +141,15 @@ def test_mp_law_experiment(tmp_path):
     assert min(float(p.split(",")[1]) for p in points) < 100
 
 
+@pytest.mark.parametrize("d, cov", [("8", "uniform:1e-7,2e-7"), ("60", "uniform:500,1500")])
+def test_mp_law_mass_at_any_population_scale(tmp_path, d, cov):
+    # The law is built with no absolute scale, so a population far from unit
+    # scale keeps its whole mass.
+    out = tmp_path / "law"
+    assert main(["mp-law", "--d", d, "--alpha", "0.5", "--cov", cov, "--out", str(out)]) == 0
+    assert _read(out)["records"][0]["total_mass"] == pytest.approx(1.0, abs=1e-5)
+
+
 def test_train_error_experiment(tmp_path):
     out = tmp_path / "tr"
     code = main([

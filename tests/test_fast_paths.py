@@ -534,21 +534,22 @@ def _two_sum_companion(z, alpha, nu, initial=None):
         inv = 1.0 / (1.0 + nu.atoms * m)
         return complex(inv @ wa), complex((inv * inv) @ wa2)
 
-    def solve(z, m, budget, tol_abs):
+    def solve(z, m, budget):
         on_axis = z.imag == 0.0
         resid = math.inf
         for it in range(1, budget + 1):
             f1, f2 = frac_integrals(m)
             r = z + 1.0 / m - alpha * f1
             resid = abs(r)
-            if resid <= tol_abs(m):
+            # Relative to the largest term, max(|z|, |1/m|), at every stage.
+            if resid <= STIELTJES_TOL * max(abs(z), abs(1.0 / m)):
                 return m, it, resid, True
             stepped = False
             dr = -1.0 / m**2 + alpha * f2
             if dr != 0:
                 cand = m - r / dr
                 ok = np.isfinite(cand.real) and np.isfinite(cand.imag) and cand != 0
-                if ok and not on_axis and cand.imag < -1e-13:
+                if ok and not on_axis and cand.imag < -1e-13 * abs(cand):
                     ok = False
                 if ok and on_axis and cand.real <= 0:
                     ok = False
@@ -579,20 +580,12 @@ def _two_sum_companion(z, alpha, nu, initial=None):
     if on_axis and m.real <= 0:
         m = -1.0 / z.real
     used = 0
-
-    def final_tol(m):
-        # On the negative axis, relative to the largest term 1/m at every scale.
-        if on_axis:
-            return STIELTJES_TOL * max(abs(z), abs(1.0 / m))
-        return STIELTJES_TOL * max(1.0, abs(z))
-
     for stage in stages:
-        stage_tol = min(1e-9, 1e-6 * abs(stage)) * max(1.0, abs(stage))
-        m, its, resid, converged = solve(stage, m, budget, final_tol if stage == z else lambda m: stage_tol)
+        m, its, resid, converged = solve(stage, m, budget)
         used += its
         if not converged:
             raise NumericalFailureError("did not converge")
-    if not on_axis and m.imag < -1e-10:
+    if not on_axis and m.imag < -1e-10 * abs(m):
         raise NumericalFailureError("Nevanlinna violation")
     return m, used, resid
 

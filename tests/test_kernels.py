@@ -203,6 +203,8 @@ def test_spectral_norm_gap_rejects_non_finite(bad, n, capfd):
 def test_spectral_norm_gap_rejects_non_square():
     with pytest.raises(InvalidArgumentError, match="square"):
         spectral_norm_gap(np.zeros((3, 4)))
+    with pytest.raises(InvalidArgumentError, match="non-empty"):
+        spectral_norm_gap(np.zeros((0, 0)))
 
 
 def test_spectral_norm_gap_matches_dense_at_d70():

@@ -52,6 +52,8 @@ def test_esd_basics():
         esd(rng.normal(size=(5, 5)))
     with pytest.raises(InvalidArgumentError, match="square"):
         esd(np.zeros((3, 4)))
+    with pytest.raises(InvalidArgumentError, match="non-empty"):
+        esd(np.zeros((0, 0)))
 
 
 def test_esd_copies_only_a_matrix_it_cannot_solve_in_place():
@@ -464,7 +466,7 @@ def test_segmented_law_matches_one_sweep(cov, alpha):
     grid = np.concatenate([segment.x for segment in spectra.law_segments(alpha, nu)[::-1]])
     assert grid.size == spectra.LAW_GRID_POINTS and np.all(np.diff(grid) > 0)
     dens = LawSegment(alpha, nu.compressed(), grid)().density
-    live = np.nonzero(dens > spectra.LAW_DENSITY_FLOOR)[0]
+    live = np.nonzero(dens > spectra.LAW_DENSITY_FLOOR * dens.max())[0]
     lo, hi = max(int(live[0]) - 1, 0), min(int(live[-1]) + 2, grid.size)
     np.testing.assert_array_equal(law.grid, grid[lo:hi])
     # An absolute bound: near x = 0 with alpha < 1 the density is a
@@ -520,6 +522,31 @@ def test_law_segments_do_not_depend_on_their_schedule():
     for wrong in (bottom_first[::-1], bottom_first[:1]):
         with pytest.raises(InvalidArgumentError, match="law_segments"):
             deformed_mp_law(alpha, nu, wrong)
+
+
+_ESD_LAW_ATOMS = tuple(sigma2_diagonal(CovarianceSpec.uniform(60, 0.5, 1.5)).atoms.tolist())
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    atoms=st.lists(st.floats(0.1, 5.0), min_size=1, max_size=4),
+    alpha=st.floats(0.1, 4.0),
+    k=st.integers(-45, 40),
+)
+@example(atoms=[1.0, 2.0], alpha=0.5, k=-43)
+@example(atoms=_ESD_LAW_ATOMS, alpha=1.0, k=-5)  # the esd-law benchmark law
+def test_law_scales_with_its_population_bit_for_bit(atoms, alpha, k):
+    # The law holds no absolute scale: for nu scaled by 2^k (exact in
+    # floating point) the grid scales by 2^k and the density by 2^-k exactly,
+    # and every solve takes the same steps.
+    nu = DiscreteLaw.from_values(atoms)
+    c = 2.0**k
+    law = deformed_mp_law(alpha, nu)
+    scaled = deformed_mp_law(alpha, DiscreteLaw(nu.atoms * c, nu.weights))
+    assert np.array_equal(scaled.grid, law.grid * c)
+    assert np.array_equal(scaled.density, law.density / c)
+    assert scaled.atom0_mass == law.atom0_mass
+    assert scaled.solvers == tuple(dict(s, x_min=s["x_min"] * c, x_max=s["x_max"] * c) for s in law.solvers)
 
 
 @pytest.mark.parametrize("initial, budget", [(None, "STIELTJES_MAX_STEPS"), (complex(5.0, 1.0), "STIELTJES_WARM_STEPS")],
