@@ -15,8 +15,14 @@ are the same bits. A routine the library lacks raises ImportError.
 The eigenvalue helper ``syevd`` calls LAPACK's two-stage ``dsyevd_2stage``
 (a BLAS-3 reduction to band form, then bulge chasing to tridiagonal form;
 Haidar, Ltaief & Dongarra, SC'11), else the one-stage ``dsyevd``;
-``EIGEN_DRIVER`` names the routine that was resolved. ``lapack_threads``
-reads the thread count of the same library.
+``EIGEN_DRIVER`` names the routine that was resolved.
+
+Two OpenBLAS libraries do a run's dense work: scipy's, behind the routines
+here, and numpy's, behind its matrix products, reached through a handle on
+numpy's ``_multiarray_umath`` extension. ``lapack_threads`` and
+``numpy_blas_threads`` read their thread counts, and ``one_lapack_thread``
+runs a block on one thread per call in both, the one place the thread
+count is set.
 
 The Cholesky helpers and ``symv`` read opposite triangles of one array:
 ``potrf`` factors the F-order view ``K.T`` of a C-order symmetric K in
@@ -31,6 +37,7 @@ otherwise) and never copies: the caller makes the one copy it means to.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
 from importlib.machinery import PathFinder
@@ -44,15 +51,35 @@ _spec = PathFinder.find_spec("cython_lapack", [os.path.join(path, "linalg") for 
 if _spec is None:
     raise ImportError("scipy.linalg.cython_lapack not found under %s" % list(scipy.__path__))
 _LIBRARY = ctypes.CDLL(_spec.origin)
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath
+
+
+def _symbol(library: ctypes.CDLL, name: str):
+    """The address of ``name`` in ``library``, under the ``scipy_`` prefix of
+    scipy's and numpy's wheels or as it is; None where neither is exported."""
+    for symbol in ("scipy_" + name, name):
+        if hasattr(library, symbol):
+            return ctypes.cast(getattr(library, symbol), ctypes.c_void_p).value
+    return None
 
 
 def _library_symbol(name: str):
-    """The address of ``name`` in ``_LIBRARY``, under the ``scipy_`` prefix of
-    scipy's wheels or as it is; None where neither is exported."""
-    for symbol in ("scipy_" + name, name):
-        if hasattr(_LIBRARY, symbol):
-            return ctypes.cast(getattr(_LIBRARY, symbol), ctypes.c_void_p).value
-    return None
+    """The address of ``name`` in ``_LIBRARY`` (see ``_symbol``)."""
+    return _symbol(_LIBRARY, name)
+
+
+def _thread_count(library: ctypes.CDLL, suffix: str):
+    """The getter and setter of the thread count of the OpenBLAS that
+    ``library`` links (``openblas_get_num_threads`` and
+    ``openblas_set_num_threads``, each with ``suffix``) as ctypes functions;
+    (None, None) unless both are exported."""
+    get, put = (_symbol(library, "openblas_%s_num_threads%s" % (verb, suffix)) for verb in ("get", "set"))
+    if get is None or put is None:
+        return None, None
+    return ctypes.CFUNCTYPE(ctypes.c_int)(get), ctypes.CFUNCTYPE(None, ctypes.c_int)(put)
 
 
 def _routine(name: str, nargs: int):
@@ -71,7 +98,9 @@ _dpotrs = _routine("dpotrs_", 8)
 # eigenvalues alone.
 EIGEN_DRIVER = "dsyevd" if _library_symbol("dsyevd_2stage_") is None else "dsyevd_2stage"
 _dsyevd = _routine(EIGEN_DRIVER + "_", 11)
-_openblas_threads = _library_symbol("openblas_get_num_threads")
+_SCIPY_THREADS = _thread_count(_LIBRARY, "")
+# numpy's wheels build OpenBLAS with 64-bit integers, its symbols suffixed 64_.
+_NUMPY_THREADS = _thread_count(ctypes.CDLL(_multiarray_umath.__file__), "64_")
 _EIGENVALUES_ONLY = ctypes.c_char(b"N")
 _LOWER = ctypes.c_char(b"L")
 _UPPER = ctypes.c_char(b"U")
@@ -151,10 +180,37 @@ def symv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 def lapack_threads() -> int | None:
     """The number of threads the OpenBLAS behind these routines runs a call
     on (its ``openblas_get_num_threads``), or None where that library does
-    not export it."""
-    if _openblas_threads is None:
-        return None
-    return ctypes.CFUNCTYPE(ctypes.c_int)(_openblas_threads)()
+    not export its thread-count getter and setter."""
+    get = _SCIPY_THREADS[0]
+    return None if get is None else get()
+
+
+def numpy_blas_threads() -> int | None:
+    """The same count for the OpenBLAS behind numpy's matrix products."""
+    get = _NUMPY_THREADS[0]
+    return None if get is None else get()
+
+
+@contextlib.contextmanager
+def one_lapack_thread():
+    """Inside the block, scipy's and numpy's OpenBLAS run each call on one
+    thread; their counts are restored as the block ends, however it ends. A
+    library that exports no thread-count getter and setter is left as it is.
+
+    The count is the library's, not the thread's: it holds for every thread
+    of the process, so seed workers started inside the block all run on it.
+    Two blocks must not overlap in time on different threads: the second
+    would read the first's 1 and restore it. Both counts are read before
+    either is set, so that where numpy and scipy share one library, its own
+    count comes back and not 1."""
+    pins = [(put, get()) for get, put in (_SCIPY_THREADS, _NUMPY_THREADS) if get is not None]
+    for put, _ in pins:
+        put(1)
+    try:
+        yield
+    finally:
+        for put, threads in reversed(pins):
+            put(threads)
 
 
 def syevd(a: np.ndarray) -> np.ndarray:

@@ -34,8 +34,9 @@ QRLAB_THREADS (an integer >= 1; default the CPU count); esd pools its laws'
 grid segments beside them, each rung's top segment first and the others
 last, one at a time. A ladder's summary key k becomes k_by_d, by str(d), as
 approx-norm's median_*_by_d are at every length. Every run writes
-results.json (deterministic given config, seeds and the BLAS thread count;
-its config and sha256 config hash cover the experiment's name and the keys
+results.json (deterministic given config and seeds, since every run pins
+numpy's and scipy's OpenBLAS to one thread per call and restores their
+counts after; its config and sha256 config hash cover the experiment's name and the keys
 it reads, less out), results.csv (one row per record of results.json,
 headed by the first record's keys), and a results.meta.json sidecar holding
 the wall-clock data (runtime_ms per task, or of the whole run for
@@ -304,9 +305,10 @@ def _worker_count(n_tasks: int) -> int:
 
 
 def _environment(seed_workers: int) -> dict:
-    """Library versions, the LAPACK eigenvalue routine ``_lapack`` resolved
-    and the thread count of its OpenBLAS (None where unreported), CPUs, raw
-    BLAS thread variables (None when unset), seed workers."""
+    """Library versions, the LAPACK eigenvalue routine ``_lapack`` resolved,
+    the thread counts of scipy's and numpy's OpenBLAS as the run's pin left
+    them (1, or None for a library that reports none), CPUs, raw BLAS thread
+    variables (None when unset), seed workers."""
     blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     return {
         "python": platform.python_version(),
@@ -314,6 +316,7 @@ def _environment(seed_workers: int) -> dict:
         "scipy": scipy.__version__,
         "eigen_driver": _lapack.EIGEN_DRIVER,
         "lapack_threads": _lapack.lapack_threads(),
+        "numpy_blas_threads": _lapack.numpy_blas_threads(),
         "cpu_count": os.cpu_count(),
         **{var: os.environ.get(var) for var in blas_vars},
         "seed_workers": seed_workers,
@@ -636,11 +639,14 @@ def run(cfg: ExperimentConfig) -> int:
     if cfg.experiment != "train-error" and {"c0", "c1"} & set(cfg.teacher):
         raise InvalidArgumentError("teacher c0/c1 apply only to train-error, not to %s" % cfg.experiment)
     _thread_limit()  # a bad QRLAB_THREADS fails before any work starts
-    t0 = time.perf_counter()
-    records, summary, lines, stats, files = runner(cfg)
-    # Runners off the seed pool are timed as a whole.
-    stats.setdefault("runtime_ms", [(time.perf_counter() - t0) * 1000.0])
-    out = _write_outputs(cfg, records, summary, stats, files)
+    # One BLAS thread per call: the seed workers are the run's parallelism,
+    # and the bytes of a matrix product depend on how OpenBLAS splits it.
+    with _lapack.one_lapack_thread():
+        t0 = time.perf_counter()
+        records, summary, lines, stats, files = runner(cfg)
+        # Runners off the seed pool are timed as a whole.
+        stats.setdefault("runtime_ms", [(time.perf_counter() - t0) * 1000.0])
+        out = _write_outputs(cfg, records, summary, stats, files)
     _emit([*lines, "wrote %s" % (out / "results.json")])
     return 0
 

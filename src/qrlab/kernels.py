@@ -397,9 +397,10 @@ def spectral_norm_gap(diff: np.ndarray) -> float:
     largest magnitude, stopped at ``LANCZOS_TOL``) on D, from a fixed seeded
     start vector, so the result is deterministic. D is used as it is when
     exactly symmetric, averaged with its transpose when symmetric within
-    1e-10 relative to its largest entry, and rejected (InvalidArgumentError)
-    otherwise; this is the one symmetry check, since the solve itself reads
-    D's lower triangle alone (see ``_lanczos_gap``). The Ritz pair
+    1e-10 max(1, max|D|), and rejected (InvalidArgumentError) otherwise. The
+    floor of 1 absorbs the round-off that cancellation in K - K2 leaves.
+    This is the one symmetry check, since the solve itself reads D's lower
+    triangle alone (see ``_lanczos_gap``). The Ritz pair
     (theta, v) is certified by its eigen-residual
     |D v - theta v| <= 1e-8 max(1, |theta|). An all-zero D gives exactly
     0.0. Non-finite entries in D, an ARPACK failure or a residual above the

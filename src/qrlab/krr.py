@@ -80,7 +80,7 @@ LAMBDA_STAR_TOL = 1e-12  # lambda_star_solve: root residual, relative to the lar
 # thread, blocks of 500 rows or more predict bit-identically to the whole
 # block on either route and 250 rows do not (4e-16 and 7e-15 relative);
 # more BLAS threads split a block's rows between them, so the last digits
-# can move with the thread count.
+# can move with the thread count (a CLI run pins one thread).
 RISK_BLOCK_ROWS = 500
 # Block-sized float64 buffers of one power-sum prediction: the scaled
 # products G (squared in place for an even f) and, for a power above the

@@ -141,9 +141,15 @@ def _exactly_symmetric(m: np.ndarray) -> bool:
 
 
 def _checked_symmetric(m, what: str) -> np.ndarray:
-    """A symmetric float64 matrix for a finite, non-empty square input that
-    is symmetric within 1e-10 relative to its largest entry. Exactly
-    symmetric input comes back as it is; a smaller asymmetry is averaged out."""
+    """A symmetric float64 matrix for a finite, non-empty square input whose
+    max|M - M^T| is within 1e-10 max(1, max|M|). Exactly symmetric input
+    comes back as it is; a smaller asymmetry is averaged out.
+
+    The floor of 1 makes the bound absolute below unit scale. It is there
+    for ``spectral_norm_gap``, which passes the difference K - K2: the
+    cancellation in that difference can leave round-off asymmetry that is
+    large beside the difference's own largest entry, the only scale seen
+    here."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise InvalidArgumentError("%s must be a non-empty square matrix" % what)
@@ -162,11 +168,12 @@ def _checked_symmetric(m, what: str) -> np.ndarray:
 def esd(matrix: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a (nearly) symmetric matrix.
 
-    The input must be finite and symmetric within 1e-10 relative to its
-    largest entry; it is symmetrized before the dense solve unless it is
-    exactly symmetric. The solve works in place (``_lapack.syevd``), so an
-    exactly symmetric, writable, C- or F-contiguous float64 ``matrix`` is
-    overwritten; pass a copy to keep it. Any other input is solved on a copy.
+    The input must be finite and symmetric within 1e-10 max(1, max|M|)
+    (see ``_checked_symmetric`` for the floor); it is symmetrized before the
+    dense solve unless it is exactly symmetric. The solve works in place
+    (``_lapack.syevd``), so an exactly symmetric, writable, C- or
+    F-contiguous float64 ``matrix`` is overwritten; pass a copy to keep it.
+    Any other input is solved on a copy.
     """
     sym = _checked_symmetric(matrix, "esd: matrix")
     if not (sym.flags.writeable and (sym.flags.c_contiguous or sym.flags.f_contiguous)):

@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from qrlab._lapack import one_lapack_thread
 from qrlab.datagen import (
     CovarianceSpec,
     MomentMatchedSampler,
@@ -44,7 +45,6 @@ from qrlab.spectra import (
     esd,
     ks_distance,
 )
-from test_fast_paths import one_lapack_thread
 from test_krr import _brentq_lambda_star
 
 GAUSS = MomentMatchedSampler.gaussian()

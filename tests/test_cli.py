@@ -63,12 +63,13 @@ def test_meta_records_environment(tmp_path, monkeypatch, experiment, seeds, work
     assert main(args) == 0
     meta = json.loads((out / "results.meta.json").read_text())
     env = meta["environment"]
-    assert set(env) == {"python", "numpy", "scipy", "eigen_driver", "lapack_threads", "cpu_count",
-                        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "seed_workers"}
+    assert set(env) == {"python", "numpy", "scipy", "eigen_driver", "lapack_threads", "numpy_blas_threads",
+                        "cpu_count", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "seed_workers"}
     assert (env["numpy"], env["scipy"]) == (numpy.__version__, scipy.__version__)
     assert env["eigen_driver"] == _lapack.EIGEN_DRIVER and env["eigen_driver"] in ("dsyevd_2stage", "dsyevd")
-    # scipy's wheels bundle an OpenBLAS, which reports its thread count.
-    assert env["lapack_threads"] == _lapack.lapack_threads() and env["lapack_threads"] >= 1
+    # scipy's and numpy's wheels each bundle an OpenBLAS, which reports its
+    # thread count, read inside the run's pin.
+    assert env["lapack_threads"] == 1 and env["numpy_blas_threads"] == 1
     assert env["OMP_NUM_THREADS"] == "3" and env["MKL_NUM_THREADS"] is None
     assert env["seed_workers"] == workers
     assert "environment" not in _read(out)
@@ -1052,6 +1053,60 @@ def test_deterministic_teacher_train_error_limit_is_noise_only(tmp_path, lam):
     assert _read(tmp_path / "noisy")["summary"]["relative_gap"] < 0.2
     assert main(args + ["--sigma-eps", "0", "--out", str(tmp_path / "clean")]) == 0
     assert _read(tmp_path / "clean")["summary"]["predicted"] == 0.0
+
+
+def test_results_do_not_depend_on_the_blas_thread_variables(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    # In fresh interpreters, since OpenBLAS reads the variables as it loads.
+    # On two CPUs, these are about the smallest runs whose matrix products
+    # OpenBLAS splits across its threads when the variables are unset.
+    runs = {
+        "risk": ["risk", "--d", "16", "--kernel", "quartic:1,1,1", "--seeds", "0,1", "--n-test", "50",
+                 "--n-repl", "2"],
+        "approx-norm": ["approx-norm", "--d", "24", "--seeds", "0,1"],
+    }
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    blas_variables = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS")
+    unset = {key: value for key, value in os.environ.items() if key not in blas_variables}
+    unset["PYTHONPATH"] = src
+    for name, args in runs.items():
+        written = []
+        for i, env in enumerate((unset, {**unset, "OPENBLAS_NUM_THREADS": "1"})):
+            out = tmp_path / name / str(i)
+            proc = subprocess.run([sys.executable, "-m", "qrlab.cli", *args, "--out", str(out)], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            written.append((out / "results.json").read_bytes())
+        assert written[0] == written[1], name
+
+
+@pytest.mark.parametrize("alpha, code", [("1", 0), ("1e-300", 3)], ids=["success", "numerical-failure"])
+def test_a_run_pins_both_blas_libraries_and_restores_them(tmp_path, monkeypatch, alpha, code):
+    from qrlab import _lapack, cli
+
+    runner, keys = cli._EXPERIMENT_TABLE["lambda-star"]
+    seen = []
+
+    def spy(cfg):
+        seen.append((_lapack.lapack_threads(), _lapack.numpy_blas_threads()))
+        return runner(cfg)
+
+    monkeypatch.setitem(cli._EXPERIMENT_TABLE, "lambda-star", (spy, keys))
+    counts = (_lapack.lapack_threads(), _lapack.numpy_blas_threads())
+    # Start from two threads in each library, whatever the environment set.
+    for _, set_threads in (_lapack._SCIPY_THREADS, _lapack._NUMPY_THREADS):
+        set_threads(2)
+    try:
+        assert (_lapack.lapack_threads(), _lapack.numpy_blas_threads()) == (2, 2)
+        assert main(["lambda-star", "--d", "8", "--alpha", alpha, "--out", str(tmp_path / "o")]) == code
+        assert seen == [(1, 1)]
+        assert (_lapack.lapack_threads(), _lapack.numpy_blas_threads()) == (2, 2)
+    finally:
+        for (_, set_threads), threads in zip((_lapack._SCIPY_THREADS, _lapack._NUMPY_THREADS), counts):
+            set_threads(threads)
 
 
 def test_train_error_limit_at_a_huge_ridge_is_the_label_variance(tmp_path):

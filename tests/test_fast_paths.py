@@ -3,7 +3,6 @@ gap matrices, the blocked risk prediction, the surrogate coefficients on float64
 the Lanczos spectral-norm gap, the one-sum companion solver, the GIL-free
 BLAS/LAPACK layer and the in-place ridge factor against their plain forms."""
 
-import contextlib
 import ctypes
 import math
 import os
@@ -279,33 +278,24 @@ def test_kernel_matrix_is_built_in_place_by_strips(kernel):
     assert peak <= strip_build_bytes(n, d)
 
 
-def test_risk_block_rows_predict_bit_identically_on_one_blas_thread():
+def test_risk_block_rows_predict_bit_identically_on_one_blas_thread(monkeypatch):
     # Pins RISK_BLOCK_ROWS at the desk shape for both routes of _predict:
     # under one BLAS thread, power sums in blocks equal power sums over the
     # whole 4000-row block bit for bit, and the cross-kernel route equals
-    # the whole cross-kernel block's product. OpenBLAS fixes its thread count
-    # when it loads, hence a fresh interpreter.
-    script = """if True:
-        import numpy as np
-        from qrlab import krr
-        from qrlab.datagen import CovarianceSpec, MomentMatchedSampler, sample_dataset
-        from qrlab.kernels import KernelFunction, cross_kernel
-        data = sample_dataset(1800, 60, CovarianceSpec.identity(60), MomentMatchedSampler.gaussian(), 0)
-        rng = np.random.default_rng(3)
-        x_test, w = rng.standard_normal((4000, 60)), rng.standard_normal(1800)
-        for kernel in (KernelFunction.quartic(1.0, 6.0, 1.0), KernelFunction.custom_poly([1, 0, 3, 0, 0.04, 0.01])):
-            blocked = krr._predict(data, x_test, kernel, w)
-            krr.RISK_BLOCK_ROWS, rows = len(x_test), krr.RISK_BLOCK_ROWS
-            assert np.array_equal(blocked, krr._predict(data, x_test, kernel, w)), kernel.name
-            krr.RISK_BLOCK_ROWS = rows
-        kernel = KernelFunction.cosh()
-        assert np.array_equal(krr._predict(data, x_test, kernel, w), cross_kernel(data, x_test, kernel) @ w)
-    """
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
-    env = dict(os.environ, PYTHONPATH=src, **threads)
-    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert child.returncode == 0, child.stderr
+    # the whole cross-kernel block's product.
+    data = sample_dataset(1800, 60, CovarianceSpec.identity(60), MomentMatchedSampler.gaussian(), 0)
+    rng = np.random.default_rng(3)
+    x_test, w = rng.standard_normal((4000, 60)), rng.standard_normal(1800)
+    polynomials = (KernelFunction.quartic(1.0, 6.0, 1.0), KernelFunction.custom_poly([1, 0, 3, 0, 0.04, 0.01]))
+    cosh = KernelFunction.cosh()
+    with _lapack.one_lapack_thread():
+        blocked = [_predict(data, x_test, kernel, w) for kernel in (*polynomials, cosh)]
+        whole_cosh = cross_kernel(data, x_test, cosh) @ w
+        monkeypatch.setattr("qrlab.krr.RISK_BLOCK_ROWS", len(x_test))
+        whole = [_predict(data, x_test, kernel, w) for kernel in polynomials]
+    for kernel, in_blocks, at_once in zip(polynomials, blocked, whole):
+        assert np.array_equal(in_blocks, at_once), kernel.name
+    assert np.array_equal(blocked[-1], whole_cosh)
 
 
 # Both routes of _predict: power sums for the polynomial kernels (even, with
@@ -800,8 +790,7 @@ def test_lapack_threads_reads_the_library(monkeypatch):
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "1"
     assert _lapack.lapack_threads() >= 1
-    monkeypatch.setattr(_lapack, "_LIBRARY", _handle_without_lapack())
-    monkeypatch.setattr(_lapack, "_openblas_threads", _lapack._library_symbol("openblas_get_num_threads"))
+    monkeypatch.setattr(_lapack, "_SCIPY_THREADS", _lapack._thread_count(_handle_without_lapack(), ""))
     assert _lapack.lapack_threads() is None
 
 
@@ -911,44 +900,6 @@ GIL_BIN_S = 5e-5
 GIL_SHARE_CUT = 0.3
 
 
-def _numpy_openblas_symbol(name):
-    """The address of ``name`` through a handle on numpy's ``_multiarray_umath``
-    extension, which links numpy's bundled OpenBLAS; None where it is not
-    exported."""
-    try:
-        from numpy._core import _multiarray_umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath
-    try:
-        return ctypes.cast(getattr(ctypes.CDLL(_multiarray_umath.__file__), name), ctypes.c_void_p).value
-    except AttributeError:
-        return None
-
-
-@contextlib.contextmanager
-def one_lapack_thread():
-    """scipy's OpenBLAS, which runs the ``_lapack`` routines, and numpy's,
-    which runs the Gram products and predictions, run each call on one
-    thread inside the block. A library that exports no thread-count getter
-    and setter is left as it is."""
-    pins = []
-    scipy_set, scipy_threads = _lapack._library_symbol("openblas_set_num_threads"), _lapack.lapack_threads()
-    if scipy_set and scipy_threads:
-        pins.append((scipy_set, scipy_threads))
-    numpy_get = _numpy_openblas_symbol("scipy_openblas_get_num_threads64_")
-    numpy_set = _numpy_openblas_symbol("scipy_openblas_set_num_threads64_")
-    if numpy_get and numpy_set:
-        pins.append((numpy_set, ctypes.CFUNCTYPE(ctypes.c_int)(numpy_get)()))
-    pins = [(ctypes.CFUNCTYPE(None, ctypes.c_int)(setter), threads) for setter, threads in pins]
-    for set_threads, _ in pins:
-        set_threads(1)
-    try:
-        yield
-    finally:
-        for set_threads, threads in pins:
-            set_threads(threads)
-
-
 def _python_share(work, calls):
     """Share of the wall time of ``work(0)``, ..., ``work(calls - 1)`` during
     which a thread running a pure-Python loop advanced: the time is cut into
@@ -971,7 +922,7 @@ def _python_share(work, calls):
     ticker = threading.Thread(target=tick)
     sys.setswitchinterval(1e-4)
     try:
-        with one_lapack_thread():
+        with _lapack.one_lapack_thread():
             ticker.start()
             start = time.perf_counter()
             for i in range(calls):

@@ -101,6 +101,16 @@ def test_symmetric_input_check_keeps_exact_input():
         _checked_symmetric(near, "m")
 
 
+def test_symmetry_bound_is_absolute_below_unit_scale():
+    # The bound is 1e-10 max(1, max|M|). At a largest entry of 2e-6 it is
+    # 1e-10, so an asymmetry of 1e-11, 1e-5 of the entries it lies between,
+    # is averaged out; the same relative asymmetry at unit scale is refused.
+    eigs = esd([[1e-6, 1e-6 + 1e-11], [1e-6, 2e-6]])
+    assert eigs.shape == (2,) and np.all(np.isfinite(eigs)) and eigs[0] < eigs[1]
+    with pytest.raises(InvalidArgumentError, match="not symmetric"):
+        esd([[1.0, 1.0 + 1e-5], [1.0, 2.0]])
+
+
 @pytest.mark.parametrize("row, col", [(-1, -3), (-1, 2), (2, -1)], ids=["diagonal", "below", "above"])
 def test_symmetric_input_check_reaches_the_last_partial_tile(row, col):
     # One asymmetric entry in the last row or column, at an n that no
